@@ -44,9 +44,12 @@ bench-par:
 
 # The parallel determinism contract: the scheduler-level equivalence grids
 # and the engine-level bit-identity grid (mode x LB x faults x detection),
-# plus the partition planner's pinned and property tests, all under -race.
+# plus the partition planner's pinned and property tests, and the
+# deferred-wake contract (golden digests pinned from the every-wake
+# scheduler, MaxTime/stop/cancel edges, hand-off budgets), all under -race.
 test-par:
-	$(GO) test -race -timeout 30m ./internal/vtime/ -run 'TestParallel'
+	$(GO) test -race -timeout 30m ./internal/vtime/ \
+		-run 'TestParallel|TestGoldenEquivalence|TestMaxTimeInsideWorkBurst|TestStopTakesEffect|TestCanceledHonoured|TestSweepMakesOneHandoff|TestTable1HandoffBudget'
 	$(GO) test -race -timeout 30m ./internal/engine/ \
 		-run 'TestParallelEngineEquivalence|TestPlanGroups|TestAdaptiveLookahead|TestSimManifest'
 

@@ -37,6 +37,14 @@ type Msg struct {
 // Env is the world as seen by one process (one grid node). All times are in
 // seconds: virtual seconds under vtime, scaled wall-clock seconds under
 // rtime.
+//
+// Work and Sleep advance the caller's own clock and nothing else. What the
+// other processes did in the meantime — messages they sent, a Stop — becomes
+// visible at the caller's next Recv, RecvWait, Pending or Stopped, never in
+// between; under virtual time those calls (and Send, Stop, and Trace when
+// tracing is on) are the only points where a process hands control to the
+// scheduler. A process that only ever calls Work after somebody else's Stop
+// therefore keeps advancing its own clock until it next looks.
 type Env interface {
 	// Rank returns this process's id in [0, NumProcs).
 	Rank() int
@@ -44,10 +52,13 @@ type Env interface {
 	NumProcs() int
 	// Now returns the current time at this process.
 	Now() float64
-	// Work advances time by the cost of executing the given abstract work
-	// units on this node, accounting for node speed and background load.
+	// Work advances this process's clock by the cost of executing the given
+	// abstract work units on this node, accounting for node speed and
+	// background load. It is a no-op once the world has stopped, as far as
+	// this process can tell (see above).
 	Work(units float64)
-	// Sleep advances time by the given duration regardless of node speed.
+	// Sleep advances this process's clock by the given duration regardless
+	// of node speed; like Work it observes nothing.
 	Sleep(seconds float64)
 	// Send delivers payload to process `to` after the modeled link delay
 	// and returns the arrival time. Sends never block and are reliable
@@ -59,10 +70,13 @@ type Env interface {
 	// ok is false when the world stopped (global halt, deadlock, or time
 	// limit) and no message is available.
 	RecvWait() (Msg, bool)
-	// Stopped reports whether the world has been stopped; processes should
-	// unwind promptly once it returns true.
+	// Stopped reports whether the world has been stopped as of this
+	// process's clock; processes should unwind promptly once it returns
+	// true.
 	Stopped() bool
-	// Stop requests a global stop of the world (idempotent).
+	// Stop requests a global stop of the world (idempotent). It takes
+	// effect at the caller's clock: events of other processes that sort
+	// before it still happen.
 	Stop()
 	// Rand returns this process's deterministic private RNG.
 	Rand() *rand.Rand
@@ -96,7 +110,10 @@ type Config struct {
 	Procs int
 	// ComputeTime returns the wall/virtual duration for `units` of work
 	// starting at time `start` on node `node` (background load may make
-	// the same units cost more at different times).
+	// the same units cost more at different times). The virtual-time
+	// runtime calls it while the process runs ahead of the global clock
+	// (see Env), so calls for different nodes arrive in no particular
+	// order: any state it keeps must be partitioned per node.
 	ComputeTime func(node int, start, units float64) float64
 	// Delay returns the transfer duration for a message of the given
 	// modeled size sent between two nodes at time `now`. Implementations

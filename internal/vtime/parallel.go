@@ -226,10 +226,7 @@ func (s *Scheduler) runParallel() float64 {
 	s.commit()
 	s.par.kick = false
 
-	for {
-		if s.allFinished() {
-			break
-		}
+	for s.live.Load() > 0 {
 		t0 := math.Inf(1)
 		for _, g := range s.groups {
 			if g.events.Len() > 0 && g.events[0].t < t0 {

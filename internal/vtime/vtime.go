@@ -2,14 +2,26 @@
 // model defined in internal/runenv.
 //
 // Each process runs in its own goroutine, but processes only execute when
-// the scheduler hands them control: they yield back whenever they consume
-// time (Work, Sleep) or block (RecvWait). Events are totally ordered by the
-// key (time, source process, per-source counter); the key of an event is
-// fixed at creation and independent of the order in which the scheduler
-// happens to execute processes, so a given configuration and seed always
-// produces the same execution, the same message interleavings and the same
-// virtual end-to-end times — which is what makes the paper's experiments
+// the scheduler hands them control. Events are totally ordered by the key
+// (time, source process, per-source counter); the key of an event is fixed
+// at creation and independent of the order in which the scheduler happens to
+// execute processes, so a given configuration and seed always produces the
+// same execution, the same message interleavings and the same virtual
+// end-to-end times — which is what makes the paper's experiments
 // reproducible on any host.
+//
+// Deferred wakes: a process hands control back only where it can observe
+// or affect the world. Work and Sleep advance the caller's own clock and
+// consume the counter their wake event would have carried, but schedule
+// nothing; the one wake that matters — the last — is scheduled (and the
+// process yields) on entry to the next call that looks at or acts on anything
+// outside the process: Recv, RecvWait, Pending, Stopped, Stop, Send (the
+// Delay and FaultHook hooks may keep state that several senders share),
+// Trace when tracing is on, and the body's return. Now, Rand and
+// LastSendSeq do not yield. The execution is bit-identical to scheduling
+// every wake (see proc.advance, proc.sync and DESIGN.md §9.5), at a
+// fraction of the hand-offs: between two such calls a process sees nothing,
+// so its intermediate wakes only ever handed control back and forth.
 //
 // By default the scheduler is sequential: exactly one process executes at
 // any moment. When Config.SimWorkers > 1 and Config.MinDelay/Groups
@@ -23,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"aiac/internal/runenv"
 	"aiac/internal/trace"
@@ -146,6 +159,12 @@ type proc struct {
 	stopSelf bool
 	cnt      uint64 // event counter: tie-break + Msg.Seq for events this proc creates
 	lastSend uint64 // Msg.Seq of the primary copy of the most recent Send
+	// deferred is the counter of the most recent Work/Sleep wake that was
+	// applied to clock without being scheduled (0: none); see sync.
+	deferred uint64
+	// handoffs counts runProc calls for this process; read by the tests and
+	// BenchmarkSweep (export_test.go).
+	handoffs int64
 	rng      *rand.Rand
 	sched    *Scheduler
 	grp      *group
@@ -232,6 +251,8 @@ type Scheduler struct {
 	// mode.
 	unwinding bool
 	stopped   bool
+	// live counts processes whose body has not returned.
+	live atomic.Int64
 	// Deadlocked is set when the run ended because every live process was
 	// blocked in RecvWait with no pending events.
 	Deadlocked bool
@@ -267,10 +288,7 @@ func (s *Scheduler) Run(bodies []runenv.Body) float64 {
 	g := s.groups[0]
 	// Kick every process off at t=0, in rank order.
 	s.kickoff(g)
-	for {
-		if s.allFinished() {
-			break
-		}
+	for s.live.Load() > 0 {
 		if g.events.Len() == 0 {
 			// No future events: either everyone who is alive waits on a
 			// message that will never come (deadlock), or a process is
@@ -305,6 +323,7 @@ func (s *Scheduler) setup(bodies []runenv.Body) {
 	}
 	s.procs = make([]*proc, n)
 	s.fifo = make([]float64, n*n)
+	s.live.Store(int64(n))
 	for i := range bodies {
 		p := &proc{
 			id:      i,
@@ -319,7 +338,9 @@ func (s *Scheduler) setup(bodies []runenv.Body) {
 		go func() {
 			<-p.resume
 			body(&env{p: p})
+			p.sync() // finish at the clock the body reached, not before
 			p.finished = true
+			s.live.Add(-1)
 			p.yielded <- struct{}{}
 		}()
 	}
@@ -458,37 +479,16 @@ func (s *Scheduler) stopWorld() {
 				progressed = true
 			}
 		}
+		live := s.live.Load()
+		if live == 0 {
+			return
+		}
 		if !progressed {
-			if !s.allFinished() {
-				// A live process yielded without blocking primitives —
-				// cannot happen with the current env implementation.
-				panic(fmt.Sprintf("vtime: stopWorld stalled with %d live processes", s.liveCount()))
-			}
-			return
-		}
-		if s.allFinished() {
-			return
+			// A live process yielded without blocking primitives —
+			// cannot happen with the current env implementation.
+			panic(fmt.Sprintf("vtime: stopWorld stalled with %d live processes", live))
 		}
 	}
-}
-
-func (s *Scheduler) allFinished() bool {
-	for _, p := range s.procs {
-		if !p.finished {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Scheduler) liveCount() int {
-	n := 0
-	for _, p := range s.procs {
-		if !p.finished {
-			n++
-		}
-	}
-	return n
 }
 
 func (s *Scheduler) anyWaiting() bool {
@@ -512,6 +512,7 @@ func (s *Scheduler) endTime() float64 {
 
 // runProc hands control to p until it yields back.
 func (s *Scheduler) runProc(p *proc) {
+	p.handoffs++
 	p.resume <- struct{}{}
 	<-p.yielded
 }
@@ -537,26 +538,77 @@ func (e *env) Now() float64  { return e.p.clock }
 
 func (e *env) stopped() bool { return e.p.sched.stopped || e.p.stopSelf }
 
+// Work (like Sleep) reads the stop flags without syncing: they only change
+// while the process is yielded, and it has not yielded since it last looked.
 func (e *env) Work(units float64) {
 	s := e.p.sched
 	if e.stopped() || units <= 0 {
 		return
 	}
 	d := s.cfg.ComputeTime(e.p.id, e.p.clock, units)
-	e.sleepFor(d)
+	e.p.advance(d)
 }
 
 func (e *env) Sleep(seconds float64) {
 	if e.stopped() || seconds <= 0 {
 		return
 	}
-	e.sleepFor(seconds)
+	e.p.advance(seconds)
 }
 
-func (e *env) sleepFor(d float64) {
-	p := e.p
+// advance moves the process d seconds into its future. Normally the wake is
+// deferred: the clock jumps, the wake's counter is consumed and remembered,
+// and nothing is scheduled until the process next touches the world (see
+// sync). Between two such touches a process observes nothing and creates no
+// event, so executing its intermediate wakes would only have handed control
+// back and forth.
+//
+// Two cases schedule the wake eagerly, exactly as every wake used to be, so
+// that no check is weakened. A wake past MaxTime must stay in the heap
+// unexecuted: the run times out on it with the clock still at its old value.
+// And under the windowed scheduler only a wake that the current window
+// would have executed anyway — strictly below the group's horizon, outside
+// the start-up window, which executes none — is deferred: between windows
+// the heaps then hold exactly the events they always did, so the scheduler
+// plans the same windows and commit checks every cross-group send against
+// the same horizons. (A degenerate round needs no test of its own: its one
+// event sits at or past its group's horizon, and so does any wake after it.
+// Nor does stopWorld: Work and Sleep are no-ops once the world has stopped.)
+func (p *proc) advance(d float64) {
+	s := p.sched
+	t := p.clock + d
+	eager := s.cfg.MaxTime > 0 && t > s.cfg.MaxTime
+	if s.parallel && !eager {
+		eager = t >= p.grp.horizon || s.par.kick
+	}
+	if !eager {
+		p.clock = t
+		p.deferred = p.nextCnt()
+		return
+	}
+	p.sync()
+	p.wake(t, p.nextCnt())
+}
+
+// sync makes the process current with the world: if its clock ran ahead on
+// deferred wakes, the last of them is scheduled now, under the key it would
+// always have had, and the process yields until the scheduler reaches it.
+// Every event with a smaller key — deliveries into this mailbox, other
+// processes' stops — has then been executed, as if each wake had been.
+func (p *proc) sync() {
+	if p.deferred == 0 {
+		return
+	}
+	cnt := p.deferred
+	p.deferred = 0
+	p.wake(p.clock, cnt)
+}
+
+// wake schedules this process's own wake event and yields until it fires
+// (or the world stops).
+func (p *proc) wake(t float64, cnt uint64) {
 	p.sleeping = true
-	p.route(event{t: p.clock + d, src: p.id, cnt: p.nextCnt(), kind: evWake, proc: p.id})
+	p.grp.events.pushEv(event{t: t, src: p.id, cnt: cnt, kind: evWake, proc: p.id})
 	p.yield()
 }
 
@@ -580,6 +632,9 @@ func (e *env) Send(to, kind int, payload any, bytes int) float64 {
 	if to < 0 || to >= len(s.procs) {
 		panic(fmt.Sprintf("vtime: send to invalid process %d", to))
 	}
+	// Delay and FaultHook may keep state shared by the senders of a group
+	// (runenv.Config), so sends must reach them in event-key order.
+	p.sync()
 	delay := s.cfg.Delay(p.id, to, bytes, p.clock)
 	var f runenv.MsgFault
 	if s.cfg.FaultHook != nil {
@@ -618,6 +673,7 @@ func (e *env) Send(to, kind int, payload any, bytes int) float64 {
 
 func (e *env) Recv() (runenv.Msg, bool) {
 	p := e.p
+	p.sync()
 	if p.mboxEmpty() {
 		return runenv.Msg{}, false
 	}
@@ -626,6 +682,7 @@ func (e *env) Recv() (runenv.Msg, bool) {
 
 func (e *env) RecvWait() (runenv.Msg, bool) {
 	p := e.p
+	p.sync()
 	for p.mboxEmpty() {
 		if e.stopped() {
 			return runenv.Msg{}, false
@@ -636,11 +693,18 @@ func (e *env) RecvWait() (runenv.Msg, bool) {
 	return p.mboxPop(), true
 }
 
-func (e *env) Pending() int { return len(e.p.mailbox) - e.p.mboxHead }
+func (e *env) Pending() int {
+	e.p.sync()
+	return len(e.p.mailbox) - e.p.mboxHead
+}
 
-func (e *env) Stopped() bool { return e.stopped() }
+func (e *env) Stopped() bool {
+	e.p.sync()
+	return e.stopped()
+}
 
 func (e *env) Stop() {
+	e.p.sync() // the stop takes effect at the caller's clock, not before
 	s := e.p.sched
 	if s.parallel && !s.unwinding {
 		// Visible to the calling process immediately, to everyone else at
@@ -662,6 +726,9 @@ func (e *env) Trace(ev trace.Event) {
 	if t == nil {
 		return
 	}
+	// Only when tracing is on: the entry must land in the log (or be tagged
+	// with the slice key) of the wake it follows.
+	e.p.sync()
 	if s.parallel && !s.unwinding {
 		g := e.p.grp
 		g.traceBuf = append(g.traceBuf, traceRecord{key: e.p.sliceKey, ev: ev})
