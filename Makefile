@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-json bench-diff bench-par bench-svc bench-svc-record bench-trace-dist bench-trace-dist-record check test-faults test-par test-dist test-svc test-trace-dist fmt-check report critpath cover
+.PHONY: build test vet race loc bench bench-json bench-diff bench-par bench-svc bench-svc-record bench-trace-dist bench-trace-dist-record check test-faults test-par test-dist test-svc test-trace-dist fmt-check report critpath cover
 
 build:
 	$(GO) build ./...
@@ -117,11 +117,13 @@ test-faults:
 	$(GO) test ./internal/engine/ -run 'TestFault|TestZeroRatePlan|TestSyncModeStalls|TestGoldenSeed'
 
 # The distributed backend acceptance grid over TCP loopback, all under
-# -race: the dtime protocol and lifecycle suite (frame codec, crash and
-# heartbeat supervision), the wire-level fault-conn pins, and the engine's
-# cross-backend equivalence + wire-invariant grid (see DESIGN.md §11).
+# -race: the real-time runtime the workers' ranks run on (rtime.World, with
+# the Env-contract table over its three hostings), the dtime protocol and
+# lifecycle suite (frame codec, crash and heartbeat supervision), the
+# wire-level fault-conn pins, and the engine's cross-backend equivalence +
+# wire-invariant grid (see DESIGN.md §11).
 test-dist:
-	$(GO) test -race -timeout 30m ./internal/dtime/
+	$(GO) test -race -timeout 30m ./internal/rtime/ ./internal/dtime/
 	$(GO) test -race -timeout 30m ./internal/fault/ -run 'TestConn'
 	$(GO) test -race -timeout 30m ./internal/engine/ -run 'TestDist'
 
@@ -159,5 +161,11 @@ cover:
 	echo "internal/trace coverage: $$pct%"; \
 	awk -v p="$$pct" -v min="$(COVER_MIN)" 'BEGIN {exit !(p+0 < min+0)}' && \
 		{ echo "FAIL: internal/trace coverage $$pct% < $(COVER_MIN)%"; exit 1; } || true
+
+# Non-test Go lines, in total and outside bench/: the figure every PR reports
+# before and after (ROADMAP aim 2).
+loc:
+	@printf 'non-test Go lines, total:          '; find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+	@printf 'non-test Go lines, outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 check: build fmt-check vet test test-faults test-par test-dist test-trace-dist test-svc race

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"aiac/internal/rtime"
 	"aiac/internal/trace"
 )
 
@@ -90,7 +91,8 @@ type Options struct {
 	// RunInfo.WorkerTraces for federation by the caller.
 	Trace *trace.Log
 	// Speedup scales the coordinator's trace clock; it must match the
-	// workers' WorkerOptions.Speedup (default 1000). Only used for tracing.
+	// workers' WorkerOptions.Speedup (default rtime.DefaultSpeedup). Only
+	// used for tracing.
 	Speedup float64
 }
 
@@ -243,9 +245,7 @@ func Run(opts Options) ([][]byte, *RunInfo, error) {
 	if opts.RankWorker == nil {
 		opts.RankWorker = DefaultRankWorker(opts.Ranks, opts.Workers)
 	}
-	if opts.Speedup <= 0 {
-		opts.Speedup = 1000
-	}
+	opts.Speedup = rtime.Speedup(opts.Speedup)
 
 	runDir := filepath.Join(opts.RunRoot, opts.RunID)
 	if err := os.MkdirAll(runDir, 0o755); err != nil {

@@ -232,44 +232,6 @@ func TestHeartbeatTimeout(t *testing.T) {
 	}
 }
 
-// TestRemoteSendReturnsModeledArrival pins the Figure-4 pacing contract:
-// Send to a remote rank returns the modeled arrival time from the Delay
-// hook even though the real transport replaces the modeled latency.
-func TestRemoteSendReturnsModeledArrival(t *testing.T) {
-	const linkDelay = 3.5
-	arrivals := make(chan float64, 1)
-	bodies := map[int]runenv.Body{
-		0: func(env runenv.Env) {
-			now := env.Now()
-			at := env.Send(1, 1, []byte("x"), 1)
-			if at < now+linkDelay {
-				t.Errorf("modeled arrival %g < send time %g + delay %g", at, now, linkDelay)
-			}
-			arrivals <- at - now
-		},
-		1: func(env runenv.Env) { env.RecvWait() },
-	}
-	fn := func(w WorkerEnv) error {
-		return RunWorker(w, WorkerOptions{}, func(pr runenv.PartialRunner) ([]byte, error) {
-			local := make(map[int]runenv.Body, len(w.Ranks))
-			for _, r := range w.Ranks {
-				local[r] = bodies[r]
-			}
-			pr.RunRanks(runenv.Config{
-				Procs: w.Total,
-				Delay: func(_, _, _ int, _ float64) float64 { return linkDelay },
-			}, local)
-			return nil, nil
-		})
-	}
-	if _, _, err := Run(testOptions(t, 2, fn)); err != nil {
-		t.Fatal(err)
-	}
-	if d := <-arrivals; d < linkDelay {
-		t.Fatalf("modeled latency %g, want >= %g", d, linkDelay)
-	}
-}
-
 // TestRunIDUnique sanity-checks the run identifier source.
 func TestRunIDUnique(t *testing.T) {
 	seen := map[string]bool{}

@@ -4,6 +4,14 @@
 // different workers travel over TCP as length-prefixed frames with a
 // versioned binary codec.
 //
+// dtime is the transport and nothing else. A worker's ranks run on an
+// rtime.World — the runtime rtime.Runner runs, hosting a share of the ranks —
+// and the worker side of this package is that world's rtime.Link: dial and
+// handshake, the frame and envelope codecs, the reader that feeds arrivals to
+// World.Deliver, heartbeats, the stop hand-shake, trace shipping and the
+// outcome. Ranks, clocks, mailboxes, waits and local fault fates live in
+// internal/rtime only.
+//
 // dtime is deliberately application-agnostic: it moves runenv.Msg envelopes
 // whose payloads are serialized through a runenv.PayloadCodec supplied by
 // the caller, and it returns the workers' final outcomes as opaque byte

@@ -3,15 +3,14 @@ package dtime
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
+	"aiac/internal/rtime"
 	"aiac/internal/runenv"
 	"aiac/internal/trace"
 )
@@ -23,7 +22,7 @@ type WorkerOptions struct {
 	// raw bytes).
 	Codec runenv.PayloadCodec
 	// Speedup scales model time to wall time exactly as rtime.Runner does
-	// (default 1000: one model second per wall millisecond).
+	// (default rtime.DefaultSpeedup).
 	Speedup float64
 	// WrapConn, when non-nil, wraps the coordinator connection — the hook
 	// the fault-injecting wrapper (internal/fault.Conn) plugs into.
@@ -37,11 +36,11 @@ type WorkerOptions struct {
 	Heartbeat time.Duration
 	Dial      time.Duration
 	MaxFrame  int
-	// Trace, when non-nil, is this worker's causal trace log: the runtime
-	// adds a Wire record per remote delivery and ships the whole log to the
-	// coordinator (FrameTrace) just before the outcome. The caller points
-	// the solver bodies at the same log (runenv.Config.Trace) so compute
-	// and wire events share one stream.
+	// Trace, when non-nil, is this worker's causal trace log, shipped whole
+	// to the coordinator (FrameTrace) just before the outcome. The caller
+	// hands the same log to RunRanks (runenv.Config.Trace): the world adds a
+	// Wire record per remote delivery to it, so compute and wire events
+	// share one stream.
 	Trace *trace.Log
 }
 
@@ -51,9 +50,7 @@ type WorkerOptions struct {
 // returning. It is the worker-process half of the dtime backend; the
 // coordinator half is Run.
 func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRunner) ([]byte, error)) error {
-	if opts.Speedup <= 0 {
-		opts.Speedup = 1000
-	}
+	opts.Speedup = rtime.Speedup(opts.Speedup)
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = 500 * time.Millisecond
 	}
@@ -91,14 +88,9 @@ func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRun
 	}
 	raw.SetReadDeadline(time.Time{})
 
-	rt := &wrt{
-		wenv:   wenv,
-		opts:   opts,
-		conn:   conn,
-		start:  time.Now(), // the model clock starts at welcome
-		pairs:  make(map[[2]int]*pairState),
-		stopCh: make(chan struct{}),
-	}
+	start := time.Now() // the model clock starts at welcome
+	rt := &wrt{opts: opts, conn: conn, stopCh: make(chan struct{})}
+	rt.world = rtime.NewWorld(wenv.Total, wenv.Ranks, opts.Speedup, start, rt)
 	go rt.reader()
 	go rt.heartbeat()
 
@@ -118,7 +110,7 @@ func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRun
 			Proc:    wenv.Worker,
 			RunID:   welcome.RunID,
 			Ranks:   wenv.Ranks,
-			Start:   rt.start.UnixNano(),
+			Start:   start.UnixNano(),
 			Speedup: opts.Speedup,
 			Dropped: opts.Trace.Dropped(),
 			Events:  opts.Trace.Events(),
@@ -141,67 +133,23 @@ func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRun
 	return nil
 }
 
-// wrt is the worker-side runtime: the rtime execution model (goroutine per
-// body, scaled wall clock, per-pair FIFO local delivery) restricted to the
-// locally hosted ranks, with sends to remote ranks encoded onto the
-// coordinator connection and remote arrivals delivered by the reader.
+// wrt is the worker's transport: the rtime.Link that carries the hosted
+// world's sends to remote ranks, and its stop requests, over the coordinator
+// connection, with the reader feeding what comes back into the world. Ranks,
+// clocks and message queues are the world's business.
 type wrt struct {
-	wenv  WorkerEnv
 	opts  WorkerOptions
 	conn  net.Conn
-	start time.Time
-	cfg   runenv.Config
+	world *rtime.World
 
 	sendMu sync.Mutex // serializes frame writes (bodies + heartbeat)
 
 	mu       sync.Mutex
-	stopped  bool
-	stopSent bool
 	fatalErr error
-	procs    map[int]*wproc
-	pending  []runenv.Msg // remote arrivals before RunRanks attached bodies
-	pairs    map[[2]int]*pairState
 	endTime  float64
 
-	delWG    sync.WaitGroup
 	stopOnce sync.Once
 	stopCh   chan struct{}
-}
-
-// pairState serializes local deliveries per (from, to) pair — same
-// mechanism as rtime: modeled arrival order is a hard guarantee, not a
-// property of timer wakeups.
-type pairState struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	nextTicket  uint64
-	nextDeliver uint64
-	lastArrival float64
-}
-
-type wproc struct {
-	id       int
-	rt       *wrt
-	rng      *rand.Rand
-	seq      uint64 // sender-local event counter (own goroutine only)
-	lastSend uint64
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	mailbox []runenv.Msg
-}
-
-func (p *wproc) nextSeq() uint64 {
-	p.seq++
-	return p.seq
-}
-
-func (rt *wrt) now() float64 {
-	return time.Since(rt.start).Seconds() * rt.opts.Speedup
-}
-
-func (rt *wrt) toWall(model float64) time.Duration {
-	return time.Duration(model / rt.opts.Speedup * float64(time.Second))
 }
 
 func (rt *wrt) finalTime() float64 {
@@ -230,42 +178,47 @@ func (rt *wrt) fatal(err error) {
 	rt.stopLocal()
 }
 
-// stopLocal marks the local world stopped and releases every blocked
-// receiver and the post-outcome wait.
+// stopLocal stops the local world and releases the heartbeat and the
+// post-outcome wait.
 func (rt *wrt) stopLocal() {
-	rt.mu.Lock()
-	rt.stopped = true
-	procs := rt.procs
-	rt.mu.Unlock()
-	for _, p := range procs {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}
+	rt.world.StopLocal()
 	rt.stopOnce.Do(func() { close(rt.stopCh) })
 }
 
-// requestStop asks the coordinator for a global stop (Env.Stop, MaxTime
-// watchdog) and stops locally without waiting for the echo.
-func (rt *wrt) requestStop() {
-	rt.mu.Lock()
-	first := !rt.stopSent
-	rt.stopSent = true
-	rt.mu.Unlock()
-	if first {
-		rt.writeFrame(FrameStop, []byte{0})
-	}
+// Stop implements rtime.Link: it asks the coordinator for a global stop
+// (Env.Stop, MaxTime watchdog); the world stops itself without waiting for
+// the echo.
+func (rt *wrt) Stop() {
+	rt.writeFrame(FrameStop, []byte{0})
 	rt.stopLocal()
 }
 
-func (rt *wrt) isStopped() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.stopped
+// Send implements rtime.Link: the envelope crosses the wire and is delivered
+// on arrival. Any faults are injected by the connection wrapper.
+func (rt *wrt) Send(m runenv.Msg) {
+	var pb []byte
+	if rt.opts.Codec != nil {
+		var err error
+		pb, err = rt.opts.Codec.EncodePayload(m.Kind, m.Payload)
+		if err != nil {
+			rt.fatal(fmt.Errorf("dtime: encode payload kind %d: %w", m.Kind, err))
+			return
+		}
+	} else if m.Payload != nil {
+		b, ok := m.Payload.([]byte)
+		if !ok {
+			rt.fatal(fmt.Errorf("dtime: no codec for payload type %T (kind %d)", m.Payload, m.Kind))
+			return
+		}
+		pb = b
+	}
+	if err := rt.writeFrame(FrameMsg, encodeEnvelope(m, pb)); err != nil {
+		rt.fatal(fmt.Errorf("dtime: send to rank %d: %w", m.To, err))
+	}
 }
 
 // reader pumps coordinator frames for the life of the connection: remote
-// messages into local mailboxes, the global stop into stopLocal. It keeps
+// messages into the world, the global stop into stopLocal. It keeps
 // draining after a stop so relayed traffic never backs up the coordinator.
 func (rt *wrt) reader() {
 	for {
@@ -290,43 +243,13 @@ func (rt *wrt) reader() {
 			} else {
 				m.Payload = append([]byte(nil), pb...)
 			}
-			rt.deliverRemote(m)
+			if err := rt.world.Deliver(m); err != nil {
+				rt.fatal(err)
+				return
+			}
 		case FrameStop:
 			rt.stopLocal()
 		}
-	}
-}
-
-// deliverRemote hands a decoded remote message to its local rank, buffering
-// it when it beats RunRanks to the punch (workers are released together, so
-// a fast peer can send before a slow worker has built its bodies).
-func (rt *wrt) deliverRemote(m runenv.Msg) {
-	rt.mu.Lock()
-	p := rt.procs[m.To]
-	if p == nil {
-		rt.pending = append(rt.pending, m)
-		rt.mu.Unlock()
-		return
-	}
-	rt.mu.Unlock()
-	m.RecvT = rt.now()
-	p.mu.Lock()
-	p.mailbox = append(p.mailbox, m)
-	depth := len(p.mailbox)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	if t := rt.opts.Trace; t != nil {
-		// The delivery half of a cross-process message: T0 is the sender's
-		// send time on the *sender's* clock (normalized at federation), T1
-		// the local delivery time. Federate matches it to the send by
-		// (Node, Seq) and collapses the pair into one Wire span.
-		t.Add(trace.Event{
-			T0: m.SendT, T1: m.RecvT, Node: m.From, To: m.To,
-			Kind: trace.Wire, Iter: -1, Note: trace.WireDeliverNote, Seq: m.Seq,
-		})
-	}
-	if obs := rt.cfg.Observer; obs != nil {
-		obs.MsgDelivered(m, depth)
 	}
 }
 
@@ -345,286 +268,16 @@ func (rt *wrt) heartbeat() {
 	}
 }
 
-// RunRanks implements runenv.PartialRunner: it executes the given bodies as
-// their world ranks, with every other rank reachable through the
-// coordinator.
+// RunRanks implements runenv.PartialRunner on the hosted world, keeping the
+// end time the outcome frame reports.
 func (rt *wrt) RunRanks(cfg runenv.Config, bodies map[int]runenv.Body) float64 {
-	cfg = cfg.Normalize()
-	procs := make(map[int]*wproc, len(bodies))
-	for rank := range bodies {
-		p := &wproc{id: rank, rt: rt, rng: rand.New(rand.NewSource(cfg.Seed + int64(rank)*7919))}
-		p.cond = sync.NewCond(&p.mu)
-		procs[rank] = p
-	}
-	rt.mu.Lock()
-	rt.cfg = cfg
-	rt.procs = procs
-	pending := rt.pending
-	rt.pending = nil
-	rt.mu.Unlock()
-	for _, m := range pending {
-		rt.deliverRemote(m)
-	}
-
-	var watchdog *time.Timer
-	if cfg.MaxTime > 0 {
-		watchdog = time.AfterFunc(rt.toWall(cfg.MaxTime), func() { rt.requestStop() })
-	}
-	var wg sync.WaitGroup
-	for rank, body := range bodies {
-		wg.Add(1)
-		go func(rank int, body runenv.Body) {
-			defer wg.Done()
-			body(&wenvEnv{p: procs[rank]})
-		}(rank, body)
-	}
-	wg.Wait()
-	if watchdog != nil {
-		watchdog.Stop()
-	}
-	rt.delWG.Wait()
-	end := rt.now()
+	end := rt.world.RunRanks(cfg, bodies)
 	rt.mu.Lock()
 	if end > rt.endTime {
 		rt.endTime = end
 	}
 	rt.mu.Unlock()
 	return end
-}
-
-// wenvEnv is the runenv.Env handed to a body on this worker.
-type wenvEnv struct {
-	p *wproc
-}
-
-func (e *wenvEnv) Rank() int     { return e.p.id }
-func (e *wenvEnv) NumProcs() int { return e.p.rt.wenv.Total }
-func (e *wenvEnv) Now() float64  { return e.p.rt.now() }
-
-// preciseWait waits for d with sub-timer-granularity accuracy (sleep the
-// bulk, spin the tail) — same rationale as rtime: plain time.Sleep rounds
-// tiny durations up to the OS timer period, inflating modeled times.
-func preciseWait(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	const spinLimit = 100 * time.Microsecond
-	target := time.Now().Add(d)
-	if d > spinLimit {
-		time.Sleep(d - spinLimit)
-	}
-	for time.Now().Before(target) {
-		runtime.Gosched()
-	}
-}
-
-func (e *wenvEnv) Work(units float64) {
-	rt := e.p.rt
-	if units <= 0 || rt.isStopped() {
-		return
-	}
-	d := rt.cfg.ComputeTime(e.p.id, rt.now(), units)
-	preciseWait(rt.toWall(d))
-}
-
-func (e *wenvEnv) Sleep(seconds float64) {
-	rt := e.p.rt
-	if seconds <= 0 || rt.isStopped() {
-		return
-	}
-	preciseWait(rt.toWall(seconds))
-}
-
-func (e *wenvEnv) Send(to, kind int, payload any, bytes int) float64 {
-	rt := e.p.rt
-	if to < 0 || to >= rt.wenv.Total {
-		panic(fmt.Sprintf("dtime: send to invalid process %d", to))
-	}
-	now := rt.now()
-	delay := rt.cfg.Delay(e.p.id, to, bytes, now)
-
-	rt.mu.Lock()
-	dst := rt.procs[to]
-	rt.mu.Unlock()
-	if dst == nil {
-		// Remote rank: the envelope crosses the wire and is delivered on
-		// arrival — real transport latency replaces the modeled delay, and
-		// any faults are injected by the connection wrapper, not here. The
-		// modeled arrival is still returned so sender-side pacing (the
-		// paper's Figure-4 mutual exclusion) behaves as on the other
-		// runtimes.
-		seq := e.p.nextSeq()
-		e.p.lastSend = seq
-		m := runenv.Msg{From: e.p.id, To: to, Kind: kind, Bytes: bytes, SendT: now, Seq: seq}
-		var pb []byte
-		if rt.opts.Codec != nil {
-			var err error
-			pb, err = rt.opts.Codec.EncodePayload(kind, payload)
-			if err != nil {
-				rt.fatal(fmt.Errorf("dtime: encode payload kind %d: %w", kind, err))
-				return now + delay
-			}
-		} else if payload != nil {
-			b, ok := payload.([]byte)
-			if !ok {
-				rt.fatal(fmt.Errorf("dtime: no codec for payload type %T (kind %d)", payload, kind))
-				return now + delay
-			}
-			pb = b
-		}
-		if err := rt.writeFrame(FrameMsg, encodeEnvelope(m, pb)); err != nil {
-			rt.fatal(fmt.Errorf("dtime: send to rank %d: %w", to, err))
-		}
-		return now + delay
-	}
-
-	// Local rank: the rtime delivery model, including fault injection via
-	// the config hook — local links never touch the wire, so the connection
-	// wrapper cannot fault them.
-	var f runenv.MsgFault
-	if rt.cfg.FaultHook != nil {
-		f = rt.cfg.FaultHook(e.p.id, to, kind, bytes, now, delay)
-	}
-	arrival := now + delay + f.ExtraDelay
-
-	seq := e.p.nextSeq()
-	e.p.lastSend = seq
-
-	for _, dd := range f.DupDelays {
-		dm := runenv.Msg{
-			From: e.p.id, To: to, Kind: kind, Payload: payload, Bytes: bytes,
-			SendT: now, Seq: e.p.nextSeq(),
-		}
-		rt.delWG.Add(1)
-		rt.deliverLoose(dm, rt.toWall(delay+dd))
-	}
-	if f.Drop {
-		return arrival
-	}
-	if f.Reorder {
-		m := runenv.Msg{
-			From: e.p.id, To: to, Kind: kind, Payload: payload, Bytes: bytes,
-			SendT: now, Seq: seq,
-		}
-		rt.delWG.Add(1)
-		rt.deliverLoose(m, rt.toWall(arrival-now))
-		return arrival
-	}
-
-	key := [2]int{e.p.id, to}
-	rt.mu.Lock()
-	ps := rt.pairs[key]
-	if ps == nil {
-		ps = &pairState{}
-		ps.cond = sync.NewCond(&ps.mu)
-		rt.pairs[key] = ps
-	}
-	rt.delWG.Add(1)
-	rt.mu.Unlock()
-
-	ps.mu.Lock()
-	ticket := ps.nextTicket
-	ps.nextTicket++
-	if arrival <= ps.lastArrival {
-		arrival = ps.lastArrival + 1e-9
-	}
-	ps.lastArrival = arrival
-	ps.mu.Unlock()
-
-	m := runenv.Msg{
-		From: e.p.id, To: to, Kind: kind, Payload: payload, Bytes: bytes,
-		SendT: now, Seq: seq,
-	}
-	wait := rt.toWall(arrival - now)
-	go func() {
-		defer rt.delWG.Done()
-		preciseWait(wait)
-		ps.mu.Lock()
-		for ps.nextDeliver != ticket {
-			ps.cond.Wait()
-		}
-		ps.mu.Unlock()
-		m.RecvT = rt.now()
-		dst.mu.Lock()
-		dst.mailbox = append(dst.mailbox, m)
-		depth := len(dst.mailbox)
-		dst.cond.Broadcast()
-		dst.mu.Unlock()
-		if obs := rt.cfg.Observer; obs != nil {
-			obs.MsgDelivered(m, depth)
-		}
-		ps.mu.Lock()
-		ps.nextDeliver++
-		ps.cond.Broadcast()
-		ps.mu.Unlock()
-	}()
-	return arrival
-}
-
-func (rt *wrt) deliverLoose(m runenv.Msg, wait time.Duration) {
-	rt.mu.Lock()
-	dst := rt.procs[m.To]
-	rt.mu.Unlock()
-	go func() {
-		defer rt.delWG.Done()
-		preciseWait(wait)
-		m.RecvT = rt.now()
-		dst.mu.Lock()
-		dst.mailbox = append(dst.mailbox, m)
-		depth := len(dst.mailbox)
-		dst.cond.Broadcast()
-		dst.mu.Unlock()
-		if obs := rt.cfg.Observer; obs != nil {
-			obs.MsgDelivered(m, depth)
-		}
-	}()
-}
-
-func (e *wenvEnv) Recv() (runenv.Msg, bool) {
-	p := e.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.mailbox) == 0 {
-		return runenv.Msg{}, false
-	}
-	m := p.mailbox[0]
-	p.mailbox = p.mailbox[1:]
-	return m, true
-}
-
-func (e *wenvEnv) RecvWait() (runenv.Msg, bool) {
-	p := e.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.mailbox) == 0 {
-		if p.rt.isStopped() {
-			return runenv.Msg{}, false
-		}
-		p.cond.Wait()
-	}
-	m := p.mailbox[0]
-	p.mailbox = p.mailbox[1:]
-	return m, true
-}
-
-func (e *wenvEnv) Pending() int {
-	e.p.mu.Lock()
-	defer e.p.mu.Unlock()
-	return len(e.p.mailbox)
-}
-
-func (e *wenvEnv) Stopped() bool { return e.p.rt.isStopped() }
-
-func (e *wenvEnv) Stop() { e.p.rt.requestStop() }
-
-func (e *wenvEnv) Rand() *rand.Rand { return e.p.rng }
-
-func (e *wenvEnv) LastSendSeq() uint64 { return e.p.lastSend }
-
-func (e *wenvEnv) Trace(ev trace.Event) {
-	if t := e.p.rt.cfg.Trace; t != nil {
-		t.Add(ev)
-	}
 }
 
 // SpawnCommand returns a Spawn callback that launches argv as a worker OS

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/json"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,5 +112,36 @@ func TestCancelNilIsBitIdentical(t *testing.T) {
 	}
 	if b.Canceled {
 		t.Fatalf("false cancel hook marked the run canceled")
+	}
+}
+
+// TestMaxTimeStopsRtimeRun pins that a MaxTime stop is attributed on a
+// runner other than the bare vtime.Runner, whose scheduler records it (see
+// TestMaxTimeStops): the result and the sealed manifest say timed out.
+func TestMaxTimeStopsRtimeRun(t *testing.T) {
+	cfg := cancelCfg(2)
+	// 64 components need ~2.4 model seconds to iterate to a zero residual.
+	params := brusselator.DefaultParams(64, 0.05)
+	params.T = 1
+	cfg.Problem = brusselator.New(params)
+	cfg.Runner = rtime.Runner{Speedup: 50}
+	cfg.MaxTime = 0.5
+	sink := &metrics.Sink{}
+	cfg.Metrics = sink
+
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !res.TimedOut || res.Converged || res.Canceled {
+		t.Fatalf("converged=%v timedOut=%v canceled=%v time=%g, want only timedOut",
+			res.Converged, res.TimedOut, res.Canceled, res.Time)
+	}
+	sealed, err := json.Marshal(sink.Manifest.Outcome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(sealed), `"timed_out":true`) {
+		t.Fatalf("sealed outcome %s carries no timed_out", sealed)
 	}
 }

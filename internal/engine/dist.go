@@ -14,6 +14,7 @@ import (
 	"aiac/internal/fault"
 	"aiac/internal/grid"
 	"aiac/internal/metrics"
+	"aiac/internal/rtime"
 	"aiac/internal/runenv"
 	"aiac/internal/trace"
 )
@@ -36,8 +37,8 @@ type DistOptions struct {
 	Connect          time.Duration
 	Wall             time.Duration
 	// Speedup is the model-to-wall time scale the workers run at (default
-	// 1000). The coordinator only needs it when tracing: the federated
-	// clock normalization requires every process on one scale.
+	// rtime.DefaultSpeedup). The coordinator only needs it when tracing: the
+	// federated clock normalization requires every process on one scale.
 	Speedup float64
 }
 
@@ -108,12 +109,7 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 			detOut = wr.detOut
 			sawDet = true
 		}
-		stats.Dropped += wr.stats.Dropped
-		stats.Duplicated += wr.stats.Duplicated
-		stats.Reordered += wr.stats.Reordered
-		stats.Spiked += wr.stats.Spiked
-		stats.Stalled += wr.stats.Stalled
-		stats.Slowed += wr.stats.Slowed
+		stats.Add(wr.stats)
 	}
 	if cfg.useCentral() && !sawDet {
 		return nil, info, fmt.Errorf("engine: no worker reported the detector outcome")
@@ -148,15 +144,11 @@ func federateTrace(cfg *Config, opts DistOptions, info *dtime.RunInfo, wireLog *
 	for _, pt := range info.WorkerTraces {
 		workers = append(workers, *pt)
 	}
-	speedup := opts.Speedup
-	if speedup <= 0 {
-		speedup = 1000
-	}
 	coord := &trace.ProcTrace{
 		Proc:    len(workers),
 		RunID:   info.RunID,
 		Start:   info.TraceStart,
-		Speedup: speedup,
+		Speedup: rtime.Speedup(opts.Speedup),
 		Dropped: wireLog.Dropped(),
 		Events:  wireLog.Events(),
 	}
@@ -232,8 +224,8 @@ func writeFederatedView(cfg *Config, res *Result, info *dtime.RunInfo) error {
 // DistWorkerOptions configures the worker-process half of a distributed
 // run.
 type DistWorkerOptions struct {
-	// Speedup scales model time to wall time on this worker (default 1000),
-	// matching rtime.Runner.Speedup.
+	// Speedup scales model time to wall time on this worker (default
+	// rtime.DefaultSpeedup), matching rtime.Runner.Speedup.
 	Speedup float64
 	// WrapConn, when non-nil, wraps the coordinator connection — the seam
 	// for the fault-injecting wrapper (fault.NewConn).
@@ -254,7 +246,7 @@ type DistWorkerOptions struct {
 // frames it writes to the coordinator face cfg.Faults as real packet loss,
 // duplication, and delay on the wire, scoped exactly like the in-process
 // hook (data plane only, unless the plan names kinds). Each directed
-// remote link is faulted only here — the worker runtime skips FaultHook
+// remote link is faulted only here — the worker's rtime.World skips FaultHook
 // for remote sends — so the per-link decision streams stay disjoint from
 // the local ones. speedup must match DistWorkerOptions.Speedup (0 = the
 // worker default). The returned injector carries the wire-fault counters;
@@ -265,9 +257,7 @@ func DistFaultConn(cfg Config, speedup float64) (func(net.Conn) net.Conn, *fault
 		return nil, nil
 	}
 	cfg = cfg.withDefaults()
-	if speedup <= 0 {
-		speedup = 1000
-	}
+	speedup = rtime.Speedup(speedup)
 	inj := cfg.Faults.MustCompile(cfg.P + 1)
 	dataOnly := cfg.Faults.Kinds == nil
 	ser := grid.NewSerializer(cfg.Cluster)
@@ -352,6 +342,9 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 			}
 		}
 		rcfg, inj := buildRunenvConfig(&cfg, wenv.Total)
+		// See Config.Cancel: the dist backend does not support it, and the
+		// world the ranks run on would poll it.
+		rcfg.Canceled = nil
 		pr.RunRanks(rcfg, bodies)
 
 		wr := &workerResult{hasDet: hasDet, detOut: detOut}
@@ -369,13 +362,7 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 			wr.stats = inj.Stats()
 		}
 		if wi := opts.WireFaults; wi != nil {
-			ws := wi.Stats()
-			wr.stats.Dropped += ws.Dropped
-			wr.stats.Duplicated += ws.Duplicated
-			wr.stats.Reordered += ws.Reordered
-			wr.stats.Spiked += ws.Spiked
-			wr.stats.Stalled += ws.Stalled
-			wr.stats.Slowed += ws.Slowed
+			wr.stats.Add(wi.Stats())
 		}
 		if err := writeWorkerSidecars(&cfg, wenv, opts); err != nil {
 			return nil, err

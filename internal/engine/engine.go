@@ -367,6 +367,14 @@ func Run(cfg Config) (*Result, error) {
 	// A run that converged before the stop took effect is a completed run,
 	// whatever the cancel flag says now.
 	res.Canceled = sched.canceled() && !res.Converged
+	if sched.vtsch == nil {
+		// Only the virtual-time scheduler records why it stopped. On any
+		// other runner a run that neither converged nor was canceled and
+		// ended at or past MaxTime was stopped by the bound: the watchdog
+		// runs on the clock `end` was read from, so a run it stopped cannot
+		// read lower.
+		res.TimedOut = !res.Converged && !res.Canceled && cfg.MaxTime > 0 && end >= cfg.MaxTime
+	}
 	var sim *metrics.SimManifest
 	if cfg.SimWorkers > 1 {
 		sim = sched.simManifest()

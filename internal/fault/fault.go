@@ -162,6 +162,16 @@ type Stats struct {
 	Stalled, Slowed                        uint64
 }
 
+// Add folds o into s, as when several injectors served one run.
+func (s *Stats) Add(o Stats) {
+	s.Dropped += o.Dropped
+	s.Duplicated += o.Duplicated
+	s.Reordered += o.Reordered
+	s.Spiked += o.Spiked
+	s.Stalled += o.Stalled
+	s.Slowed += o.Slowed
+}
+
 // Compile validates the plan against a world of the given process count,
 // fills in default factors, and returns a ready Injector.
 func (p Plan) Compile(procs int) (*Injector, error) {

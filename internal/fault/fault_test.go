@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"aiac/internal/runenv"
@@ -264,5 +265,26 @@ func TestPlanString(t *testing.T) {
 	p := Plan{Seed: 3, Msg: Rates{Drop: 0.1}}
 	if s := p.String(); s == "" || s == "none" {
 		t.Fatalf("non-zero plan renders %q", s)
+	}
+}
+
+// TestStatsAddSumsEveryField fails when a fate is added to Stats without
+// being summed by Add: it would vanish from every distributed run's
+// Result.FaultStats.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("Stats.%s is not a uint64 counter; teach Add and this test about it", av.Type().Field(i).Name)
+		}
+		av.Field(i).SetUint(uint64(i + 1))
+		bv.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("Stats.%s = %d after Add, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -3,8 +3,10 @@ package runenv
 // Transport abstraction for distributed (multi-OS-process) runtimes: when a
 // message crosses a process boundary its payload must be serialized, and a
 // runtime that hosts only part of the world needs a way to run just its own
-// ranks. The single-process runtimes (vtime, rtime) never use either hook —
-// payloads travel as in-memory references and every rank is local.
+// ranks. rtime.World is the PartialRunner — rtime.Runner is the case where
+// every rank is local — and internal/dtime is the transport that uses a
+// PayloadCodec; within one process payloads travel as in-memory references,
+// and vtime uses neither hook.
 
 // PayloadCodec serializes the application payloads a distributed transport
 // must put on the wire. Kind is the runenv message kind; the codec must
