@@ -7,7 +7,6 @@ package aiac_test
 // EXPERIMENTS.md.
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -57,58 +56,6 @@ func BenchmarkTable1Heterogeneous(b *testing.B) {
 func BenchmarkModeMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		reportShape(b, experiments.ModeMatrix(experiments.Quick))
-	}
-}
-
-// benchSim runs fn b.N times with the across-run pool pinned to one engine
-// execution and the virtual-time scheduler set to simWorkers threads, so the
-// measurement isolates within-run parallelism (engine.Config.SimWorkers)
-// from the experiment pool's across-run parallelism. Both knobs are restored
-// afterwards.
-func benchSim(b *testing.B, simWorkers int, fn func()) {
-	b.Helper()
-	prevPool := experiments.SetWorkers(1)
-	prevSim := experiments.SetSimWorkers(simWorkers)
-	b.Cleanup(func() {
-		experiments.SetWorkers(prevPool)
-		experiments.SetSimWorkers(prevSim)
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn()
-	}
-}
-
-// simWorkerCounts is the -sim-workers sweep the parallel-scheduler benchmarks
-// run: 1 is the sequential baseline (same code path as SimWorkers=0), the
-// rest exercise the conservative-lookahead scheduler at increasing widths.
-// Speedups require real cores; on a single-core host the >1 rows only show
-// the scheduler's coordination overhead.
-var simWorkerCounts = []int{1, 2, 4}
-
-// BenchmarkTable1HeterogeneousSim is BenchmarkTable1Heterogeneous with the
-// experiment pool pinned serial and the solve itself spread over
-// -sim-workers virtual-time scheduler threads (bit-identical results at any
-// width; see DESIGN.md "Event ordering").
-func BenchmarkTable1HeterogeneousSim(b *testing.B) {
-	for _, w := range simWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchSim(b, w, func() {
-				reportShape(b, experiments.Table1(experiments.Quick))
-			})
-		})
-	}
-}
-
-// BenchmarkModeMatrixSim is BenchmarkModeMatrix under the same pinned-pool
-// sim-workers sweep as BenchmarkTable1HeterogeneousSim.
-func BenchmarkModeMatrixSim(b *testing.B) {
-	for _, w := range simWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchSim(b, w, func() {
-				reportShape(b, experiments.ModeMatrix(experiments.Quick))
-			})
-		})
 	}
 }
 

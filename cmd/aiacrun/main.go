@@ -67,18 +67,16 @@ func main() {
 		httpLinger  = flag.Float64("http-linger", 0, "keep the -http server up this many wall seconds after the solve finishes")
 		metricsOut  = flag.String("metrics", "", "write run telemetry (manifest + per-node series) to this JSONL file; render it with aiacreport")
 		metricsPer  = flag.Float64("metrics-period", 0, "minimum virtual seconds between telemetry samples of a node (0 = every iteration)")
-		simWorkers  = flag.Int("sim-workers", 0, "virtual-time scheduler worker threads (0 or 1 = sequential; results are bit-identical at any setting)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the solve to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile (after the solve) to this file")
 	)
 	flag.Parse()
 
 	cfg := aiac.Config{
-		P:          *p,
-		Tol:        *tol,
-		MaxIter:    *maxIter,
-		Seed:       *seed,
-		SimWorkers: *simWorkers,
+		P:       *p,
+		Tol:     *tol,
+		MaxIter: *maxIter,
+		Seed:    *seed,
 	}
 
 	switch strings.ToLower(*modeName) {

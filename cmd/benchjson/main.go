@@ -51,9 +51,8 @@ type Benchmark struct {
 }
 
 // Document is the emitted JSON root. NumCPU and GoMaxProcs record the
-// recording host's parallel capacity: a SimWorkers benchmark that shows no
-// speedup on a num_cpu=1 record is expected, not a regression, and the
-// fields make that visible in the committed baseline.
+// recording host's parallel capacity, so that a committed baseline says what
+// it was measured on.
 type Document struct {
 	Note       string      `json:"note,omitempty"`
 	Goos       string      `json:"goos,omitempty"`

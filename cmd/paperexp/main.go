@@ -33,11 +33,9 @@ func main() {
 		scaleN  = flag.String("scale", "full", "scale: quick, full")
 		outDir  = flag.String("o", "", "directory to write per-experiment text files")
 		workers = flag.Int("workers", 0, "concurrent engine runs (0 = GOMAXPROCS, 1 = serial); outputs are identical at any setting")
-		simW    = flag.Int("sim-workers", 0, "virtual-time scheduler threads per engine run (0 or 1 = sequential); outputs are identical at any setting")
 	)
 	flag.Parse()
 	experiments.SetWorkers(*workers)
-	experiments.SetSimWorkers(*simW)
 
 	var scale experiments.Scale
 	switch strings.ToLower(*scaleN) {

@@ -39,8 +39,7 @@ func (c *Client) AfterIteration(env runenv.Env, locallyConverged bool) {
 		if conv {
 			note = "state-conv"
 		}
-		traceCtrl(env, c.DetectorID, -1, note,
-			env.Send(c.DetectorID, KindState, StateMsg{Conv: conv}, ctrlBytes))
+		sendCtrl(env, c.DetectorID, KindState, StateMsg{Conv: conv}, -1, note)
 		c.reported = conv
 		c.sentAny = true
 	}
@@ -53,8 +52,7 @@ func (c *Client) HandleMsg(env runenv.Env, m runenv.Msg) bool {
 	case KindVerify:
 		r := m.Payload.(RoundMsg)
 		conv := c.streak >= c.Streak
-		traceCtrl(env, c.DetectorID, -1, "confirm",
-			env.Send(c.DetectorID, KindConfirm, ConfirmMsg{Round: r.Round, Conv: conv}, ctrlBytes))
+		sendCtrl(env, c.DetectorID, KindConfirm, ConfirmMsg{Round: r.Round, Conv: conv}, -1, "confirm")
 		return true
 	case KindHalt:
 		h := m.Payload.(HaltMsg)
@@ -68,8 +66,7 @@ func (c *Client) HandleMsg(env runenv.Env, m runenv.Msg) bool {
 // Abort tells the detector this node hit a safety bound; the detector will
 // halt everyone.
 func (c *Client) Abort(env runenv.Env) {
-	traceCtrl(env, c.DetectorID, -1, "abort",
-		env.Send(c.DetectorID, KindAbort, nil, ctrlBytes))
+	sendCtrl(env, c.DetectorID, KindAbort, nil, -1, "abort")
 }
 
 // Halted reports whether a HALT has been received.

@@ -127,12 +127,16 @@ type Outcome struct {
 	Rounds int
 }
 
-// traceCtrl records a detection-protocol send as a Control transfer — the
-// detection edges of the happens-before DAG. env.Trace is a no-op when
-// tracing is disabled.
-func traceCtrl(env runenv.Env, to, iter int, note string, arrival float64) {
+// sendCtrl sends a detection-protocol message and records it as a Control
+// transfer — the detection edges of the happens-before DAG. The clock is read
+// before the send: on the real-time runtimes Send may block on a socket
+// write, and a T0 read after it can land past the receiver's delivery stamp.
+// env.Trace is a no-op when tracing is disabled.
+func sendCtrl(env runenv.Env, to, kind int, payload any, iter int, note string) {
+	t0 := env.Now()
+	arrival := env.Send(to, kind, payload, ctrlBytes)
 	env.Trace(trace.Event{
-		T0: env.Now(), T1: arrival, Node: env.Rank(), To: to,
+		T0: t0, T1: arrival, Node: env.Rank(), To: to,
 		Kind: trace.Control, Iter: iter, Note: note, Seq: env.LastSendSeq(),
 	})
 }
@@ -158,7 +162,7 @@ func runAsync(env runenv.Env, cfg Config) Outcome {
 	}
 	broadcast := func(kind int, payload any, note string) {
 		for i := 0; i < cfg.P; i++ {
-			traceCtrl(env, i, -1, note, env.Send(i, kind, payload, ctrlBytes))
+			sendCtrl(env, i, kind, payload, -1, note)
 		}
 	}
 	out := Outcome{}
@@ -270,9 +274,10 @@ func runBarrier(env runenv.Env, cfg Config) Outcome {
 		go_ := GoMsg{Iter: iter, Halt: halt || abort, Aborted: abort}
 		traceGo := cfg.TraceIters == 0 || iter < cfg.TraceIters
 		for i := 0; i < cfg.P; i++ {
-			arr := env.Send(i, KindBarrierGo, go_, ctrlBytes)
 			if traceGo {
-				traceCtrl(env, i, iter, "barrier-go", arr)
+				sendCtrl(env, i, KindBarrierGo, go_, iter, "barrier-go")
+			} else {
+				env.Send(i, KindBarrierGo, go_, ctrlBytes)
 			}
 		}
 		if halt || abort {

@@ -97,8 +97,7 @@ func (c *RingClient) AfterIteration(env runenv.Env, locallyConverged bool) {
 	if !c.tokenOut && c.conv() {
 		c.round++
 		c.tokenOut = true
-		traceCtrl(env, c.next(), -1, "token",
-			env.Send(c.next(), KindToken, TokenMsg{Round: c.round, Clean: !c.dirty}, ctrlBytes))
+		sendCtrl(env, c.next(), KindToken, TokenMsg{Round: c.round, Clean: !c.dirty}, -1, "token")
 		c.dirty = false
 	}
 }
@@ -127,8 +126,7 @@ func (c *RingClient) HandleMsg(env runenv.Env, m runenv.Msg) bool {
 				// immediately launch the confirmation round
 				c.round++
 				c.tokenOut = true
-				traceCtrl(env, c.next(), -1, "token",
-					env.Send(c.next(), KindToken, TokenMsg{Round: c.round, Clean: true}, ctrlBytes))
+				sendCtrl(env, c.next(), KindToken, TokenMsg{Round: c.round, Clean: true}, -1, "token")
 				c.dirty = false
 			} else {
 				c.cleanRuns = 0
@@ -138,8 +136,7 @@ func (c *RingClient) HandleMsg(env runenv.Env, m runenv.Msg) bool {
 		}
 		tok.Clean = tok.Clean && c.conv() && !c.dirty
 		c.dirty = false
-		traceCtrl(env, c.next(), -1, "token",
-			env.Send(c.next(), KindToken, tok, ctrlBytes))
+		sendCtrl(env, c.next(), KindToken, tok, -1, "token")
 		return true
 	case KindRingHalt:
 		h := m.Payload.(RingHaltMsg)
@@ -150,8 +147,7 @@ func (c *RingClient) HandleMsg(env runenv.Env, m runenv.Msg) bool {
 		// already halted (in particular its originator, closing the ring).
 		if !wasHalted && !c.haltPassed {
 			c.haltPassed = true
-			traceCtrl(env, c.next(), -1, "ring-halt",
-				env.Send(c.next(), KindRingHalt, h, ctrlBytes))
+			sendCtrl(env, c.next(), KindRingHalt, h, -1, "ring-halt")
 		}
 		return true
 	}
@@ -163,8 +159,7 @@ func (c *RingClient) halt(env runenv.Env, aborted bool) {
 	c.halted = true
 	c.aborted = aborted
 	c.haltPassed = true
-	traceCtrl(env, c.next(), -1, "ring-halt",
-		env.Send(c.next(), KindRingHalt, RingHaltMsg{Aborted: aborted}, ctrlBytes))
+	sendCtrl(env, c.next(), KindRingHalt, RingHaltMsg{Aborted: aborted}, -1, "ring-halt")
 }
 
 // Abort halts the whole ring unconverged (safety bound hit).

@@ -122,7 +122,7 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 	if err != nil {
 		return res, info, err
 	}
-	finishMetrics(&cfg, res, wallStart, nil)
+	finishMetrics(&cfg, res, wallStart)
 	if cfg.Trace != nil {
 		if err := federateTrace(&cfg, opts, info, wireLog); err != nil {
 			return res, info, fmt.Errorf("engine: federate trace: %w", err)

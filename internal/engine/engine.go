@@ -184,13 +184,10 @@ type Config struct {
 	// without losing its artifacts. The dist backend does not support it.
 	Cancel func() bool
 
-	// SimWorkers enables the conservative-lookahead parallel mode of the
-	// virtual-time scheduler: the engine partitions the processes into
-	// groups separated by a provable minimum link delay (see planGroups)
-	// and up to SimWorkers groups execute concurrently. Results — solver
-	// state, telemetry, traces — are bit-identical to a sequential run at
-	// any setting. 0 or 1 selects the sequential scheduler; the real-time
-	// runtime ignores the knob.
+	// Deprecated: SimWorkers is accepted and ignored. It selected a second,
+	// windowed virtual-time scheduler that no longer exists; the field stays
+	// only because the frozen benchmark sets it (bench/workloads.go:187,247)
+	// and goes with the vt-table1-par workload (ROADMAP item 2).
 	SimWorkers int
 }
 
@@ -375,11 +372,7 @@ func Run(cfg Config) (*Result, error) {
 		// read lower.
 		res.TimedOut = !res.Converged && !res.Canceled && cfg.MaxTime > 0 && end >= cfg.MaxTime
 	}
-	var sim *metrics.SimManifest
-	if cfg.SimWorkers > 1 {
-		sim = sched.simManifest()
-	}
-	finishMetrics(&cfg, res, wallStart, sim)
+	finishMetrics(&cfg, res, wallStart)
 	return res, nil
 }
 
@@ -502,13 +495,10 @@ func assembleResult(cfg *Config, outcomes []*nodeOutcome, detOut detect.Outcome,
 }
 
 // finishMetrics seals the telemetry sink's manifest with the run outcome.
-func finishMetrics(cfg *Config, res *Result, wallStart time.Time, sim *metrics.SimManifest) {
+func finishMetrics(cfg *Config, res *Result, wallStart time.Time) {
 	s := cfg.Metrics
 	if s == nil {
 		return
-	}
-	if sim != nil {
-		s.Manifest.Sim = sim
 	}
 	var traceDropped uint64
 	if cfg.Trace != nil {
@@ -580,13 +570,21 @@ type world struct {
 	cfg   Config
 	vtsch *vtime.Scheduler
 	inj   *fault.Injector
-	// planned / planDelay echo the group partition handed to the parallel
-	// scheduler (nil / 0 when none was usable), for the run manifest.
-	planned   []int
-	planDelay float64
 }
 
 func newWorld(cfg Config) *world { return &world{cfg: cfg} }
+
+// mapRank returns the cluster node executing process i (the detector/barrier
+// process, rank P, is co-located with rank 0).
+func (c *Config) mapRank(i int) int {
+	if i >= c.P {
+		i = 0
+	}
+	if c.Mapping != nil {
+		return c.Mapping[i]
+	}
+	return i
+}
 
 // buildRunenvConfig constructs the runtime configuration for a world of
 // procs processes (the P nodes plus the detector slot) and installs the
@@ -663,15 +661,6 @@ func scopedFaultHook(cfg *Config, inj *fault.Injector) func(from, to, kind, byte
 func (w *world) run(bodies []runenv.Body) float64 {
 	rcfg, inj := buildRunenvConfig(&w.cfg, len(bodies))
 	w.inj = inj
-	if w.cfg.SimWorkers > 1 {
-		if groups, minDelay := planGroups(&w.cfg); groups != nil {
-			rcfg.Groups = groups
-			rcfg.MinDelay = minDelay
-			rcfg.SimWorkers = w.cfg.SimWorkers
-			rcfg.LinkMinDelay = w.cfg.linkMinDelay()
-			w.planned, w.planDelay = groups, minDelay
-		}
-	}
 	if _, isVT := w.cfg.Runner.(vtime.Runner); isVT {
 		// instantiate directly so we can read Deadlocked/TimedOut
 		w.vtsch = vtime.New(rcfg)
@@ -693,39 +682,6 @@ func (w *world) canceled() bool {
 		return w.vtsch.Canceled
 	}
 	return w.cfg.Cancel != nil && w.cfg.Cancel()
-}
-
-// simManifest summarizes how a SimWorkers > 1 request actually executed —
-// partition, lookahead, window shape — or why it fell back to sequential
-// execution, so a run record can never silently claim parallelism that
-// never engaged. Only called when cfg.SimWorkers > 1.
-func (w *world) simManifest() *metrics.SimManifest {
-	sm := &metrics.SimManifest{Workers: w.cfg.SimWorkers}
-	if w.vtsch == nil {
-		sm.Fallback = "real-time runtime ignores SimWorkers"
-		return sm
-	}
-	if w.planned == nil {
-		sm.Fallback = "no usable group partition (fewer than two workers or zero-latency links)"
-		return sm
-	}
-	st := w.vtsch.Stats()
-	if !st.Parallel {
-		sm.Fallback = "scheduler ran sequentially"
-		return sm
-	}
-	sm.EffWorkers = st.Workers
-	sm.Groups = st.Groups
-	sm.MinDelay = w.planDelay
-	sm.Windows = st.Windows
-	sm.DegenerateWindows = st.DegenerateWindows
-	sm.SingleGroupWindows = st.SingleGroupWindows
-	sm.Events = st.Events
-	sm.Flushes = st.Flushes
-	if st.WidthWindows > 0 {
-		sm.MeanWindowWidth = st.WidthSum / float64(st.WidthWindows)
-	}
-	return sm
 }
 
 // partition returns the initial contiguous component range of a rank:

@@ -105,11 +105,12 @@ func (n *node) tryLB(dir int) bool {
 
 	msg := lbDataMsg{XferID: id, Pos: pos, Count: count, Comps: comps, Load: n.loadEst}
 	n.lbResendMsg[dir] = msg
+	sendT := n.env.Now()
 	arrival := n.env.Send(peer, kindLBData, msg, trajBytes(count+n.halo, n.trajLen))
 	n.outc.lbSent++
 	if n.traceOn() {
 		n.env.Trace(trace.Event{
-			T0: n.env.Now(), T1: arrival, Node: n.rank, To: peer,
+			T0: sendT, T1: arrival, Node: n.rank, To: peer,
 			Kind: trace.SendLB, Iter: n.iter, Note: fmt.Sprintf("ship %d", count),
 			Seq: n.env.LastSendSeq(), Xfer: id,
 		})
@@ -148,6 +149,7 @@ func (n *node) lbRetry() {
 		}
 		msg := n.lbResendMsg[dir]
 		msg.Load = n.loadEst // refresh the estimate; the trajectories stay the shipped snapshot
+		sendT := n.env.Now()
 		arrival := n.env.Send(peer, kindLBData, msg, trajBytes(msg.Count+n.halo, n.trajLen))
 		n.outc.lbRetries++
 		n.lbPendingIter[dir] = n.iter
@@ -156,7 +158,7 @@ func (n *node) lbRetry() {
 		}
 		if n.traceOn() {
 			n.env.Trace(trace.Event{
-				T0: n.env.Now(), T1: arrival, Node: n.rank, To: peer,
+				T0: sendT, T1: arrival, Node: n.rank, To: peer,
 				Kind: trace.SendLB, Iter: n.iter, Note: fmt.Sprintf("lb-retry %d", msg.Count),
 				Seq: n.env.LastSendSeq(), Xfer: n.lbXferID[dir],
 			})
@@ -215,12 +217,10 @@ func (n *node) recvLBData(m runenv.Msg) {
 	disp, fresh := n.lbLedger.Classify(d.XferID, attachOK)
 	switch disp {
 	case loadbalance.AckAgain:
-		n.traceLBCtrl(m.From, d.XferID, "lb-ack-again",
-			n.env.Send(m.From, kindLBAck, lbCtrlMsg{XferID: d.XferID, Pos: d.Pos, Count: d.Count}, msgHeaderBytes))
+		n.sendLBCtrl(m.From, kindLBAck, d, "lb-ack-again")
 		return
 	case loadbalance.Reject:
-		n.traceLBCtrl(m.From, d.XferID, "lb-reject",
-			n.env.Send(m.From, kindLBReject, lbCtrlMsg{XferID: d.XferID, Pos: d.Pos, Count: d.Count}, msgHeaderBytes))
+		n.sendLBCtrl(m.From, kindLBReject, d, "lb-reject")
 		if fresh {
 			n.outc.lbRejected++
 			if n.traceOn() {
@@ -261,8 +261,7 @@ func (n *node) recvLBData(m runenv.Msg) {
 		n.ownLog(fault.OwnAdopt, d.Pos, d.Pos+d.Count, d.XferID)
 	}
 	n.pruneVal()
-	n.traceLBCtrl(m.From, d.XferID, "lb-ack",
-		n.env.Send(m.From, kindLBAck, lbCtrlMsg{XferID: d.XferID, Pos: d.Pos, Count: d.Count}, msgHeaderBytes))
+	n.sendLBCtrl(m.From, kindLBAck, d, "lb-ack")
 	n.lbDone = true
 	// Receiver cooldown (a refinement over the paper, see DESIGN.md): a
 	// node that just received components waits half a period before
@@ -282,17 +281,19 @@ func (n *node) recvLBData(m runenv.Msg) {
 	}
 }
 
-// traceLBCtrl records an LB handshake answer (ack/reject) as a Control
-// transfer so the critical-path walk can follow the edge back to the
+// sendLBCtrl answers transfer d (ack/reject) and records the answer as a
+// Control transfer so the critical-path walk can follow the edge back to the
 // receiver's decision.
-func (n *node) traceLBCtrl(peer int, xfer uint64, note string, arrival float64) {
+func (n *node) sendLBCtrl(peer, kind int, d lbDataMsg, note string) {
+	sendT := n.env.Now()
+	arrival := n.env.Send(peer, kind, lbCtrlMsg{XferID: d.XferID, Pos: d.Pos, Count: d.Count}, msgHeaderBytes)
 	if !n.traceOn() {
 		return
 	}
 	n.env.Trace(trace.Event{
-		T0: n.env.Now(), T1: arrival, Node: n.rank, To: peer,
+		T0: sendT, T1: arrival, Node: n.rank, To: peer,
 		Kind: trace.Control, Iter: n.iter, Note: note,
-		Seq: n.env.LastSendSeq(), Xfer: xfer,
+		Seq: n.env.LastSendSeq(), Xfer: d.XferID,
 	})
 }
 

@@ -453,12 +453,16 @@ func (n *node) sendBoundary(dir int, load float64, iterTag int) {
 		kindEv = trace.SendRight
 	}
 	msg := boundaryMsg{Iter: iterTag, Pos: pos, Comps: comps, Load: load}
+	// Every send-describing trace event reads its T0 before the send: on the
+	// real-time runtimes Send may block on a socket write, and a clock read
+	// after it can land past the receiver's delivery stamp.
+	sendT := n.env.Now()
 	arrival := n.env.Send(peer, kindBoundary, msg, trajBytes(n.halo, n.trajLen))
 	n.sendBusyUntil[dir] = arrival
 	n.outc.msgsBoundary++
 	if n.traceOn() {
 		n.env.Trace(trace.Event{
-			T0: n.env.Now(), T1: arrival, Node: n.rank, To: peer,
+			T0: sendT, T1: arrival, Node: n.rank, To: peer,
 			Kind: kindEv, Iter: iterTag, Seq: n.env.LastSendSeq(),
 		})
 	}

@@ -13,27 +13,26 @@ import (
 
 // obsArtifacts renders one run's observability exports: the Chrome
 // trace-event JSON and the critical-path report.
-func obsArtifacts(t *testing.T, mk func() Config, workers int) (chrome []byte, critical string) {
+func obsArtifacts(t *testing.T, mk func() Config) (chrome []byte, critical string, cp *trace.CriticalPath) {
 	t.Helper()
 	cfg := mk()
-	cfg.SimWorkers = workers
 	log := &trace.Log{}
 	cfg.Trace = log
 	cfg.Metrics = &metrics.Sink{}
 	if _, err := Run(cfg); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := trace.WriteChrome(log, &buf); err != nil {
-		t.Fatalf("workers=%d: WriteChrome: %v", workers, err)
+		t.Fatalf("WriteChrome: %v", err)
 	}
-	return buf.Bytes(), report.CriticalPath(trace.Analyze(log.Events()), 10)
+	cp = trace.Analyze(log.Events())
+	return buf.Bytes(), report.CriticalPath(cp, 10), cp
 }
 
-// TestObservabilityDeterminism is the PR's golden pin: the causally-tagged
-// Chrome trace and the critical-path report are byte-identical whether the
-// virtual-time scheduler runs sequentially or with 2 or 4 workers, across
-// the mode grid with and without load balancing.
+// TestObservabilityDeterminism: two runs of the same configuration give a
+// byte-identical causally-tagged Chrome trace and critical-path report,
+// across the mode grid with and without load balancing.
 func TestObservabilityDeterminism(t *testing.T) {
 	small, _ := smallBruss()
 	var cases []struct {
@@ -66,37 +65,20 @@ func TestObservabilityDeterminism(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			seqChrome, seqCrit := obsArtifacts(t, tc.mk, 0)
-			if len(seqChrome) == 0 || seqCrit == "" {
+			chrome, crit, cp := obsArtifacts(t, tc.mk)
+			if len(chrome) == 0 || crit == "" {
 				t.Fatal("empty observability exports")
 			}
-			cp := trace.Analyze(mustEvents(t, tc.mk))
 			if cov := cp.Coverage(); cov < 0.95 {
 				t.Errorf("critical path attributes only %.1f%% of the span", 100*cov)
 			}
-			for _, workers := range []int{2, 4} {
-				parChrome, parCrit := obsArtifacts(t, tc.mk, workers)
-				if !bytes.Equal(seqChrome, parChrome) {
-					t.Errorf("workers=%d: Chrome trace diverged (%d vs %d bytes)",
-						workers, len(seqChrome), len(parChrome))
-				}
-				if seqCrit != parCrit {
-					t.Errorf("workers=%d: critical-path report diverged\nseq:\n%s\npar:\n%s",
-						workers, seqCrit, parCrit)
-				}
+			chrome2, crit2, _ := obsArtifacts(t, tc.mk)
+			if !bytes.Equal(chrome, chrome2) {
+				t.Errorf("Chrome trace differs between two runs (%d vs %d bytes)", len(chrome), len(chrome2))
+			}
+			if crit != crit2 {
+				t.Errorf("critical-path report differs between two runs\nfirst:\n%s\nsecond:\n%s", crit, crit2)
 			}
 		})
 	}
-}
-
-// mustEvents reruns the config sequentially and returns its trace events.
-func mustEvents(t *testing.T, mk func() Config) []trace.Event {
-	t.Helper()
-	cfg := mk()
-	log := &trace.Log{}
-	cfg.Trace = log
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	return log.Events()
 }

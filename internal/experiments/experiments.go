@@ -106,15 +106,14 @@ func run(cfg engine.Config) *engine.Result {
 // baseCfg builds the common engine configuration for an experiment run.
 func baseCfg(bc brussCase, mode engine.Mode, p int, cl *grid.Cluster, seed int64) engine.Config {
 	return engine.Config{
-		Mode:       mode,
-		P:          p,
-		Problem:    bc.prob,
-		Cluster:    cl,
-		Tol:        bc.tol,
-		MaxIter:    200000,
-		MaxTime:    100000,
-		Seed:       seed,
-		SimWorkers: int(simWorkers.Load()),
+		Mode:    mode,
+		P:       p,
+		Problem: bc.prob,
+		Cluster: cl,
+		Tol:     bc.tol,
+		MaxIter: 200000,
+		MaxTime: 100000,
+		Seed:    seed,
 	}
 }
 

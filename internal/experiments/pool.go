@@ -30,21 +30,6 @@ func SetWorkers(n int) int {
 	return int(poolWorkers.Swap(int64(n)))
 }
 
-var simWorkers atomic.Int64
-
-// SetSimWorkers sets the engine's SimWorkers knob for every experiment run
-// and returns the previous setting: with n > 1 each single engine execution
-// itself runs on the parallel virtual-time scheduler (results stay
-// bit-identical to n <= 1, see engine.Config.SimWorkers). It composes with
-// SetWorkers — across-run and within-run parallelism share the machine, so
-// a benchmark measuring one of them should pin the other to 1.
-func SetSimWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(simWorkers.Swap(int64(n)))
-}
-
 func numWorkers() int {
 	if n := int(poolWorkers.Load()); n > 0 {
 		return n

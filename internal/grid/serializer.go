@@ -31,9 +31,7 @@ func NewSerializer(c *Cluster) *Serializer {
 }
 
 // Delay implements runenv.Config.Delay with per-channel queuing. It is safe
-// for concurrent use; the busy state is keyed per directed channel, so the
-// deterministic call order the parallel virtual-time scheduler guarantees
-// per sending node is enough to keep results reproducible.
+// for concurrent use (the real-time runtime calls it from every sender).
 func (s *Serializer) Delay(from, to, bytes int, now float64) float64 {
 	link := s.Cluster.Link(from, to)
 	ser := 0.0

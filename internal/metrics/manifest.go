@@ -16,9 +16,8 @@ type Manifest struct {
 	Name string `json:"name,omitempty"`
 	// CreatedAt is the wall-clock start time (RFC 3339).
 	CreatedAt string `json:"created_at,omitempty"`
-	// Host environment. NumCPU / GoMaxProcs make speedup claims from
-	// SimWorkers runs interpretable across hosts: a "no speedup" record
-	// from a single-core runner is expected, not a regression.
+	// Host environment. NumCPU / GoMaxProcs make wall-clock figures
+	// interpretable across hosts.
 	GitRev     string `json:"git_rev,omitempty"`
 	GoVersion  string `json:"go_version,omitempty"`
 	OS         string `json:"os,omitempty"`
@@ -49,8 +48,10 @@ type Manifest struct {
 	// iteration).
 	MetricsPeriod float64 `json:"metrics_period,omitempty"`
 
-	// Sim records how a SimWorkers > 1 request executed (set by the engine
-	// when within-run parallelism was asked for; nil otherwise).
+	// Deprecated: Sim is never set. It described the windowed virtual-time
+	// scheduler, which no longer exists; the field stays only because the
+	// frozen benchmark reads it (bench/tracing.go:241) and goes with the
+	// vt-table1-par workload (ROADMAP item 2).
 	Sim *SimManifest `json:"sim,omitempty"`
 
 	// Dist records a distributed (multi-OS-process) run: the run identity
@@ -61,37 +62,12 @@ type Manifest struct {
 	Outcome *Outcome `json:"outcome,omitempty"`
 }
 
-// SimManifest describes how the parallel virtual-time scheduler executed a
-// run: the partition and lookahead it planned, the window shape it achieved
-// — or, via Fallback, why the run was sequential after all. Degenerate and
-// single-group window counts make "parallelism never kicked in" visible in
-// the run record instead of silent.
+// Deprecated: SimManifest is what is left of the windowed scheduler's run
+// record: the three fields the frozen benchmark reads (bench/metrics.go:215).
 type SimManifest struct {
-	// Workers is the requested SimWorkers; EffWorkers the worker
-	// goroutines actually used (capped at the number of groups).
-	Workers    int `json:"workers"`
-	EffWorkers int `json:"effective_workers,omitempty"`
-	// Groups is the number of execution groups planned; MinDelay the
-	// guaranteed minimum cross-group delay (the uniform lookahead floor —
-	// the adaptive horizons are at least this wide).
-	Groups   int     `json:"groups,omitempty"`
-	MinDelay float64 `json:"min_delay,omitempty"`
-	// Fallback, when non-empty, explains why the run executed
-	// sequentially despite SimWorkers > 1.
-	Fallback string `json:"fallback,omitempty"`
-	// Windows counts committed parallel windows; DegenerateWindows the
-	// single-event fallback rounds (rounding collapsed every horizon);
-	// SingleGroupWindows the windows with exactly one runnable group.
-	Windows            int64 `json:"windows,omitempty"`
-	DegenerateWindows  int64 `json:"degenerate_windows,omitempty"`
-	SingleGroupWindows int64 `json:"single_group_windows,omitempty"`
-	// Events counts events executed inside windows; MeanWindowWidth is
-	// the mean safe lookahead achieved (virtual seconds; the uniform
-	// MinDelay bound is the baseline); Flushes the deferred side-effect
-	// replay passes.
-	Events          int64   `json:"events,omitempty"`
-	MeanWindowWidth float64 `json:"mean_window_width,omitempty"`
-	Flushes         int64   `json:"side_effect_flushes,omitempty"`
+	Windows            int64   `json:"windows,omitempty"`
+	SingleGroupWindows int64   `json:"single_group_windows,omitempty"`
+	MeanWindowWidth    float64 `json:"mean_window_width,omitempty"`
 }
 
 // DistManifest describes one view of a distributed run. The coordinator's

@@ -73,10 +73,8 @@ const (
 // eventStream is one emitter's bounded slice of the convergence/control
 // timeline: one per node, plus one for the detector (node -1). Splitting
 // the log per emitter makes the stored content independent of how emitters
-// interleave — each stream is appended by a single process in its own local
-// order — so the parallel virtual-time scheduler produces byte-identical
-// telemetry to the sequential one. Events() merges the streams into the
-// canonical (T, node) order.
+// interleave: each stream is appended by a single process in its own local
+// order. Events() merges the streams into the canonical (T, node) order.
 type eventStream struct {
 	events  []Event
 	dropped uint64
@@ -89,7 +87,7 @@ type eventStream struct {
 // Concurrency: per-node samples are written only by the owning process;
 // counters, gauges and the histogram are atomic; the event streams are
 // mutex-guarded and single-writer. This makes every hook safe under both
-// runtimes, including the parallel virtual-time scheduler.
+// runtimes.
 type Sink struct {
 	// Period is the minimum virtual-time spacing (seconds) between two
 	// accepted samples of the same node; 0 samples every iteration (until
@@ -113,10 +111,9 @@ type Sink struct {
 	// Listener, when non-nil, receives every accepted sample, every stored
 	// timeline event and the phase transitions as the run produces them —
 	// the feed behind live SSE dashboards. Callbacks are invoked from the
-	// runtime's own processes (concurrently under rtime and the parallel
-	// vtime scheduler), must be fast, and must not call back into the
-	// sink. A nil listener costs one pointer check per hook. Set it before
-	// Start.
+	// runtime's own processes (concurrently under rtime), must be fast, and
+	// must not call back into the sink. A nil listener costs one pointer
+	// check per hook. Set it before Start.
 	Listener Listener
 
 	nodes  []nodeSeries
@@ -412,8 +409,7 @@ func (s *Sink) ManifestSnapshot() Manifest {
 // ties broken by emitter (detector first, then node rank), each emitter's
 // events kept in emission order — plus the total overflow count. The
 // canonical order depends only on each stream's content, never on how the
-// emitters' processes interleaved, so identical runs export identical
-// timelines under the sequential and parallel virtual-time schedulers alike.
+// emitters' processes interleaved.
 func (s *Sink) Events() ([]Event, uint64) {
 	if s == nil {
 		return nil, 0

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,6 +68,25 @@ func TestRegistryRescanSurvivesRestart(t *testing.T) {
 		if err := reg.Put(rec); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// A record stored before the sim_workers knob was removed still loads:
+	// rescan tolerates fields it no longer knows.
+	path := filepath.Join(root, done.ID, "manifest.json")
+	var stored map[string]any
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &stored); err != nil {
+		t.Fatal(err)
+	}
+	stored["spec"].(map[string]any)["sim_workers"] = 2
+	if b, err = json.Marshal(stored); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// "Restart": open a second registry over the same directory.

@@ -461,8 +461,7 @@ func (l *streamListener) LiveEvent(ev metrics.Event) {
 
 // liveStream is a grow-only frame buffer with change notification: SSE
 // handlers replay frames[i:] and wait for more until closed. Appends come
-// from solver goroutines (concurrent under rtime and the parallel vtime
-// scheduler), reads from HTTP handlers.
+// from solver goroutines (concurrent under rtime), reads from HTTP handlers.
 type liveStream struct {
 	mu     sync.Mutex
 	frames []report.Frame

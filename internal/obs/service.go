@@ -197,6 +197,11 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.sched.WritePrometheus(w)
 }
 
+// sseKeepalive is how long a live event stream may stay silent before it gets
+// a comment frame, so that idle proxies keep it open. It is a variable only
+// so that the keepalive test can shorten it.
+var sseKeepalive = 15 * time.Second
+
 // handleEvents streams a run's dashboard frames as Server-Sent Events. A
 // finished run replays its stored telemetry through report.Stream — a pure
 // function of the artifact, so the bytes are deterministic. A queued or
@@ -229,6 +234,10 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 	notify := ls.subscribe()
 	defer ls.unsubscribe(notify)
+	// One timer per stream: a time.After per wait would keep its timer alive
+	// until it fired (go.mod says go 1.22), long after the stream had ended.
+	keepalive := time.NewTimer(sseKeepalive)
+	defer keepalive.Stop()
 
 	sent := 0
 	for {
@@ -249,12 +258,12 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-notify:
 		case <-r.Context().Done():
 			return
-		case <-time.After(15 * time.Second):
-			// keepalive comment so idle proxies keep the stream open
+		case <-keepalive.C:
 			fmt.Fprint(w, ": keepalive\n\n")
 			if fl != nil {
 				fl.Flush()
 			}
+			keepalive.Reset(sseKeepalive)
 		}
 	}
 }

@@ -116,6 +116,11 @@ func TestServiceLifecycleOverHTTP(t *testing.T) {
 	if code := httpJSON(t, "POST", base+"/runs", RunSpec{Problem: "nope"}, &oops); code != 400 || oops["error"] == "" {
 		t.Fatalf("bad spec = %d %v", code, oops)
 	}
+	// a removed knob is an unknown field, named in the answer
+	stale := map[string]any{"tenant": "alice", "n": 16, "sim_workers": 2}
+	if code := httpJSON(t, "POST", base+"/runs", stale, &oops); code != 400 || !strings.Contains(oops["error"], "sim_workers") {
+		t.Fatalf("spec with sim_workers = %d %v", code, oops)
+	}
 	if code := httpJSON(t, "DELETE", base+"/runs/"+id, nil, nil); code != http.StatusConflict {
 		t.Fatalf("DELETE finished run = %d, want 409", code)
 	}
@@ -213,6 +218,70 @@ func TestServiceLiveSSEFollow(t *testing.T) {
 	}
 	if frames[0].Event != report.FrameManifest {
 		t.Fatalf("first live frame = %q, want manifest", frames[0].Event)
+	}
+}
+
+// TestServiceLiveSSEKeepalive: a live stream with nothing to say gets a
+// keepalive comment every sseKeepalive, and still ends when its run seals.
+func TestServiceLiveSSEKeepalive(t *testing.T) {
+	prev := sseKeepalive
+	sseKeepalive = 20 * time.Millisecond
+	// registered first, so it runs after the service has shut down
+	t.Cleanup(func() { sseKeepalive = prev })
+
+	svc, err := NewService(ServiceConfig{Root: t.TempDir(), Scheduler: SchedulerConfig{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeService("127.0.0.1:0", svc)
+	if err != nil {
+		svc.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(time.Second); svc.Close() })
+	base := "http://" + srv.Addr()
+
+	// a slow run holds the only worker, so the next one stays queued and
+	// its stream idle
+	slow := RunSpec{Tenant: "t", N: 16, T: 1, Tol: 1e-300, Backend: "rtime", Speedup: 0.05}
+	var blocker, queued struct{ ID string }
+	if code := httpJSON(t, "POST", base+"/runs", slow, &blocker); code != 201 {
+		t.Fatalf("POST slow = %d", code)
+	}
+	waitState(t, svc.Registry(), blocker.ID, StateRunning)
+	if code := httpJSON(t, "POST", base+"/runs", quickSpec("t"), &queued); code != 201 {
+		t.Fatalf("POST queued = %d", code)
+	}
+	resp, err := http.Get(base + "/runs/" + queued.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	const comment = ": keepalive\n\n"
+	got := &bytes.Buffer{}
+	buf := make([]byte, 256)
+	for strings.Count(got.String(), comment) < 3 {
+		n, err := resp.Body.Read(buf)
+		got.Write(buf[:n])
+		if err != nil {
+			t.Fatalf("idle stream ended after %q: %v", got.String(), err)
+		}
+	}
+	// free the worker: the queued run executes, seals, and the stream ends
+	httpJSON(t, "DELETE", base+"/runs/"+blocker.ID, nil, nil)
+	rest, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("stream did not end cleanly: %v", err)
+	}
+	got.Write(rest)
+	frames, err := report.ReadSSE(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, phase, err := report.Accumulate(frames)
+	if err != nil || phase != metrics.PhaseDone {
+		t.Fatalf("stream ended in phase %q (err %v), want %q", phase, err, metrics.PhaseDone)
 	}
 }
 

@@ -56,7 +56,6 @@ type RunSpec struct {
 	MaxTime float64 `json:"max_time,omitempty"`
 
 	MetricsPeriod float64 `json:"metrics_period,omitempty"`
-	SimWorkers    int     `json:"sim_workers,omitempty"`
 
 	// Trace collects the causally-tagged execution trace and writes it to
 	// the run's trace.csv artifact. TraceCap bounds its memory (events,
@@ -130,12 +129,11 @@ func (sp RunSpec) withDefaults() RunSpec {
 func (sp RunSpec) BuildConfig() (engine.Config, *metrics.Sink, error) {
 	sp = sp.withDefaults()
 	cfg := engine.Config{
-		P:          sp.P,
-		Tol:        sp.Tol,
-		MaxIter:    sp.MaxIter,
-		Seed:       sp.Seed,
-		SimWorkers: sp.SimWorkers,
-		MaxTime:    sp.MaxTime,
+		P:       sp.P,
+		Tol:     sp.Tol,
+		MaxIter: sp.MaxIter,
+		Seed:    sp.Seed,
+		MaxTime: sp.MaxTime,
 	}
 
 	switch strings.ToLower(sp.Mode) {

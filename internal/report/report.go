@@ -92,25 +92,6 @@ func writeHeader(b *strings.Builder, run *metrics.Run) {
 		}
 		fmt.Fprintf(b, "\n")
 	}
-	if sim := m.Sim; sim != nil {
-		if sim.Fallback != "" {
-			fmt.Fprintf(b, "sim: %d workers requested, sequential (%s)\n", sim.Workers, sim.Fallback)
-		} else {
-			fmt.Fprintf(b, "sim: %d workers over %d groups, lookahead floor %.3g s, %d windows (mean width %.3g s",
-				sim.EffWorkers, sim.Groups, sim.MinDelay, sim.Windows, sim.MeanWindowWidth)
-			if sim.Windows > 0 {
-				fmt.Fprintf(b, ", %.0f events/window", float64(sim.Events)/float64(sim.Windows))
-			}
-			fmt.Fprintf(b, ")")
-			if sim.DegenerateWindows > 0 {
-				fmt.Fprintf(b, ", %d degenerate", sim.DegenerateWindows)
-			}
-			if sim.SingleGroupWindows > 0 {
-				fmt.Fprintf(b, ", %d single-group", sim.SingleGroupWindows)
-			}
-			fmt.Fprintf(b, "\n")
-		}
-	}
 	out := m.Outcome
 	if out == nil {
 		fmt.Fprintf(b, "outcome: (run did not finish)\n")

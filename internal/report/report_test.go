@@ -159,6 +159,9 @@ func TestResample(t *testing.T) {
 	}
 }
 
+// TestRenderSimSection: the host line renders, and a stored manifest that
+// still carries a sim section (written before the windowed scheduler was
+// removed) renders without one.
 func TestRenderSimSection(t *testing.T) {
 	m := metrics.Manifest{
 		Name:       "par",
@@ -168,31 +171,14 @@ func TestRenderSimSection(t *testing.T) {
 		OS:         "any",
 		Arch:       "any",
 		CreatedAt:  "2026-01-01T00:00:00Z",
-		Sim: &metrics.SimManifest{
-			Workers: 4, EffWorkers: 4, Groups: 11, MinDelay: 5e-3,
-			Windows: 200, SingleGroupWindows: 3, DegenerateWindows: 1,
-			Events: 1000, MeanWindowWidth: 9e-3, Flushes: 2,
-		},
+		Sim:        &metrics.SimManifest{Windows: 200, SingleGroupWindows: 3, MeanWindowWidth: 9e-3},
 	}
 	out := Render(&metrics.Run{Manifest: m}, Options{})
-	for _, want := range []string{
-		"4 cpus, gomaxprocs 4",
-		"sim: 4 workers over 11 groups",
-		"lookahead floor 0.005 s",
-		"mean width 0.009 s",
-		"5 events/window",
-		"1 degenerate",
-		"3 single-group",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sim rendering missing %q:\n%s", want, out)
-		}
+	if !strings.Contains(out, "4 cpus, gomaxprocs 4") {
+		t.Errorf("host line missing:\n%s", out)
 	}
-
-	m.Sim = &metrics.SimManifest{Workers: 2, Fallback: "no usable group partition"}
-	out = Render(&metrics.Run{Manifest: m}, Options{})
-	if !strings.Contains(out, "sim: 2 workers requested, sequential (no usable group partition)") {
-		t.Errorf("fallback rendering:\n%s", out)
+	if strings.Contains(out, "sim:") {
+		t.Errorf("sim section still rendered:\n%s", out)
 	}
 }
 

@@ -29,8 +29,7 @@ type Msg struct {
 	// process's private event counter when the message (or duplicated
 	// copy) was created. (From, Seq) identifies a delivery uniquely and —
 	// unlike a globally assigned sequence — does not depend on how the
-	// scheduler interleaved other processes, which is what lets the
-	// parallel virtual-time scheduler reproduce sequential runs exactly.
+	// runtime interleaved other processes.
 	Seq uint64
 }
 
@@ -117,13 +116,10 @@ type Config struct {
 	ComputeTime func(node int, start, units float64) float64
 	// Delay returns the transfer duration for a message of the given
 	// modeled size sent between two nodes at time `now`. Implementations
-	// may keep per-link state (e.g. serialization queues), in which case
-	// they must be safe for concurrent use under the real-time runtime and
-	// the parallel virtual-time scheduler, and any mutable state must be
-	// partitioned per sending node: the parallel scheduler guarantees a
-	// deterministic call order per sender (and per group of co-scheduled
-	// senders, see Groups), never globally. Delays must be >= 0, and >=
-	// MinDelay whenever sender and receiver are in different Groups.
+	// may keep state (e.g. serialization queues): the virtual-time runtime
+	// calls the hook one send at a time, in event order, but the real-time
+	// runtime calls it from every sender's goroutine, so such state must be
+	// safe for concurrent use. Delays must be >= 0.
 	Delay func(from, to, bytes int, now float64) float64
 	// FaultHook, when non-nil, is consulted once per Send (after Delay) to
 	// decide the fate of the message: lost, duplicated, reordered, or
@@ -131,9 +127,9 @@ type Config struct {
 	// must be deterministic given its arguments and any internal counters
 	// it keeps, and — like Delay — safe for concurrent use with internal
 	// counters partitioned per link or per sender (a single global counter
-	// would make decisions depend on scheduler interleaving). ExtraDelay
-	// and DupDelays entries must be >= 0. See internal/fault for the
-	// standard implementation.
+	// would make decisions depend on how the real-time runtime interleaved
+	// the senders). ExtraDelay and DupDelays entries must be >= 0. See
+	// internal/fault for the standard implementation.
 	FaultHook func(from, to, kind, bytes int, now, delay float64) MsgFault
 	// Observer, when non-nil, receives runtime telemetry (message
 	// deliveries with queue depth and latency). A nil Observer costs the
@@ -153,45 +149,6 @@ type Config struct {
 	// outside the modeled world, the stop point of a canceled run is not
 	// deterministic; everything up to the stop still is.
 	Canceled func() bool
-
-	// The fields below enable the conservative-lookahead parallel mode of
-	// the virtual-time scheduler (internal/vtime/parallel.go). They are
-	// ignored by the real-time runtime. Results are bit-identical to a
-	// sequential run at any SimWorkers setting.
-
-	// MinDelay asserts that Delay (plus any FaultHook ExtraDelay, which is
-	// >= 0) never returns less than this value for a send between two
-	// processes in different Groups. It is the scheduler's lookahead: all
-	// events within MinDelay of the earliest pending event are causally
-	// independent across groups and run concurrently. 0 (the default)
-	// disables parallel execution.
-	MinDelay float64
-	// LinkMinDelay, when non-nil, refines MinDelay per ordered process
-	// pair: it must return a lower bound on Delay (plus any FaultHook
-	// ExtraDelay) for every message from process `from` to process `to`,
-	// and may return +Inf for pairs that never exchange messages — no
-	// message means no lookahead constraint. Values below MinDelay are
-	// clamped up to it (both are asserted lower bounds, so the tighter one
-	// wins). The parallel scheduler folds the pair bounds into a min-plus
-	// closure over the group graph and derives a per-group safe horizon
-	// from each peer's earliest pending event, which widens windows far
-	// beyond the uniform MinDelay bound on platforms whose links differ.
-	// The function must be pure and is only consulted during setup.
-	// Ignored when nil (every cross-group pair is bounded by MinDelay).
-	LinkMinDelay func(from, to int) float64
-	// Groups assigns each process to an execution group; processes in the
-	// same group are always executed sequentially relative to each other,
-	// so links inside a group are exempt from the MinDelay bound (and
-	// stateful Delay implementations may share per-sender state within a
-	// group). Values are arbitrary ints, densified by first appearance;
-	// nil means every process is its own group. If non-nil, the length
-	// must equal the number of processes.
-	Groups []int
-	// SimWorkers is the number of groups the virtual-time scheduler may
-	// execute concurrently. 0 or 1 selects the sequential scheduler;
-	// parallel execution also requires MinDelay > 0 and at least two
-	// groups.
-	SimWorkers int
 	// EventCapHint, when > 0, pre-sizes the scheduler's event containers
 	// (event heap capacity, and per-process mailboxes at EventCapHint /
 	// Procs) to avoid growth reallocations on the hot path.

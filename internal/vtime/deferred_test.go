@@ -8,59 +8,11 @@ import (
 	"aiac/internal/runenv"
 )
 
-// Contract tests for deferred wakes (see proc.advance / proc.sync): the
-// horizon check, where a stop takes effect, cancellation latency, and the
-// hand-off count the deferral exists to reduce. TestGoldenEquivalence is the
-// proof that deferral is invisible — results and window plans alike — and
-// TestMaxTimeInsideWorkBurst pins the time-limit fallback; these pin the
-// rest of the edges.
-
-// TestParallelHorizonViolationAfterWorkPanics is
-// TestParallelHorizonViolationPanics with the illegal cross-group send
-// following Work calls instead of a Sleep — one that carries the process
-// past its group's horizon (scheduled eagerly) and two that stay inside the
-// window (deferred, then scheduled by the send): the commit check still
-// catches the send in the window its wake belongs to.
-func TestParallelHorizonViolationAfterWorkPanics(t *testing.T) {
-	cases := []struct {
-		name  string
-		delay float64 // < MinDelay: a lie
-		body  runenv.Body
-	}{
-		// Horizons in the sending window: 1.52 for the sender's group, 1.51
-		// for the receiver's; the send lands at 1.500001.
-		{"past-horizon", 1e-6, func(env runenv.Env) {
-			env.Sleep(1)
-			env.Work(0.5)
-			env.Send(1, 0, nil, 1)
-			env.Sleep(1)
-		}},
-		// 4 ms + 4 ms + 3 ms lands at 11 ms: past the start-up window's
-		// horizon (10 ms) but inside that of the window the second wake
-		// belongs to (14 ms).
-		{"inside-window", 3e-3, func(env runenv.Env) {
-			env.Work(4e-3)
-			env.Work(4e-3)
-			env.Send(1, 0, nil, 1)
-			env.Sleep(1)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected a panic from the safe-horizon contract check")
-				}
-			}()
-			cfg := runenv.Config{
-				Delay:      func(_, _, _ int, _ float64) float64 { return tc.delay },
-				MinDelay:   1e-2,
-				SimWorkers: 2,
-			}
-			New(cfg).Run([]runenv.Body{tc.body, func(env runenv.Env) { env.Sleep(2.5) }})
-		})
-	}
-}
+// Contract tests for deferred wakes (see proc.advance / proc.sync): where a
+// stop takes effect, cancellation latency, and the hand-off count the
+// deferral exists to reduce. TestGoldenEquivalence is the proof that deferral
+// is invisible and TestMaxTimeInsideWorkBurst pins the time-limit fallback;
+// these pin the rest of the edges.
 
 // TestStopTakesEffectAtCallersClock: a process that ran ahead on deferred
 // Work and then calls Stop() stops the world at its own clock — the other

@@ -21,9 +21,8 @@ import (
 // final clock and its own log (what it saw from Now, Send, LastSendSeq,
 // Recv, RecvWait, Pending and Stopped, in program order), the Observer's
 // (msg, depth) sequence and the trace log — so any change in what a process
-// or an observer can see of the world, at any SimWorkers, changes the hash.
-// The window plans were recorded on the same commit: the windowed scheduler
-// still cuts the run into the same windows with the same horizons.
+// or an observer can see of the world changes the hash. (The same commit had
+// a second, windowed scheduler that met these digests too; it is gone.)
 
 // goldenWorld is one pinned scenario.
 type goldenWorld struct {
@@ -35,24 +34,18 @@ type goldenWorld struct {
 	// group, so the order in which co-scheduled senders reach Delay shows.
 	sharedLinks bool
 	want        string
-	// windows pins the windowed scheduler's plan for the scenario (the same
-	// at SimWorkers 2 and 4: it depends on the groups, not the workers).
-	windows string
 }
 
 var goldenWorlds = []goldenWorld{
-	{seed: 1, rounds: 120, want: "cf8590fdcd815bf3d75e4df6c854b4781f5c32a801ecda56b84558e628dfb079",
-		windows: "21 windows, 2 single-group, 0 degenerate, width sum 3fcaad8ea321a760 over 55"},
-	{seed: 2, rounds: 200, want: "2f21e3e8b7e47b258dc48aca8b594e4c95f44ca577e624e1181c00567205a74f",
-		windows: "43 windows, 4 single-group, 0 degenerate, width sum 3fda09f55d63e63f over 116"},
-	{seed: 3, rounds: 160, maxTime: 0.021, want: "6022517deee30f4c889c72e0542eeec5085cf514c9457c79f7be05e7a86a6511",
-		windows: "7 windows, 0 single-group, 0 degenerate, width sum 3fb302d4cbf042cc over 21"},
-	{seed: 4, rounds: 90, maxTime: 0.0087, want: "27005f16264af04872d24048a09c09997301dda78d3ad97c31d11ec3ce2b7f3c",
-		windows: "3 windows, 0 single-group, 0 degenerate, width sum 3fa2713f3b11494a over 9"},
-	{seed: 5, rounds: 200, sharedLinks: true, want: "2844d3eea4d0e47a05ac18473ccf4df20ffd2b32bbc4bc87d46e5010f6ae11e8",
-		windows: "43 windows, 5 single-group, 0 degenerate, width sum 3fd7f11439f492e2 over 117"},
+	{seed: 1, rounds: 120, want: "cf8590fdcd815bf3d75e4df6c854b4781f5c32a801ecda56b84558e628dfb079"},
+	{seed: 2, rounds: 200, want: "2f21e3e8b7e47b258dc48aca8b594e4c95f44ca577e624e1181c00567205a74f"},
+	{seed: 3, rounds: 160, maxTime: 0.021, want: "6022517deee30f4c889c72e0542eeec5085cf514c9457c79f7be05e7a86a6511"},
+	{seed: 4, rounds: 90, maxTime: 0.0087, want: "27005f16264af04872d24048a09c09997301dda78d3ad97c31d11ec3ce2b7f3c"},
+	{seed: 5, rounds: 200, sharedLinks: true, want: "2844d3eea4d0e47a05ac18473ccf4df20ffd2b32bbc4bc87d46e5010f6ae11e8"},
 }
 
+// goldenGroups and goldenMinDelay shape the pinned worlds' latencies: links
+// inside a group are short, links between groups at least goldenMinDelay.
 const (
 	goldenProcs    = 6
 	goldenMinDelay = 2e-3
@@ -76,10 +69,31 @@ func (o goldenObserver) MsgDelivered(m runenv.Msg, depth int) {
 	fmt.Fprintf(o.h, "d%d;", depth)
 }
 
-// run executes the scenario at the given SimWorkers and returns the digest
-// and, for the windowed scheduler, the shape of its window plan.
-func (gw goldenWorld) run(t *testing.T, workers int) (digest, windows string) {
-	t.Helper()
+// pureFaults is a stateless deterministic fault hook: decisions are a hash
+// of the send's own arguments.
+func pureFaults(from, to, kind, bytes int, now, delay float64) runenv.MsgFault {
+	h := uint64(from)*0x9e3779b97f4a7c15 ^ uint64(to)*0xbf58476d1ce4e5b9 ^
+		uint64(kind)*0x94d049bb133111eb ^ uint64(bytes+1)*0x2545f4914f6cdd1d
+	h ^= h >> 31
+	h *= 0xd6e8feb86659fd93
+	h ^= h >> 27
+	var f runenv.MsgFault
+	switch h % 16 {
+	case 0:
+		f.Drop = true
+	case 1:
+		f.ExtraDelay = float64(h%1000) * 1e-5
+	case 2:
+		f.Reorder = true
+		f.ExtraDelay = float64(h%100) * 1e-4
+	case 3:
+		f.DupDelays = []float64{float64(h%500) * 1e-5}
+	}
+	return f
+}
+
+// run executes the scenario and returns its digest.
+func (gw goldenWorld) run() string {
 	rng := rand.New(rand.NewSource(gw.seed))
 	n := goldenProcs
 	lat := make([][]float64, n)
@@ -87,7 +101,7 @@ func (gw goldenWorld) run(t *testing.T, workers int) (digest, windows string) {
 		lat[i] = make([]float64, n)
 		for j := range lat[i] {
 			if goldenGroups[i] == goldenGroups[j] {
-				lat[i][j] = 1e-5 + rng.Float64()*1e-3 // may be far below MinDelay
+				lat[i][j] = 1e-5 + rng.Float64()*1e-3 // may be far below goldenMinDelay
 			} else {
 				lat[i][j] = goldenMinDelay * (1 + 4*rng.Float64())
 			}
@@ -119,11 +133,7 @@ func (gw goldenWorld) run(t *testing.T, workers int) (digest, windows string) {
 			// cost of a Work depends on the clock it starts at.
 			return units * (1 + 0.25*float64(node)) * (1 + 0.1*math.Sin(40*start))
 		},
-		FaultHook:    pureFaults, // drops, duplicates, reorders, delay spikes
-		MinDelay:     goldenMinDelay,
-		LinkMinDelay: func(from, to int) float64 { return lat[from][to] },
-		Groups:       goldenGroups,
-		SimWorkers:   workers,
+		FaultHook: pureFaults, // drops, duplicates, reorders, delay spikes
 	}
 	logs := make([]hash.Hash, n)
 	bodies := make([]runenv.Body, n)
@@ -134,9 +144,6 @@ func (gw goldenWorld) run(t *testing.T, workers int) (digest, windows string) {
 	}
 	s := New(cfg)
 	end := s.Run(bodies)
-	if got := s.parallel; got != (workers > 1) {
-		t.Fatalf("workers=%d: parallel=%v", workers, got)
-	}
 
 	total := sha256.New()
 	fmt.Fprintf(total, "dead=%v timeout=%v end=", s.Deadlocked, s.TimedOut)
@@ -152,10 +159,7 @@ func (gw goldenWorld) run(t *testing.T, workers int) (digest, windows string) {
 		hashFloat(total, ev.T0)
 		hashFloat(total, ev.T1)
 	}
-	st := s.Stats()
-	windows = fmt.Sprintf("%d windows, %d single-group, %d degenerate, width sum %x over %d",
-		st.Windows, st.SingleGroupWindows, st.DegenerateWindows, math.Float64bits(st.WidthSum), st.WidthWindows)
-	return fmt.Sprintf("%x", total.Sum(nil)), windows
+	return fmt.Sprintf("%x", total.Sum(nil))
 }
 
 // goldenBody is the random process program: every op is drawn from the
@@ -218,18 +222,12 @@ func goldenBody(env runenv.Env, h hash.Hash, rounds int) {
 	now()
 }
 
-// TestGoldenEquivalence asserts the pinned digests at SimWorkers 1, 2 and 4:
-// deferring wakes changes nothing that can be observed.
+// TestGoldenEquivalence asserts the pinned digests: deferring wakes changes
+// nothing that can be observed.
 func TestGoldenEquivalence(t *testing.T) {
 	for _, gw := range goldenWorlds {
-		for _, w := range []int{1, 2, 4} {
-			got, windows := gw.run(t, w)
-			if got != gw.want {
-				t.Errorf("seed %d workers %d: digest %s, want %s", gw.seed, w, got, gw.want)
-			}
-			if w > 1 && windows != gw.windows {
-				t.Errorf("seed %d workers %d: window plan %q, want %q", gw.seed, w, windows, gw.windows)
-			}
+		if got := gw.run(); got != gw.want {
+			t.Errorf("seed %d: digest %s, want %s", gw.seed, got, gw.want)
 		}
 	}
 }
@@ -239,34 +237,30 @@ func TestGoldenEquivalence(t *testing.T) {
 // the wake that would pass MaxTime is never executed, so the clocks stop at
 // the last wake at or below the limit.
 func TestMaxTimeInsideWorkBurst(t *testing.T) {
-	for _, w := range []int{1, 2} {
-		cfg := runenv.Config{
-			MaxTime:    2.0,
-			Delay:      func(_, _, _ int, _ float64) float64 { return 0.05 },
-			MinDelay:   0.05,
-			SimWorkers: w,
-		}
-		s := New(cfg)
-		bodies := make([]runenv.Body, 3)
-		for i := range bodies {
-			bodies[i] = func(env runenv.Env) {
-				step := 0.07 * float64(env.Rank()+1)
-				for !env.Stopped() {
-					for j := 0; j < 5; j++ {
-						env.Work(step)
-					}
-					env.Send((env.Rank()+1)%3, 0, nil, 1)
-					env.Recv()
+	cfg := runenv.Config{
+		MaxTime: 2.0,
+		Delay:   func(_, _, _ int, _ float64) float64 { return 0.05 },
+	}
+	s := New(cfg)
+	bodies := make([]runenv.Body, 3)
+	for i := range bodies {
+		bodies[i] = func(env runenv.Env) {
+			step := 0.07 * float64(env.Rank()+1)
+			for !env.Stopped() {
+				for j := 0; j < 5; j++ {
+					env.Work(step)
 				}
+				env.Send((env.Rank()+1)%3, 0, nil, 1)
+				env.Recv()
 			}
 		}
-		end := s.Run(bodies)
-		clocks := []float64{s.procs[0].clock, s.procs[1].clock, s.procs[2].clock}
-		want := []float64{1.9600000000000013, 1.9600000000000009, 1.89}
-		const wantEnd = 1.9600000000000013
-		if !s.TimedOut || end != wantEnd || !slices.Equal(clocks, want) {
-			t.Errorf("workers %d: end=%v timedOut=%v clocks=%v, want end=%v timedOut=true clocks=%v",
-				w, end, s.TimedOut, clocks, wantEnd, want)
-		}
+	}
+	end := s.Run(bodies)
+	clocks := []float64{s.procs[0].clock, s.procs[1].clock, s.procs[2].clock}
+	want := []float64{1.9600000000000013, 1.9600000000000009, 1.89}
+	const wantEnd = 1.9600000000000013
+	if !s.TimedOut || end != wantEnd || !slices.Equal(clocks, want) {
+		t.Errorf("end=%v timedOut=%v clocks=%v, want end=%v timedOut=true clocks=%v",
+			end, s.TimedOut, clocks, wantEnd, want)
 	}
 }

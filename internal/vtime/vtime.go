@@ -19,23 +19,19 @@
 // Delay and FaultHook hooks may keep state that several senders share),
 // Trace when tracing is on, and the body's return. Now, Rand and
 // LastSendSeq do not yield. The execution is bit-identical to scheduling
-// every wake (see proc.advance, proc.sync and DESIGN.md §9.5), at a
+// every wake (see proc.advance, proc.sync and DESIGN.md §9.4), at a
 // fraction of the hand-offs: between two such calls a process sees nothing,
 // so its intermediate wakes only ever handed control back and forth.
 //
-// By default the scheduler is sequential: exactly one process executes at
-// any moment. When Config.SimWorkers > 1 and Config.MinDelay/Groups
-// describe a conservative lookahead (see runenv.Config), the scheduler runs
-// groups of processes concurrently inside provably safe event windows and
-// produces bit-identical results; see parallel.go for the algorithm and
-// DESIGN.md for the contract.
+// The scheduler is sequential: exactly one process executes at any moment.
+// Hosts with several cores are filled with whole runs instead (the
+// experiments pool, the service scheduler), which is both simpler and scales
+// better than parallelism inside one run.
 package vtime
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"aiac/internal/runenv"
 	"aiac/internal/trace"
@@ -48,28 +44,11 @@ const (
 	evDeliver
 )
 
-// eventKey is the total order over events: time first, then source process,
-// then the source's private event counter. Unlike a globally assigned
-// sequence number, the key depends only on the creating process's own
-// deterministic history, never on the order in which the scheduler
-// interleaved other processes — the property that lets the parallel
-// scheduler reproduce the sequential execution exactly.
-type eventKey struct {
-	t   float64
-	src int
-	cnt uint64
-}
-
-func keyLess(a, b eventKey) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.cnt < b.cnt
-}
-
+// event is one scheduled wake or delivery. Events are totally ordered by
+// (t, src, cnt): time first, then source process, then the source's private
+// event counter. Unlike a globally assigned sequence number, the key depends
+// only on the creating process's own deterministic history, never on the
+// order in which the scheduler interleaved other processes.
 type event struct {
 	t    float64
 	src  int    // creating process
@@ -78,8 +57,6 @@ type event struct {
 	proc int // destination process
 	msg  runenv.Msg
 }
-
-func (e *event) key() eventKey { return eventKey{e.t, e.src, e.cnt} }
 
 // eventHeap is a binary min-heap over (t, src, cnt), hand-rolled on the
 // concrete event type. container/heap would box every pushed event into an
@@ -142,7 +119,7 @@ type proc struct {
 	clock  float64
 	resume chan struct{}
 	// yielded is this process's private handoff back to whoever resumed it
-	// (the sequential loop, a group runner, or stopWorld).
+	// (the run loop or stopWorld).
 	yielded chan struct{}
 	// mailbox[mboxHead:] holds the undelivered messages. Popping advances
 	// the head instead of reslicing from the front, so the backing array's
@@ -153,10 +130,6 @@ type proc struct {
 	waiting  bool // blocked in RecvWait
 	sleeping bool // has a pending evWake
 	finished bool
-	// stopSelf is set when this process called Stop() under the parallel
-	// scheduler: the stop is visible to the caller immediately and to
-	// everyone else at the next window boundary (see parallel.go).
-	stopSelf bool
 	cnt      uint64 // event counter: tie-break + Msg.Seq for events this proc creates
 	lastSend uint64 // Msg.Seq of the primary copy of the most recent Send
 	// deferred is the counter of the most recent Work/Sleep wake that was
@@ -167,10 +140,6 @@ type proc struct {
 	handoffs int64
 	rng      *rand.Rand
 	sched    *Scheduler
-	grp      *group
-	// sliceKey is the key of the event whose processing resumed this proc,
-	// used to tag buffered trace entries for the deterministic commit merge.
-	sliceKey eventKey
 }
 
 func (p *proc) mboxEmpty() bool { return p.mboxHead >= len(p.mailbox) }
@@ -191,68 +160,16 @@ func (p *proc) nextCnt() uint64 {
 	return p.cnt
 }
 
-// obsRecord is one buffered Observer callback (parallel mode): replayed in
-// committed event order so telemetry is bit-identical to a sequential run.
-type obsRecord struct {
-	key   eventKey
-	msg   runenv.Msg
-	depth int
-}
-
-// traceRecord is one buffered Env.Trace call (parallel mode), tagged with
-// the key of the execution slice that emitted it.
-type traceRecord struct {
-	key eventKey
-	ev  trace.Event
-}
-
-// group is a set of processes that execute sequentially with respect to
-// each other on a private event heap. The sequential scheduler uses a
-// single group holding every process; the parallel scheduler runs disjoint
-// groups concurrently within safe horizons (see parallel.go).
-type group struct {
-	idx   int
-	procs []*proc // members, in rank order
-	// events holds this group's future events (all events whose destination
-	// process belongs to the group).
-	events eventHeap
-	// outbox buffers events destined for other groups during a parallel
-	// window; they are routed at commit. Always empty in sequential mode.
-	outbox []event
-	// obsBuf / traceBuf hold buffered side effects in processing order;
-	// the deferred flush merges them across groups into the exact
-	// sequential order (see flushSideEffects in parallel.go). Heads index
-	// the next unmerged entry. A group's records may stay buffered across
-	// several windows: within one group they are always key-sorted, so the
-	// k-way merge can be deferred until the safe frontier passes them.
-	obsBuf    []obsRecord
-	obsHead   int
-	traceBuf  []traceRecord
-	traceHead int
-	// horizon is this group's exclusive event-time bound for the current
-	// parallel window (written by the coordinator between windows).
-	horizon float64
-	// nexec counts events this group executed inside parallel windows.
-	nexec int64
-}
-
 // Scheduler is a single-use deterministic world. Create one with New, then
 // call Run.
 type Scheduler struct {
-	cfg     runenv.Config
-	procs   []*proc
-	groups  []*group
-	groupOf []int // proc id -> index into groups
-	// parallel is true when Run uses the conservative-lookahead windowed
-	// scheduler; see parallel.go.
-	parallel bool
-	// unwinding is true while stopWorld drains processes: side effects go
-	// direct (the coordinator is the only runner) exactly as in sequential
-	// mode.
-	unwinding bool
-	stopped   bool
+	cfg   runenv.Config
+	procs []*proc
+	// events holds every future event.
+	events  eventHeap
+	stopped bool
 	// live counts processes whose body has not returned.
-	live atomic.Int64
+	live int
 	// Deadlocked is set when the run ended because every live process was
 	// blocked in RecvWait with no pending events.
 	Deadlocked bool
@@ -262,12 +179,8 @@ type Scheduler struct {
 	Canceled bool
 	// fifo tracks the last arrival time per (from,to) pair — flat,
 	// fifo[from*procs+to] — to keep per-pair delivery FIFO even if the
-	// delay model is not monotone in message size. Each row is written only
-	// by its sending process, so rows stay race-free under the parallel
-	// scheduler.
+	// delay model is not monotone in message size.
 	fifo []float64
-
-	par parState // parallel-mode state (parallel.go)
 }
 
 // New creates a scheduler for the given configuration.
@@ -282,14 +195,12 @@ func (s *Scheduler) Run(bodies []runenv.Body) float64 {
 		return 0
 	}
 	s.setup(bodies)
-	if s.parallel {
-		return s.runParallel()
-	}
-	g := s.groups[0]
 	// Kick every process off at t=0, in rank order.
-	s.kickoff(g)
-	for s.live.Load() > 0 {
-		if g.events.Len() == 0 {
+	for _, p := range s.procs {
+		s.runProc(p)
+	}
+	for s.live > 0 {
+		if s.events.Len() == 0 {
 			// No future events: either everyone who is alive waits on a
 			// message that will never come (deadlock), or a process is
 			// stopped mid-unwind.
@@ -297,7 +208,7 @@ func (s *Scheduler) Run(bodies []runenv.Body) float64 {
 			s.stopWorld()
 			break
 		}
-		if s.cfg.MaxTime > 0 && g.events[0].t > s.cfg.MaxTime {
+		if s.cfg.MaxTime > 0 && s.events[0].t > s.cfg.MaxTime {
 			s.TimedOut = true
 			s.stopWorld()
 			break
@@ -307,14 +218,12 @@ func (s *Scheduler) Run(bodies []runenv.Body) float64 {
 			s.stopWorld()
 			break
 		}
-		ev := g.events.popEv()
-		s.exec(g, ev)
+		s.exec(s.events.popEv())
 	}
 	return s.endTime()
 }
 
-// setup builds the process set, the group partition and the per-pair FIFO
-// table, and decides whether the parallel scheduler is usable.
+// setup builds the process set, the event heap and the per-pair FIFO table.
 func (s *Scheduler) setup(bodies []runenv.Body) {
 	n := len(bodies)
 	mboxCap := 4
@@ -323,7 +232,7 @@ func (s *Scheduler) setup(bodies []runenv.Body) {
 	}
 	s.procs = make([]*proc, n)
 	s.fifo = make([]float64, n*n)
-	s.live.Store(int64(n))
+	s.live = n
 	for i := range bodies {
 		p := &proc{
 			id:      i,
@@ -340,91 +249,17 @@ func (s *Scheduler) setup(bodies []runenv.Body) {
 			body(&env{p: p})
 			p.sync() // finish at the clock the body reached, not before
 			p.finished = true
-			s.live.Add(-1)
+			s.live--
 			p.yielded <- struct{}{}
 		}()
 	}
-
-	gids := s.groupIDs(n)
-	ng := 0
-	for _, g := range gids {
-		if g+1 > ng {
-			ng = g + 1
-		}
-	}
-	s.parallel = s.cfg.SimWorkers > 1 && s.cfg.MinDelay > 0 && ng > 1
-	if !s.parallel {
-		gids = make([]int, n) // all zero: one group
-		ng = 1
-	}
-	s.groupOf = gids
-	s.groups = make([]*group, ng)
-	for i := range s.groups {
-		s.groups[i] = &group{idx: i}
-	}
-	heapCap := s.cfg.EventCapHint
-	if heapCap > 0 {
-		if c := heapCap / ng; c > 0 {
-			heapCap = c
-		}
-		for _, g := range s.groups {
-			g.events = make(eventHeap, 0, heapCap)
-		}
-	}
-	for i, p := range s.procs {
-		p.grp = s.groups[gids[i]]
-		p.grp.procs = append(p.grp.procs, p)
-	}
-	if s.parallel {
-		s.buildLookahead()
+	if h := s.cfg.EventCapHint; h > 0 {
+		s.events = make(eventHeap, 0, h)
 	}
 }
 
-// groupIDs returns the dense group id per process from cfg.Groups (nil
-// means every process is its own group, the conservative default).
-func (s *Scheduler) groupIDs(n int) []int {
-	src := s.cfg.Groups
-	if src == nil {
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		return ids
-	}
-	if len(src) != n {
-		panic(fmt.Sprintf("vtime: Config.Groups has %d entries for %d processes", len(src), n))
-	}
-	dense := make(map[int]int, n)
-	ids := make([]int, n)
-	for i, g := range src {
-		d, ok := dense[g]
-		if !ok {
-			d = len(dense)
-			dense[g] = d
-		}
-		ids[i] = d
-	}
-	return ids
-}
-
-// kickoff starts the group's processes at t=0, in rank order. Kickoff
-// slices are tagged with a key below every real event so buffered trace
-// entries merge ahead of everything, in rank order — exactly the
-// sequential start-up order.
-func (s *Scheduler) kickoff(g *group) {
-	for _, p := range g.procs {
-		if !p.finished {
-			p.sliceKey = eventKey{t: math.Inf(-1), src: p.id}
-			s.runProc(p)
-		}
-	}
-}
-
-// exec processes one event popped from g's heap. It is the shared core of
-// the sequential loop and the parallel window runner; in parallel mode
-// (outside stopWorld) Observer callbacks are buffered for the commit merge
-// instead of firing immediately.
-func (s *Scheduler) exec(g *group, ev event) {
+// exec processes one event popped from the heap.
+func (s *Scheduler) exec(ev event) {
 	p := s.procs[ev.proc]
 	if p.finished {
 		return
@@ -433,26 +268,19 @@ func (s *Scheduler) exec(g *group, ev event) {
 	case evWake:
 		p.sleeping = false
 		p.clock = ev.t
-		p.sliceKey = ev.key()
 		s.runProc(p)
 	case evDeliver:
 		m := ev.msg
 		m.RecvT = ev.t
 		p.mailbox = append(p.mailbox, m)
 		if obs := s.cfg.Observer; obs != nil {
-			depth := len(p.mailbox) - p.mboxHead
-			if s.parallel && !s.unwinding {
-				g.obsBuf = append(g.obsBuf, obsRecord{key: ev.key(), msg: m, depth: depth})
-			} else {
-				obs.MsgDelivered(m, depth)
-			}
+			obs.MsgDelivered(m, len(p.mailbox)-p.mboxHead)
 		}
 		if p.waiting {
 			p.waiting = false
 			if ev.t > p.clock {
 				p.clock = ev.t
 			}
-			p.sliceKey = ev.key()
 			s.runProc(p)
 		}
 	}
@@ -460,12 +288,9 @@ func (s *Scheduler) exec(g *group, ev event) {
 
 // stopWorld sets the stop flag and lets every live process observe it and
 // unwind. Processes blocked in RecvWait are resumed; processes with a
-// pending wake get it delivered immediately. Always runs single-threaded
-// (the parallel scheduler only calls it between windows), resuming
-// processes in rank order — identical in both modes.
+// pending wake get it delivered immediately, in rank order.
 func (s *Scheduler) stopWorld() {
 	s.stopped = true
-	s.unwinding = true
 	for {
 		progressed := false
 		for _, p := range s.procs {
@@ -479,14 +304,13 @@ func (s *Scheduler) stopWorld() {
 				progressed = true
 			}
 		}
-		live := s.live.Load()
-		if live == 0 {
+		if s.live == 0 {
 			return
 		}
 		if !progressed {
 			// A live process yielded without blocking primitives —
 			// cannot happen with the current env implementation.
-			panic(fmt.Sprintf("vtime: stopWorld stalled with %d live processes", live))
+			panic(fmt.Sprintf("vtime: stopWorld stalled with %d live processes", s.live))
 		}
 	}
 }
@@ -525,9 +349,8 @@ func (p *proc) yield() {
 }
 
 // env adapts a proc to runenv.Env. All methods are called only while the
-// process is the single running process of its group, so the state they
-// touch (the group's heap and buffers, the proc itself, the proc's own
-// fifo rows) needs no locking even under the parallel scheduler.
+// process is the single running process, so the state they touch (the heap,
+// the proc itself, the fifo table) needs no locking.
 type env struct {
 	p *proc
 }
@@ -536,9 +359,9 @@ func (e *env) Rank() int     { return e.p.id }
 func (e *env) NumProcs() int { return len(e.p.sched.procs) }
 func (e *env) Now() float64  { return e.p.clock }
 
-func (e *env) stopped() bool { return e.p.sched.stopped || e.p.stopSelf }
+func (e *env) stopped() bool { return e.p.sched.stopped }
 
-// Work (like Sleep) reads the stop flags without syncing: they only change
+// Work (like Sleep) reads the stop flag without syncing: it only changes
 // while the process is yielded, and it has not yielded since it last looked.
 func (e *env) Work(units float64) {
 	s := e.p.sched
@@ -563,31 +386,20 @@ func (e *env) Sleep(seconds float64) {
 // event, so executing its intermediate wakes would only have handed control
 // back and forth.
 //
-// Two cases schedule the wake eagerly, exactly as every wake used to be, so
-// that no check is weakened. A wake past MaxTime must stay in the heap
-// unexecuted: the run times out on it with the clock still at its old value.
-// And under the windowed scheduler only a wake that the current window
-// would have executed anyway — strictly below the group's horizon, outside
-// the start-up window, which executes none — is deferred: between windows
-// the heaps then hold exactly the events they always did, so the scheduler
-// plans the same windows and commit checks every cross-group send against
-// the same horizons. (A degenerate round needs no test of its own: its one
-// event sits at or past its group's horizon, and so does any wake after it.
-// Nor does stopWorld: Work and Sleep are no-ops once the world has stopped.)
+// One case schedules the wake eagerly: a wake past MaxTime must stay in the
+// heap unexecuted, so that the run times out on it with the clock still at
+// its old value. (stopWorld needs no case
+// of its own: Work and Sleep are no-ops once the world has stopped.)
 func (p *proc) advance(d float64) {
 	s := p.sched
 	t := p.clock + d
-	eager := s.cfg.MaxTime > 0 && t > s.cfg.MaxTime
-	if s.parallel && !eager {
-		eager = t >= p.grp.horizon || s.par.kick
-	}
-	if !eager {
-		p.clock = t
-		p.deferred = p.nextCnt()
+	if s.cfg.MaxTime > 0 && t > s.cfg.MaxTime {
+		p.sync()
+		p.wake(t, p.nextCnt())
 		return
 	}
-	p.sync()
-	p.wake(t, p.nextCnt())
+	p.clock = t
+	p.deferred = p.nextCnt()
 }
 
 // sync makes the process current with the world: if its clock ran ahead on
@@ -608,22 +420,8 @@ func (p *proc) sync() {
 // (or the world stops).
 func (p *proc) wake(t float64, cnt uint64) {
 	p.sleeping = true
-	p.grp.events.pushEv(event{t: t, src: p.id, cnt: cnt, kind: evWake, proc: p.id})
+	p.sched.events.pushEv(event{t: t, src: p.id, cnt: cnt, kind: evWake, proc: p.id})
 	p.yield()
-}
-
-// route delivers a freshly created event: into the creating process's
-// group heap (sequential mode, intra-group destinations, and stop-world
-// unwinding, where events are dead anyway), or into the group's outbox for
-// the cross-group commit merge.
-func (p *proc) route(ev event) {
-	s := p.sched
-	g := p.grp
-	if s.parallel && !s.unwinding && s.groupOf[ev.proc] != g.idx {
-		g.outbox = append(g.outbox, ev)
-		return
-	}
-	g.events.pushEv(ev)
 }
 
 func (e *env) Send(to, kind int, payload any, bytes int) float64 {
@@ -632,7 +430,7 @@ func (e *env) Send(to, kind int, payload any, bytes int) float64 {
 	if to < 0 || to >= len(s.procs) {
 		panic(fmt.Sprintf("vtime: send to invalid process %d", to))
 	}
-	// Delay and FaultHook may keep state shared by the senders of a group
+	// Delay and FaultHook may keep state that several senders share
 	// (runenv.Config), so sends must reach them in event-key order.
 	p.sync()
 	delay := s.cfg.Delay(p.id, to, bytes, p.clock)
@@ -658,7 +456,7 @@ func (e *env) Send(to, kind int, payload any, bytes int) float64 {
 	}
 	p.lastSend = m.Seq
 	if !f.Drop {
-		p.route(event{t: arrival, src: p.id, cnt: m.Seq, kind: evDeliver, proc: to, msg: m})
+		s.events.pushEv(event{t: arrival, src: p.id, cnt: m.Seq, kind: evDeliver, proc: to, msg: m})
 	}
 	// Duplicate copies ride outside the FIFO clamp: an independently
 	// delayed copy arriving out of order is exactly the reordering fault
@@ -666,7 +464,7 @@ func (e *env) Send(to, kind int, payload any, bytes int) float64 {
 	for _, dd := range f.DupDelays {
 		dm := m
 		dm.Seq = p.nextCnt()
-		p.route(event{t: p.clock + delay + dd, src: p.id, cnt: dm.Seq, kind: evDeliver, proc: to, msg: dm})
+		s.events.pushEv(event{t: p.clock + delay + dd, src: p.id, cnt: dm.Seq, kind: evDeliver, proc: to, msg: dm})
 	}
 	return arrival
 }
@@ -705,15 +503,7 @@ func (e *env) Stopped() bool {
 
 func (e *env) Stop() {
 	e.p.sync() // the stop takes effect at the caller's clock, not before
-	s := e.p.sched
-	if s.parallel && !s.unwinding {
-		// Visible to the calling process immediately, to everyone else at
-		// the next window boundary (see parallel.go).
-		e.p.stopSelf = true
-		s.par.pendingStop.Store(true)
-		return
-	}
-	s.stopped = true
+	e.p.sched.stopped = true
 }
 
 func (e *env) Rand() *rand.Rand { return e.p.rng }
@@ -721,19 +511,13 @@ func (e *env) Rand() *rand.Rand { return e.p.rng }
 func (e *env) LastSendSeq() uint64 { return e.p.lastSend }
 
 func (e *env) Trace(ev trace.Event) {
-	s := e.p.sched
-	t := s.cfg.Trace
+	t := e.p.sched.cfg.Trace
 	if t == nil {
 		return
 	}
-	// Only when tracing is on: the entry must land in the log (or be tagged
-	// with the slice key) of the wake it follows.
+	// Only when tracing is on: the entry must land in the log after those of
+	// every event with a smaller key than the wake it follows.
 	e.p.sync()
-	if s.parallel && !s.unwinding {
-		g := e.p.grp
-		g.traceBuf = append(g.traceBuf, traceRecord{key: e.p.sliceKey, ev: ev})
-		return
-	}
 	t.Add(ev)
 }
 
