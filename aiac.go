@@ -456,7 +456,9 @@ func ServeObs(addr string, sink *MetricsSink) (*ObsServer, error) { return obs.S
 // GET /runs, GET/DELETE /runs/{id}, GET /runs/{id}/events SSE dashboards).
 type Service = obs.Service
 
-// ServiceConfig configures NewService; RunSpec is the POST /runs body.
+// ServiceConfig configures NewService. RunSpec describes one run — the POST
+// /runs body, and what aiacrun's flags fill; RunSpec.BuildConfig is the only
+// translation of one into a Config.
 type ServiceConfig = obs.ServiceConfig
 type RunSpec = obs.RunSpec
 type SchedulerConfig = obs.SchedulerConfig

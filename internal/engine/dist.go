@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -128,7 +127,7 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 			return res, info, fmt.Errorf("engine: federate trace: %w", err)
 		}
 	}
-	if err := writeFederatedView(&cfg, res, info); err != nil {
+	if err := writeFederatedView(&cfg, res, info, wallStart); err != nil {
 		return res, info, fmt.Errorf("engine: federate run view: %w", err)
 	}
 	return res, info, nil
@@ -157,43 +156,27 @@ func federateTrace(cfg *Config, opts DistOptions, info *dtime.RunInfo, wireLog *
 		return err
 	}
 	cfg.Trace.SetEvents(fed.Events())
-	f, err := os.Create(filepath.Join(info.RunDir, "trace.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return cfg.Trace.WriteCSV(f)
+	return cfg.Trace.WriteCSVFile(filepath.Join(info.RunDir, "trace.csv"))
 }
 
 // writeFederatedView writes the coordinator's view of the run into the run
 // directory: manifest.json (the run manifest with the Dist section) and —
 // when the workers exported telemetry sidecars — a merged metrics.jsonl
 // that aiacreport renders like any single-process run.
-func writeFederatedView(cfg *Config, res *Result, info *dtime.RunInfo) error {
+func writeFederatedView(cfg *Config, res *Result, info *dtime.RunInfo, wallStart time.Time) error {
 	var man metrics.Manifest
 	if s := cfg.Metrics; s != nil {
 		man = s.Manifest
 	} else {
 		fillManifest(&man, cfg)
-		man.Outcome = &metrics.Outcome{
-			Converged:   res.Converged,
-			TimedOut:    res.TimedOut,
-			Time:        res.Time,
-			TotalIters:  res.TotalIters,
-			TotalWork:   res.TotalWork,
-			MaxResidual: res.MaxResidual,
-			Faults:      res.FaultStats,
-		}
+		out := outcomeOf(cfg, res, wallStart)
+		man.Outcome = &out
 	}
 	man.FillHost()
 	man.Dist = &metrics.DistManifest{
 		RunID: info.RunID, Workers: len(info.Workers), Role: "coordinator",
 	}
-	b, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(info.RunDir, "manifest.json"), append(b, '\n'), 0o644); err != nil {
+	if err := man.WriteFile(filepath.Join(info.RunDir, "manifest.json")); err != nil {
 		return err
 	}
 
@@ -213,12 +196,7 @@ func writeFederatedView(cfg *Config, res *Result, info *dtime.RunInfo) error {
 		return err
 	}
 	merged.Manifest = man
-	f, err := os.Create(filepath.Join(info.RunDir, "metrics.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return merged.WriteJSONL(f)
+	return merged.WriteFile(filepath.Join(info.RunDir, "metrics.jsonl"))
 }
 
 // DistWorkerOptions configures the worker-process half of a distributed
@@ -386,36 +364,19 @@ func writeWorkerSidecars(cfg *Config, wenv dtime.WorkerEnv, opts DistWorkerOptio
 		RunID: wenv.RunID, Workers: wenv.Workers, Role: "worker",
 		Worker: wenv.Worker, Ranks: wenv.Ranks, Pid: os.Getpid(),
 	}
-	b, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(wenv.StateDir, "manifest.json"), append(b, '\n'), 0o644); err != nil {
+	if err := man.WriteFile(filepath.Join(wenv.StateDir, "manifest.json")); err != nil {
 		return err
 	}
 	if t := cfg.Trace; t != nil {
 		// The worker-local causal log, on this worker's own clock — a
 		// debugging artifact; the coordinator writes the federated view.
-		f, err := os.Create(filepath.Join(wenv.StateDir, "trace.csv"))
-		if err != nil {
-			return err
-		}
-		if err := t.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := t.WriteCSVFile(filepath.Join(wenv.StateDir, "trace.csv")); err != nil {
 			return err
 		}
 	}
 	if s := cfg.Metrics; s != nil && opts.ExportMetrics {
 		s.Manifest.Dist = man.Dist
-		f, err := os.Create(filepath.Join(wenv.StateDir, "metrics.jsonl"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return s.WriteJSONL(f)
+		return s.Snapshot().WriteFile(filepath.Join(wenv.StateDir, "metrics.jsonl"))
 	}
 	return nil
 }

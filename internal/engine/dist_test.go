@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"aiac/internal/fault"
 	"aiac/internal/grid"
 	"aiac/internal/loadbalance"
+	"aiac/internal/metrics"
 	"aiac/internal/rtime"
 )
 
@@ -65,6 +67,43 @@ func TestDistSmoke(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(info.RunDir, "manifest.json")); err != nil {
 		t.Errorf("federated manifest: %v", err)
+	}
+}
+
+// TestDistManifestOutcomeWithoutSink: the run directory's manifest.json
+// records the whole outcome even when the coordinator collects no telemetry:
+// the sink-less path must not write a thinner outcome than the sealed sink's.
+func TestDistManifestOutcomeWithoutSink(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed loopback run")
+	}
+	prob, _ := smallBruss()
+	cfg := lbConfig(prob)
+	cfg.MaxTime = 5000
+	cfg.MaxIter = 500000
+	res, info, err := distRun(t, cfg, 2, DistWorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man metrics.Manifest
+	b, err := os.ReadFile(filepath.Join(info.RunDir, "manifest.json"))
+	if err == nil {
+		err = json.Unmarshal(b, &man)
+	}
+	if err != nil || man.Outcome == nil {
+		t.Fatalf("federated manifest: %v (outcome %v)", err, man.Outcome)
+	}
+	out := man.Outcome
+	if res.LBTransfers == 0 || res.BoundaryMsgs == 0 {
+		t.Fatalf("the run balanced nothing (%d transfers, %d boundary messages): the test shows nothing", res.LBTransfers, res.BoundaryMsgs)
+	}
+	if out.LBTransfers != res.LBTransfers || out.LBRetries != res.LBRetries || out.LBCompsMoved != res.LBCompsMoved ||
+		out.BoundaryMsgs != res.BoundaryMsgs || out.Converged != res.Converged {
+		t.Errorf("manifest outcome %+v does not match the result (%d transfers, %d retries, %d moved, %d boundary messages, converged %v)",
+			*out, res.LBTransfers, res.LBRetries, res.LBCompsMoved, res.BoundaryMsgs, res.Converged)
+	}
+	if out.WallSeconds <= 0 {
+		t.Errorf("wall_seconds = %g, want > 0", out.WallSeconds)
 	}
 }
 

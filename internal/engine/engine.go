@@ -496,15 +496,20 @@ func assembleResult(cfg *Config, outcomes []*nodeOutcome, detOut detect.Outcome,
 
 // finishMetrics seals the telemetry sink's manifest with the run outcome.
 func finishMetrics(cfg *Config, res *Result, wallStart time.Time) {
-	s := cfg.Metrics
-	if s == nil {
-		return
+	if s := cfg.Metrics; s != nil {
+		s.FinishRun(outcomeOf(cfg, res, wallStart))
 	}
+}
+
+// outcomeOf is the manifest's record of how the run ended: every place that
+// writes an outcome (the sealed sink, a dist run directory's manifest.json)
+// gets it here.
+func outcomeOf(cfg *Config, res *Result, wallStart time.Time) metrics.Outcome {
 	var traceDropped uint64
 	if cfg.Trace != nil {
 		traceDropped = cfg.Trace.Dropped()
 	}
-	s.FinishRun(metrics.Outcome{
+	return metrics.Outcome{
 		TraceDropped:  traceDropped,
 		Converged:     res.Converged,
 		TimedOut:      res.TimedOut,
@@ -521,7 +526,7 @@ func finishMetrics(cfg *Config, res *Result, wallStart time.Time) {
 		BoundaryMsgs:  res.BoundaryMsgs,
 		SuppressedSnd: res.SuppressedSnd,
 		Faults:        res.FaultStats,
-	})
+	}
 }
 
 // fillManifest echoes the solver configuration into the telemetry manifest.

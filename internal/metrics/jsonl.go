@@ -81,6 +81,38 @@ type lineRuntime struct {
 	EventsDropped uint64       `json:"events_dropped,omitempty"`
 }
 
+func (r *Run) runtimeLine() lineRuntime {
+	return lineRuntime{
+		Type: "runtime", Delivered: r.Delivered, Control: r.Control,
+		QueueMax: r.QueueMax, Latency: r.Latency, Faults: r.Faults,
+		EventsDropped: r.EventsDropped,
+	}
+}
+
+// ManifestLine, SampleLine, EventLine and RuntimeLine encode one line of the
+// format each, without the newline — for a consumer that ships lines one at
+// a time (the SSE frames of internal/report) instead of writing a file.
+func ManifestLine(m Manifest) []byte {
+	return mustLine(lineManifest{Type: "manifest", Manifest: m})
+}
+
+func SampleLine(node int, sm NodeSample) []byte {
+	return mustLine(lineSample{Type: "sample", Node: node, NodeSample: sm})
+}
+
+func EventLine(ev Event) []byte { return mustLine(lineEvent{Type: "event", Event: ev}) }
+
+func (r *Run) RuntimeLine() []byte { return mustLine(r.runtimeLine()) }
+
+func mustLine(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		// All line types marshal by construction.
+		panic(fmt.Sprintf("metrics: line encode: %v", err))
+	}
+	return b
+}
+
 // WriteJSONL serializes the run: one manifest line, the samples in node
 // order, the events, and the runtime aggregates.
 func (r *Run) WriteJSONL(w io.Writer) error {
@@ -101,15 +133,23 @@ func (r *Run) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	rt := lineRuntime{
-		Type: "runtime", Delivered: r.Delivered, Control: r.Control,
-		QueueMax: r.QueueMax, Latency: r.Latency, Faults: r.Faults,
-		EventsDropped: r.EventsDropped,
-	}
-	if err := enc.Encode(rt); err != nil {
+	if err := enc.Encode(r.runtimeLine()); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// WriteFile writes the run to path as JSONL: the write half of ReadRunFile.
+func (r *Run) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteJSONL exports the sink's collected state (Snapshot + WriteJSONL).

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"encoding/json"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -121,6 +123,16 @@ type Outcome struct {
 	TraceDropped uint64 `json:"trace_dropped,omitempty"`
 
 	Faults fault.Stats `json:"faults"`
+}
+
+// WriteFile writes the manifest to path as indented JSON: the manifest.json
+// sidecar of a distributed run's directory and of each worker's.
+func (m Manifest) WriteFile(path string) error {
+	b, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // FillHost stamps the manifest with the execution environment: wall-clock

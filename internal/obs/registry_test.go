@@ -16,7 +16,7 @@ func testRecord(state RunState) *RunRecord {
 		Tenant:      "t1",
 		State:       state,
 		SubmittedAt: "2026-01-01T00:00:00Z",
-		Spec:        RunSpec{}.withDefaults(),
+		Spec:        RunSpec{}.WithDefaults(),
 	}
 }
 

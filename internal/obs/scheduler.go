@@ -5,20 +5,21 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"aiac/internal/engine"
-	"aiac/internal/experiments"
 	"aiac/internal/metrics"
 	"aiac/internal/report"
 	"aiac/internal/trace"
 )
 
-// The scheduler multiplexes submitted runs over a bounded worker pool
-// (experiments.ServePool). Queuing is fair per tenant: each tenant has a
+// The scheduler multiplexes submitted runs over its own bounded pool of
+// worker goroutines. Queuing is fair per tenant: each tenant has a
 // FIFO queue and a round-robin cursor walks the tenants, so a tenant
 // dumping 10k runs cannot starve one submitting a single solve. Two quota
 // knobs bound a tenant's footprint: MaxQueuedPerTenant rejects submissions
@@ -27,8 +28,7 @@ import (
 
 // SchedulerConfig tunes the run scheduler.
 type SchedulerConfig struct {
-	// Workers is the solver pool size (<= 0: the experiments default,
-	// GOMAXPROCS).
+	// Workers is the solver pool size (<= 0: GOMAXPROCS).
 	Workers int
 	// MaxQueuedPerTenant rejects a submission when the tenant already has
 	// this many queued runs (<= 0: unlimited).
@@ -48,9 +48,7 @@ func (e ErrQueueFull) Error() string {
 type job struct {
 	id        string
 	tenant    string
-	spec      RunSpec
-	cfg       engine.Config
-	sink      *metrics.Sink
+	cfg       engine.Config // from RunSpec.BuildConfig: sink and trace log attached
 	cancel    atomic.Bool
 	stream    *liveStream
 	submitted time.Time
@@ -79,7 +77,7 @@ type Scheduler struct {
 	startedTotal  atomic.Uint64
 	submitToStart metrics.Histogram
 
-	wait func()
+	workers sync.WaitGroup
 }
 
 // NewScheduler starts the worker pool.
@@ -93,8 +91,29 @@ func NewScheduler(reg *Registry, cfg SchedulerConfig) *Scheduler {
 		jobs:    map[string]*job{},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.wait = experiments.ServePool(cfg.Workers, s.next)
+	n := cfg.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	s.workers.Add(n)
+	for i := 0; i < n; i++ {
+		go s.work()
+	}
 	return s
+}
+
+// work is one pool worker: it runs the jobs next hands out until the
+// scheduler closes.
+func (s *Scheduler) work() {
+	defer s.workers.Done()
+	for j := s.next(); j != nil; j = s.next() {
+		func() {
+			// Last resort. execute turns a solver panic into a failed run
+			// itself; whatever else panics must not take the pool down.
+			defer func() { recover() }()
+			s.execute(j)
+		}()
+	}
 }
 
 // Close stops the pool after the running jobs finish; queued jobs stay
@@ -105,22 +124,23 @@ func (s *Scheduler) Close() {
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.wait()
+	s.workers.Wait()
 }
 
 // Submit validates the spec, persists the queued record and enqueues the
 // run. It returns the new run ID.
 func (s *Scheduler) Submit(spec RunSpec) (string, error) {
-	spec = spec.withDefaults()
-	cfg, sink, err := spec.BuildConfig()
+	spec = spec.WithDefaults()
+	cfg, err := spec.BuildConfig()
 	if err != nil {
 		return "", err
 	}
+	if strings.EqualFold(spec.Backend, "dist") {
+		return "", fmt.Errorf("backend %q spawns worker processes, which a service run cannot: it is aiacrun-only", spec.Backend)
+	}
 	j := &job{
 		tenant: spec.Tenant,
-		spec:   spec,
 		cfg:    cfg,
-		sink:   sink,
 		stream: newLiveStream(),
 	}
 
@@ -291,21 +311,20 @@ func (s *Scheduler) WritePrometheus(w io.Writer) error {
 	return pw.Err()
 }
 
-// next is the ServePool feed: block until a job is runnable under the
-// fairness policy, then hand out its execution closure.
-func (s *Scheduler) next() (func(), bool) {
+// next feeds the workers: it blocks until a job is runnable under the
+// fairness policy and hands it out, or returns nil once the scheduler is
+// closed.
+func (s *Scheduler) next() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return nil, false
-		}
+	for !s.closed {
 		if j := s.dequeueLocked(); j != nil {
 			s.running[j.tenant]++
-			return func() { s.execute(j) }, true
+			return j
 		}
 		s.cond.Wait()
 	}
+	return nil
 }
 
 // dequeueLocked walks the tenant ring from the cursor and pops the head of
@@ -354,17 +373,9 @@ func (s *Scheduler) execute(j *job) {
 	rec.StartedAt = time.Now().UTC().Format(time.RFC3339Nano)
 	s.reg.Put(&rec)
 
-	j.sink.Listener = &streamListener{sink: j.sink, stream: j.stream}
-	j.cfg.Metrics = j.sink
+	sink := j.cfg.Metrics
+	sink.Listener = &streamListener{sink: sink, stream: j.stream}
 	j.cfg.Cancel = j.cancel.Load
-	var tlog *trace.Log
-	if j.spec.Trace {
-		tlog = &trace.Log{}
-		if j.spec.TraceCap > 0 {
-			tlog.SetCap(j.spec.TraceCap)
-		}
-		j.cfg.Trace = tlog
-	}
 
 	res, err := func() (res *engine.Result, err error) {
 		defer func() {
@@ -386,9 +397,9 @@ func (s *Scheduler) execute(j *job) {
 		rec.State = StateDone
 	}
 	if err == nil {
-		run := j.sink.Snapshot()
+		run := sink.Snapshot()
 		rec.Outcome = run.Manifest.Outcome
-		if werr := writeArtifacts(s.reg.Dir(j.id), run, tlog); werr != nil {
+		if werr := writeArtifacts(s.reg.Dir(j.id), run, j.cfg.Trace); werr != nil {
 			rec.State = StateFailed
 			rec.Error = werr.Error()
 		}
@@ -408,27 +419,11 @@ func (s *Scheduler) execute(j *job) {
 // writeArtifacts exports the run's telemetry, rendered dashboard and (when
 // traced) execution trace into its registry directory.
 func writeArtifacts(dir string, run *metrics.Run, tlog *trace.Log) error {
-	f, err := os.Create(filepath.Join(dir, "metrics.jsonl"))
-	if err != nil {
-		return err
-	}
-	if err := run.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := run.WriteFile(filepath.Join(dir, "metrics.jsonl")); err != nil {
 		return err
 	}
 	if tlog != nil {
-		tf, err := os.Create(filepath.Join(dir, "trace.csv"))
-		if err != nil {
-			return err
-		}
-		if err := tlog.WriteCSV(tf); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
+		if err := tlog.WriteCSVFile(filepath.Join(dir, "trace.csv")); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +23,6 @@ func newIdleScheduler(reg *Registry, cfg SchedulerConfig) *Scheduler {
 		jobs:    map[string]*job{},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.wait = func() {}
 	return s
 }
 
@@ -293,21 +293,40 @@ func TestSchedulerManyQueuedFIFOWithinTenant(t *testing.T) {
 	s.mu.Unlock()
 }
 
+// badSpecs is what a front door must refuse, with a piece of the reason it
+// must give. The last six are what only the engine or a constructor knows to
+// refuse: three would panic in a problem or cluster constructor, three would
+// fail engine.Config.Validate when a worker picked them up.
+var badSpecs = []struct {
+	spec RunSpec
+	msg  string
+}{
+	{RunSpec{Problem: "no-such-problem"}, "unknown problem"},
+	{RunSpec{Mode: "warp"}, "unknown mode"},
+	{RunSpec{Cluster: "ring-of-fire"}, "unknown cluster"},
+	{RunSpec{Backend: "dist"}, "worker processes"},
+	{RunSpec{LB: true, LBEstimator: "vibes"}, "unknown estimator"},
+	{RunSpec{Faults: "drop=oops"}, "drop"},
+	{RunSpec{N: -5}, "brusselator: N = -5, need >= 1"},
+	{RunSpec{P: -3}, "p = -3, need >= 1"},
+	{RunSpec{Dt: 5}, "brusselator: Dt = 5, need in (0, T]"},
+	{RunSpec{P: 64, N: 16}, "engine: 16 components over 64 nodes gives < halo"},
+	{RunSpec{Tol: -1}, "engine: Tol = -1, need > 0"},
+	{RunSpec{LB: true, Mode: "sisc"}, "engine: load balancing requires an AIAC mode"},
+}
+
 // TestSubmitBadSpec: validation errors surface at submission, not at run
 // time.
 func TestSubmitBadSpec(t *testing.T) {
 	reg, _ := OpenRegistry(t.TempDir())
 	s := newIdleScheduler(reg, SchedulerConfig{})
-	for _, spec := range []RunSpec{
-		{Problem: "no-such-problem"},
-		{Mode: "warp"},
-		{Cluster: "ring-of-fire"},
-		{Backend: "dist"},
-		{LB: true, LBEstimator: "vibes"},
-		{Faults: "drop=oops"},
-	} {
-		if _, err := s.Submit(spec); err == nil {
-			t.Fatalf("spec %+v accepted", spec)
+	for _, bad := range badSpecs {
+		_, err := s.Submit(bad.spec)
+		if err == nil {
+			t.Fatalf("spec %+v accepted", bad.spec)
+		}
+		if !strings.Contains(err.Error(), bad.msg) {
+			t.Errorf("spec %+v: error %q does not say %q", bad.spec, err, bad.msg)
 		}
 	}
 	if n := len(reg.List("", "")); n != 0 {

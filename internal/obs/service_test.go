@@ -82,7 +82,7 @@ func submitAndWait(t *testing.T, base string, spec RunSpec) string {
 
 func TestServiceLifecycleOverHTTP(t *testing.T) {
 	root := t.TempDir()
-	_, _, base := startService(t, root)
+	svc, _, base := startService(t, root)
 
 	// readiness precedes any submission
 	var ready struct{ Ready bool }
@@ -113,8 +113,13 @@ func TestServiceLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("GET unknown run = %d", code)
 	}
 	var oops map[string]string
-	if code := httpJSON(t, "POST", base+"/runs", RunSpec{Problem: "nope"}, &oops); code != 400 || oops["error"] == "" {
-		t.Fatalf("bad spec = %d %v", code, oops)
+	for _, bad := range badSpecs {
+		if code := httpJSON(t, "POST", base+"/runs", bad.spec, &oops); code != 400 || !strings.Contains(oops["error"], bad.msg) {
+			t.Fatalf("bad spec %+v = %d %v, want 400 saying %q", bad.spec, code, oops, bad.msg)
+		}
+	}
+	if n := len(svc.Registry().List("", "")); n != 1 {
+		t.Fatalf("%d records after the rejected specs, want the one accepted run", n)
 	}
 	// a removed knob is an unknown field, named in the answer
 	stale := map[string]any{"tenant": "alice", "n": 16, "sim_workers": 2}

@@ -9,19 +9,23 @@ import (
 	"aiac/internal/fault"
 	"aiac/internal/grid"
 	"aiac/internal/heat"
+	"aiac/internal/iterative"
 	"aiac/internal/loadbalance"
 	"aiac/internal/metrics"
 	"aiac/internal/nldiffusion"
 	"aiac/internal/poisson"
 	"aiac/internal/poisson2d"
 	"aiac/internal/rtime"
+	"aiac/internal/trace"
 )
 
-// RunSpec is the JSON body of POST /runs: a declarative mirror of the
-// aiacrun flag surface. Zero values mean the same defaults the CLI uses, so
-// {} is a valid spec (4-node AIAC Brusselator on a homogeneous platform).
-// The dist backend is CLI-only — a service run executes in-process on the
-// vtime or rtime runtime.
+// RunSpec is the declarative description of one run, and BuildConfig the
+// only place it becomes an engine.Config. Both front doors fill one: POST
+// /runs decodes its JSON body into it, and aiacrun binds its run-describing
+// flags onto its fields (the flag surface is a view of the spec, with the
+// spec's defaults). A zero field means "the default" (WithDefaults) on both
+// doors, so {} is a valid spec: a 4-node AIAC Brusselator on a homogeneous
+// platform.
 type RunSpec struct {
 	// Name labels the run in its manifest (default "svc").
 	Name string `json:"name,omitempty"`
@@ -51,8 +55,8 @@ type RunSpec struct {
 	Ring        bool `json:"ring,omitempty"` // decentralized ring detection
 	GaussSeidel bool `json:"gauss_seidel,omitempty"`
 
-	Backend string  `json:"backend,omitempty"` // vtime (default), rtime
-	Speedup float64 `json:"speedup,omitempty"` // rtime: model s per wall s (default 50)
+	Backend string  `json:"backend,omitempty"` // vtime (default), rtime, dist (aiacrun only)
+	Speedup float64 `json:"speedup,omitempty"` // rtime, dist: model s per wall s (default 50)
 	MaxTime float64 `json:"max_time,omitempty"`
 
 	MetricsPeriod float64 `json:"metrics_period,omitempty"`
@@ -64,8 +68,9 @@ type RunSpec struct {
 	TraceCap int  `json:"trace_cap,omitempty"`
 }
 
-// withDefaults fills the CLI defaults into zero fields.
-func (sp RunSpec) withDefaults() RunSpec {
+// WithDefaults fills the defaults into zero fields. It is idempotent, and the
+// only place a default is written: aiacrun's -h shows these values.
+func (sp RunSpec) WithDefaults() RunSpec {
 	if sp.Name == "" {
 		sp.Name = "svc"
 	}
@@ -123,17 +128,30 @@ func (sp RunSpec) withDefaults() RunSpec {
 	return sp
 }
 
-// BuildConfig validates the spec and assembles the engine configuration
-// plus a manifest-ready sink. The sink is not yet attached to the config —
-// the scheduler wires it (and the cancel hook) when the run starts.
-func (sp RunSpec) BuildConfig() (engine.Config, *metrics.Sink, error) {
-	sp = sp.withDefaults()
+// newProblem checks params with the problem package's own Validate before
+// its constructor, which panics on what Validate rejects.
+func newProblem[P interface{ Validate() error }, T iterative.Problem](params P, build func(P) T) (iterative.Problem, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	return build(params), nil
+}
+
+// BuildConfig validates the spec and translates it into an engine
+// configuration that is ready to run: cfg.Metrics is a fresh sink whose
+// manifest names the run, and cfg.Trace a fresh (capped) log when the spec
+// asks for a trace. A caller that wants less detaches it. An error here is
+// everything engine.Run would refuse, so a front door can reject a bad spec
+// before it spends anything on it.
+func (sp RunSpec) BuildConfig() (engine.Config, error) {
+	sp = sp.WithDefaults()
 	cfg := engine.Config{
-		P:       sp.P,
-		Tol:     sp.Tol,
-		MaxIter: sp.MaxIter,
-		Seed:    sp.Seed,
-		MaxTime: sp.MaxTime,
+		P:                sp.P,
+		Tol:              sp.Tol,
+		MaxIter:          sp.MaxIter,
+		Seed:             sp.Seed,
+		MaxTime:          sp.MaxTime,
+		GaussSeidelLocal: sp.GaussSeidel,
 	}
 
 	switch strings.ToLower(sp.Mode) {
@@ -146,28 +164,35 @@ func (sp RunSpec) BuildConfig() (engine.Config, *metrics.Sink, error) {
 	case "aiac":
 		cfg.Mode = engine.AIAC
 	default:
-		return cfg, nil, fmt.Errorf("unknown mode %q", sp.Mode)
+		return cfg, fmt.Errorf("unknown mode %q", sp.Mode)
 	}
 
+	var err error
 	switch strings.ToLower(sp.Problem) {
 	case "brusselator":
 		params := brusselator.DefaultParams(sp.N, sp.Dt)
 		params.T = sp.T
-		cfg.Problem = brusselator.New(params)
+		cfg.Problem, err = newProblem(params, brusselator.New)
 	case "heat":
 		params := heat.DefaultParams(sp.N, sp.Dt)
 		params.T = sp.T
-		cfg.Problem = heat.New(params)
+		cfg.Problem, err = newProblem(params, heat.New)
 	case "poisson":
-		cfg.Problem = poisson.New(poisson.Params{N: sp.N})
+		cfg.Problem, err = newProblem(poisson.Params{N: sp.N}, poisson.New)
 	case "poisson2d":
-		cfg.Problem = poisson2d.New(poisson2d.Params{N: sp.N})
+		cfg.Problem, err = newProblem(poisson2d.Params{N: sp.N}, poisson2d.New)
 	case "nldiffusion":
-		cfg.Problem = nldiffusion.New(nldiffusion.Params{N: sp.N, NewtonTol: 1e-12, MaxNewton: 40})
+		cfg.Problem, err = newProblem(nldiffusion.Params{N: sp.N, NewtonTol: 1e-12, MaxNewton: 40}, nldiffusion.New)
 	default:
-		return cfg, nil, fmt.Errorf("unknown problem %q", sp.Problem)
+		err = fmt.Errorf("unknown problem %q", sp.Problem)
+	}
+	if err != nil {
+		return cfg, err
 	}
 
+	if sp.P < 1 { // the cluster presets panic on it
+		return cfg, fmt.Errorf("p = %d, need >= 1", sp.P)
+	}
 	switch strings.ToLower(sp.Cluster) {
 	case "homogeneous":
 		cfg.Cluster = grid.Homogeneous(sp.P)
@@ -176,10 +201,10 @@ func (sp RunSpec) BuildConfig() (engine.Config, *metrics.Sink, error) {
 	case "grid15":
 		cfg.Cluster = grid.HeteroGrid15(grid.HeteroGridConfig{Seed: sp.Seed, MultiUser: true})
 		if sp.P > cfg.Cluster.P() {
-			return cfg, nil, fmt.Errorf("grid15 has %d nodes, requested %d", cfg.Cluster.P(), sp.P)
+			return cfg, fmt.Errorf("grid15 has %d nodes, requested %d", cfg.Cluster.P(), sp.P)
 		}
 	default:
-		return cfg, nil, fmt.Errorf("unknown cluster %q", sp.Cluster)
+		return cfg, fmt.Errorf("unknown cluster %q", sp.Cluster)
 	}
 
 	if sp.LB {
@@ -194,7 +219,7 @@ func (sp RunSpec) BuildConfig() (engine.Config, *metrics.Sink, error) {
 		case "count":
 			pol.Estimator = loadbalance.EstimatorCount
 		default:
-			return cfg, nil, fmt.Errorf("unknown estimator %q", sp.LBEstimator)
+			return cfg, fmt.Errorf("unknown estimator %q", sp.LBEstimator)
 		}
 		cfg.LB = pol
 	}
@@ -202,7 +227,7 @@ func (sp RunSpec) BuildConfig() (engine.Config, *metrics.Sink, error) {
 	if sp.Faults != "" {
 		plan, scope, err := fault.ParseSpec(sp.Faults)
 		if err != nil {
-			return cfg, nil, err
+			return cfg, err
 		}
 		plan.Seed = sp.FaultSeed
 		switch scope {
@@ -212,7 +237,7 @@ func (sp RunSpec) BuildConfig() (engine.Config, *metrics.Sink, error) {
 		case "boundary":
 			plan.Kinds = engine.FaultKindsBoundary()
 		default:
-			return cfg, nil, fmt.Errorf("unknown fault scope %q (want lb or boundary)", scope)
+			return cfg, fmt.Errorf("unknown fault scope %q (want lb or boundary)", scope)
 		}
 		cfg.Faults = &plan
 	}
@@ -220,25 +245,32 @@ func (sp RunSpec) BuildConfig() (engine.Config, *metrics.Sink, error) {
 	if sp.Ring {
 		cfg.Detection = engine.DetectRing
 	}
-	cfg.GaussSeidelLocal = sp.GaussSeidel
 
 	switch strings.ToLower(sp.Backend) {
 	case "vtime":
 	case "rtime":
 		cfg.Runner = rtime.Runner{Speedup: sp.Speedup}
+		fallthrough
+	case "dist":
+		// dist has no Runner: its workers pace themselves like rtime
+		// (DistOptions.Speedup). On both, the watchdog bound keeps a
+		// diverging run from hanging for ever.
 		if cfg.MaxTime == 0 {
 			cfg.MaxTime = 1e6
 		}
 	default:
-		return cfg, nil, fmt.Errorf("unknown backend %q (service runs support vtime and rtime)", sp.Backend)
+		return cfg, fmt.Errorf("unknown backend %q (want vtime, rtime or dist)", sp.Backend)
 	}
 
 	sink := &metrics.Sink{Period: sp.MetricsPeriod}
 	sink.Manifest.Name = sp.Name
 	sink.Manifest.Problem = fmt.Sprintf("%s-%d", strings.ToLower(sp.Problem), sp.N)
 	sink.Manifest.Cluster = strings.ToLower(sp.Cluster)
-	if sp.Faults != "" {
-		sink.Manifest.FaultSpec = sp.Faults
+	sink.Manifest.FaultSpec = sp.Faults
+	cfg.Metrics = sink
+	if sp.Trace {
+		cfg.Trace = &trace.Log{}
+		cfg.Trace.SetCap(sp.TraceCap) // 0 = unbounded
 	}
-	return cfg, sink, nil
+	return cfg, cfg.Validate()
 }

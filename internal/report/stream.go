@@ -40,74 +40,34 @@ const (
 	FrameRuntime  = "runtime"
 )
 
-// Local mirrors of the metrics JSONL line wrappers (the originals are
-// unexported). Field order matches metrics/jsonl.go so the encodings are
-// byte-identical.
-type frameManifest struct {
-	Type     string           `json:"type"`
-	Manifest metrics.Manifest `json:"manifest"`
-}
-
-type frameSample struct {
-	Type string `json:"type"`
-	Node int    `json:"node"`
-	metrics.NodeSample
-}
-
-type frameEvent struct {
-	Type string `json:"type"`
-	metrics.Event
-}
-
-type frameRuntime struct {
-	Type          string               `json:"type"`
-	Delivered     uint64               `json:"delivered"`
-	Control       uint64               `json:"control"`
-	QueueMax      float64              `json:"queue_max"`
-	Latency       metrics.HistSnapshot `json:"latency"`
-	Faults        []uint64             `json:"faults,omitempty"`
-	EventsDropped uint64               `json:"events_dropped,omitempty"`
-}
-
 type framePhase struct {
 	Type  string `json:"type"`
 	Phase string `json:"phase"`
 }
 
-func mustFrame(event string, v any) Frame {
-	data, err := json.Marshal(v)
-	if err != nil {
-		// All payload types marshal by construction.
-		panic(fmt.Sprintf("report: frame encode: %v", err))
-	}
-	return Frame{Event: event, Data: data}
-}
-
 // ManifestFrame, PhaseFrame, SampleFrame, EventFrame and RuntimeFrame build
 // individual frames; live streams (fed from a metrics.Listener) emit them as
-// telemetry arrives, in whatever order the runtime produced it.
+// telemetry arrives, in whatever order the runtime produced it. All but the
+// phase frame carry a metrics JSONL line, encoded by internal/metrics.
 func ManifestFrame(m metrics.Manifest) Frame {
-	return mustFrame(FrameManifest, frameManifest{Type: "manifest", Manifest: m})
+	return Frame{Event: FrameManifest, Data: metrics.ManifestLine(m)}
 }
 
 func PhaseFrame(phase string) Frame {
-	return mustFrame(FramePhase, framePhase{Type: "phase", Phase: phase})
+	data, _ := json.Marshal(framePhase{Type: "phase", Phase: phase}) // two strings: cannot fail
+	return Frame{Event: FramePhase, Data: data}
 }
 
 func SampleFrame(node int, sm metrics.NodeSample) Frame {
-	return mustFrame(FrameSample, frameSample{Type: "sample", Node: node, NodeSample: sm})
+	return Frame{Event: FrameSample, Data: metrics.SampleLine(node, sm)}
 }
 
 func EventFrame(ev metrics.Event) Frame {
-	return mustFrame(FrameEvent, frameEvent{Type: "event", Event: ev})
+	return Frame{Event: FrameEvent, Data: metrics.EventLine(ev)}
 }
 
 func RuntimeFrame(run *metrics.Run) Frame {
-	return mustFrame(FrameRuntime, frameRuntime{
-		Type: "runtime", Delivered: run.Delivered, Control: run.Control,
-		QueueMax: run.QueueMax, Latency: run.Latency, Faults: run.Faults,
-		EventsDropped: run.EventsDropped,
-	})
+	return Frame{Event: FrameRuntime, Data: run.RuntimeLine()}
 }
 
 // Stream replays a finished run as the canonical frame sequence: manifest,

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -269,6 +270,19 @@ func kindFromString(s string) (Kind, error) {
 		}
 	}
 	return 0, fmt.Errorf("trace: unknown kind %q", s)
+}
+
+// WriteCSVFile writes the log to path with WriteCSV.
+func (l *Log) WriteCSVFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := l.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadCSV parses a log previously written by WriteCSV. It accepts the
