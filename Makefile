@@ -102,13 +102,16 @@ test-faults:
 # The distributed backend acceptance grid over TCP loopback, all under
 # -race: the real-time runtime the workers' ranks run on (rtime.World, with
 # the Env-contract table over its three hostings), the dtime protocol and
-# lifecycle suite (frame codec, crash and heartbeat supervision), the
-# wire-level fault-conn pins, and the engine's cross-backend equivalence +
-# wire-invariant grid (see DESIGN.md §11).
+# lifecycle suite (frame codec and reader with their fuzz seed corpora, crash,
+# heartbeat and stalled-reader supervision), the wire-level fault-conn pins,
+# and the engine's cross-backend equivalence + wire-invariant grid and wire
+# golden (see DESIGN.md §11). The last line runs without -race, which the
+# allocation pins of the data plane cannot be measured under.
 test-dist:
 	$(GO) test -race -timeout 30m ./internal/rtime/ ./internal/dtime/
 	$(GO) test -race -timeout 30m ./internal/fault/ -run 'TestConn'
 	$(GO) test -race -timeout 30m ./internal/engine/ -run 'TestDist'
+	$(GO) test ./internal/dtime/ ./internal/engine/ -run 'TestDistDataPlaneAllocs'
 
 # The federated-tracing acceptance suite under -race: federation validation,
 # clock-offset normalization, lost/duplicate wire rewrites, byte-determinism

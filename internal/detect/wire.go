@@ -11,10 +11,10 @@ import (
 // encoders and decoders pair off kind by kind; decoding returns the exact
 // value types the protocol code asserts on.
 
-// EncodePayload serializes a detection payload. handled is false for kinds
-// that are not detection kinds (the caller owns those).
-func EncodePayload(kind int, payload any) (data []byte, handled bool, err error) {
-	e := &dtime.Enc{}
+// AppendPayload appends the wire form of a detection payload to dst. handled
+// is false for kinds that are not detection kinds (the caller owns those).
+func AppendPayload(dst []byte, kind int, payload any) (data []byte, handled bool, err error) {
+	e := &dtime.Enc{B: dst}
 	switch kind {
 	case KindState:
 		e.Bool(payload.(StateMsg).Conv)
@@ -50,8 +50,8 @@ func EncodePayload(kind int, payload any) (data []byte, handled bool, err error)
 	return e.B, true, nil
 }
 
-// DecodePayload reconstructs a detection payload. handled is false for
-// non-detection kinds.
+// DecodePayload reconstructs a detection payload, copying every value out of
+// data. handled is false for non-detection kinds.
 func DecodePayload(kind int, data []byte) (payload any, handled bool, err error) {
 	d := &dtime.Dec{B: data}
 	switch kind {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aiac/internal/rtime"
@@ -128,8 +129,9 @@ type RunInfo struct {
 // (connection lost, nonzero exit) or a heartbeat timeout.
 type WorkerError struct {
 	Worker int
-	// Timeout is true when the worker went silent past the heartbeat
-	// deadline rather than visibly dying.
+	// Timeout is true when the worker hung — sent nothing past the
+	// heartbeat deadline, or took nothing sent to it for half of it — rather
+	// than visibly dying.
 	Timeout bool
 	Err     error
 }
@@ -183,33 +185,68 @@ type coordWorker struct {
 	info WorkerInfo
 	proc Process
 
-	mu   sync.Mutex
-	conn net.Conn
+	// frames reads the worker's frames; the accept goroutine hands it to the
+	// worker's reader, and nothing else touches it.
+	frames *FrameReader
+	// lastBeat is when the worker's last frame arrived (UnixNano): written
+	// by its reader, read by the supervision scan.
+	lastBeat atomic.Int64
 
-	lastBeat  time.Time // guarded by coordinator.mu
+	// mu serializes writes on conn — control frames from the event loop,
+	// frames relayed by the other workers' readers — and guards wbuf, the
+	// buffer control frames are built in.
+	mu         sync.Mutex
+	conn       net.Conn
+	wbuf       []byte
+	writeBound time.Duration
+	werr       error // the first failed write; see write
+
 	outcome   []byte
 	endTime   float64
 	hasResult bool
 }
 
-// writeFrame sends one frame on the worker's connection (established
-// connections only).
+// writeFrame sends one control frame on the worker's connection.
 func (cw *coordWorker) writeFrame(typ byte, payload []byte) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
+	cw.wbuf = AppendFrame(cw.wbuf[:0], typ, payload)
+	return cw.write(cw.wbuf)
+}
+
+// relay forwards a frame exactly as another worker's reader took it off the
+// wire, header included: no re-framing and no copy.
+func (cw *coordWorker) relay(frame []byte) error {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	return cw.write(frame)
+}
+
+// write puts one whole frame on the connection (established connections
+// only; cw.mu held), giving the worker writeBound to take it: a worker that
+// stops reading must fail the run under its own name, not hang the reader of
+// whoever was sending to it. A failed write may have cut a frame short, so
+// the connection carries nothing after it.
+func (cw *coordWorker) write(frame []byte) error {
 	if cw.conn == nil {
 		return errors.New("dtime: worker not connected")
 	}
-	return WriteFrame(cw.conn, typ, payload)
+	if cw.werr != nil {
+		return fmt.Errorf("dtime: connection broken by an earlier write: %v", cw.werr)
+	}
+	cw.conn.SetWriteDeadline(time.Now().Add(cw.writeBound))
+	_, cw.werr = cw.conn.Write(frame)
+	return cw.werr
 }
 
 // coordEvent is one occurrence delivered to the coordinator's event loop.
 type coordEvent struct {
 	worker  int
 	typ     byte
-	payload []byte
-	err     error // connection/read failure (payload nil)
-	exit    bool  // process exited; err is its exit error
+	payload []byte // the event's own copy
+	err     error  // connection failure (payload nil)
+	hung    bool   // err is a relay write the worker did not take in time
+	exit    bool   // process exited; err is its exit error
 }
 
 // Run executes one distributed run: it creates the run directory tree,
@@ -290,7 +327,13 @@ func Run(opts Options) ([][]byte, *RunInfo, error) {
 			StateDir: stateDir, Worker: i, Workers: opts.Workers,
 			Ranks: ranks, Total: opts.Ranks,
 		}
-		cw := &coordWorker{info: WorkerInfo{Worker: i, Ranks: ranks, StateDir: stateDir}}
+		cw := &coordWorker{
+			info: WorkerInfo{Worker: i, Ranks: ranks, StateDir: stateDir},
+			// Half the heartbeat timeout: a reader blocked in a relay write
+			// reads none of its own worker's frames, and that worker's
+			// silence must not reach the timeout first.
+			writeBound: opts.HeartbeatTimeout / 2,
+		}
 		c.workers[i] = cw
 		proc, err := opts.Spawn(wenv)
 		if err != nil {
@@ -330,9 +373,7 @@ type coordinator struct {
 	// the reader goroutines start, read concurrently by them.
 	traceStart time.Time
 
-	mu      sync.Mutex // guards lastBeat fields
-	events  chan coordEvent
-	stopped bool
+	events chan coordEvent
 }
 
 // now returns the coordinator's trace clock in model seconds.
@@ -363,6 +404,7 @@ func (c *coordinator) accept(ln net.Listener) error {
 	type acceptResult struct {
 		worker int
 		conn   net.Conn
+		frames *FrameReader
 		hello  helloBody
 		err    error
 	}
@@ -380,7 +422,8 @@ func (c *coordinator) accept(ln net.Listener) error {
 			}
 			go func(conn net.Conn) {
 				conn.SetReadDeadline(deadline)
-				typ, payload, err := ReadFrame(conn, c.opts.MaxFrame)
+				frames := NewFrameReader(conn, c.opts.MaxFrame)
+				typ, payload, _, err := frames.Next()
 				if err == nil && typ != FrameHello {
 					err = fmt.Errorf("dtime: expected hello, got frame type %d", typ)
 				}
@@ -394,7 +437,7 @@ func (c *coordinator) accept(ln net.Listener) error {
 					return
 				}
 				conn.SetReadDeadline(time.Time{})
-				results <- acceptResult{worker: h.Worker, conn: conn, hello: h}
+				results <- acceptResult{worker: h.Worker, conn: conn, frames: frames, hello: h}
 			}(conn)
 		}
 	}()
@@ -422,11 +465,10 @@ func (c *coordinator) accept(ln net.Listener) error {
 				r.conn.Close()
 				return fmt.Errorf("dtime: duplicate hello from worker %d", r.worker)
 			}
+			cw.frames = r.frames
 			cw.info.Pid = r.hello.Pid
 			cw.info.ObsAddr = r.hello.ObsAddr
-			c.mu.Lock()
-			cw.lastBeat = time.Now()
-			c.mu.Unlock()
+			cw.lastBeat.Store(time.Now().UnixNano())
 		case ev := <-c.events:
 			if ev.exit {
 				return &WorkerError{Worker: ev.worker, Err: exitError(ev.err)}
@@ -451,18 +493,16 @@ func exitError(err error) error {
 // reader pumps one worker's frames: data frames are relayed straight to the
 // owning worker's connection (preserving per-source order, which is what
 // keeps per-(from,to) FIFO intact end to end); control frames go to the
-// event loop.
+// event loop, which outlives the frame buffer and so gets a copy.
 func (c *coordinator) reader(worker int) {
 	cw := c.workers[worker]
 	for {
-		typ, payload, err := ReadFrame(cw.conn, c.opts.MaxFrame)
+		typ, payload, frame, err := cw.frames.Next()
 		if err != nil {
 			c.events <- coordEvent{worker: worker, err: err}
 			return
 		}
-		c.mu.Lock()
-		cw.lastBeat = time.Now()
-		c.mu.Unlock()
+		cw.lastBeat.Store(time.Now().UnixNano())
 		switch typ {
 		case FrameMsg:
 			from, to, _, _, _, seq, ok := EnvelopeInfo(payload)
@@ -475,10 +515,14 @@ func (c *coordinator) reader(worker int) {
 				t0 = c.now()
 			}
 			dst := c.workers[c.owner[to]]
-			if err := dst.writeFrame(FrameMsg, payload); err != nil {
-				// The destination's failure is surfaced by its own
-				// reader; dropping the frame here avoids blaming the
-				// innocent sender.
+			if err := dst.relay(frame); err != nil {
+				// A destination that stopped reading is named here, by the
+				// one goroutine that can see it. Any other failure of the
+				// destination is surfaced by its own reader; dropping the
+				// frame avoids blaming the innocent sender.
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					c.events <- coordEvent{worker: dst.info.Worker, hung: true, err: fmt.Errorf("took no relayed frame for %v", dst.writeBound)}
+				}
 				continue
 			}
 			if c.opts.Trace != nil {
@@ -495,12 +539,10 @@ func (c *coordinator) reader(worker int) {
 			// lastBeat already bumped
 			c.mark(fmt.Sprintf("hb worker %d", worker))
 		default:
-			c.events <- coordEvent{worker: worker, typ: typ, payload: payload}
-			if typ == FrameOutcome || typ == FrameError {
-				// Nothing meaningful follows; keep draining heartbeats
-				// until the stop handshake closes the conn.
-				continue
-			}
+			// After an outcome or an error nothing meaningful follows; the
+			// loop keeps draining heartbeats until the stop handshake closes
+			// the conn.
+			c.events <- coordEvent{worker: worker, typ: typ, payload: append([]byte(nil), payload...)}
 		}
 	}
 }
@@ -569,12 +611,15 @@ func (c *coordinator) run(ln net.Listener) ([][]byte, *RunInfo, error) {
 				}
 			case ev.err != nil:
 				if !cw.hasResult {
+					if ev.hung {
+						return fail(&WorkerError{Worker: ev.worker, Timeout: true, Err: ev.err})
+					}
 					return fail(&WorkerError{Worker: ev.worker, Err: fmt.Errorf("connection lost: %w", ev.err)})
 				}
 			case ev.typ == FrameOutcome:
 				d := Dec{B: ev.payload}
 				end := d.F64()
-				blob := append([]byte(nil), d.Rest()...)
+				blob := d.Rest()
 				if err := d.Err(); err != nil {
 					return fail(&WorkerError{Worker: ev.worker, Err: fmt.Errorf("bad outcome frame: %w", err)})
 				}
@@ -606,18 +651,16 @@ func (c *coordinator) run(ln net.Listener) ([][]byte, *RunInfo, error) {
 				c.broadcastStop(len(ev.payload) > 0 && ev.payload[0] != 0)
 			}
 		case <-hbTick.C:
-			now := time.Now()
-			c.mu.Lock()
+			now := time.Now().UnixNano()
 			for i, cw := range c.workers {
-				if !cw.hasResult && !exited[i] && now.Sub(cw.lastBeat) > c.opts.HeartbeatTimeout {
-					c.mu.Unlock()
+				silent := time.Duration(now - cw.lastBeat.Load())
+				if !cw.hasResult && !exited[i] && silent > c.opts.HeartbeatTimeout {
 					return fail(&WorkerError{
 						Worker: i, Timeout: true,
-						Err: fmt.Errorf("no frame for %v", now.Sub(cw.lastBeat).Round(time.Millisecond)),
+						Err: fmt.Errorf("no frame for %v", silent.Round(time.Millisecond)),
 					})
 				}
 			}
-			c.mu.Unlock()
 		case <-wall.C:
 			return fail(&TimeoutError{Phase: "solve", After: c.opts.Wall})
 		}

@@ -25,6 +25,7 @@
 package dtime
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,7 +47,7 @@ const (
 	// has checked in (JSON body, see welcomeBody).
 	FrameWelcome
 	// FrameMsg carries one runenv message between ranks on different
-	// workers (binary envelope, see encodeEnvelope).
+	// workers (binary envelope, see appendEnvelope).
 	FrameMsg
 	// FrameOutcome carries a worker's final outcome blob plus its final
 	// local clock (binary: f64 endTime, then the blob).
@@ -91,54 +92,92 @@ var (
 	ErrFrameTooShort = errors.New("dtime: frame shorter than header")
 )
 
-// AppendFrame appends one encoded frame to dst and returns the extended
-// slice. It is the single place the wire layout is written.
-func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
-	n := len(payload) + frameTrailersLen
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, FrameVersion, typ)
-	return append(dst, payload...)
+// beginFrame appends the header of a frame whose payload the caller appends
+// in place; endFrame then fills in the length of the frame that starts at
+// buf[start]. Together they are the single place the wire layout is written.
+func beginFrame(dst []byte, typ byte) []byte {
+	return append(dst, 0, 0, 0, 0, FrameVersion, typ)
 }
 
-// WriteFrame writes one frame to w.
+func endFrame(buf []byte, start int) {
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-frameHeaderLen))
+}
+
+// AppendFrame appends one encoded frame to dst and returns the extended
+// slice.
+func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
+	start := len(dst)
+	dst = append(beginFrame(dst, typ), payload...)
+	endFrame(dst, start)
+	return dst
+}
+
+// WriteFrame writes one frame to w. It allocates the frame; the connection
+// paths build theirs in the buffer they own (see wrt and coordWorker).
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	buf := AppendFrame(make([]byte, 0, frameHeaderLen+frameTrailersLen+len(payload)), typ, payload)
-	_, err := w.Write(buf)
+	_, err := w.Write(AppendFrame(nil, typ, payload))
 	return err
 }
 
-// ReadFrame reads one frame from r, enforcing maxFrame (<= 0 means
-// MaxFrame). A clean EOF before any byte returns io.EOF; a stream cut mid-
-// frame returns io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader, maxFrame int) (typ byte, payload []byte, err error) {
-	if maxFrame <= 0 {
-		maxFrame = MaxFrame
+// frameReadBuf is the size of a FrameReader's read-ahead. Data-plane frames
+// are a few hundred bytes (a Table-1 halo is ~480), so one read takes several
+// off the socket; a short solve opens four connections and pays it for each.
+const frameReadBuf = 4 << 10
+
+// FrameReader reads the frames of one connection direction through buffers
+// it owns and reuses — a read-ahead and the frame it hands out — so Next
+// allocates only when a frame is larger than any before it. It is not safe
+// for concurrent use: one goroutine reads a connection.
+type FrameReader struct {
+	r        io.Reader
+	maxFrame int
+	hdr      [frameHeaderLen]byte
+	buf      []byte // the frame Next returned last, header included
+}
+
+// NewFrameReader returns a FrameReader that reads ahead of the frames it
+// returns, so nothing else may read from r afterwards. maxFrame <= 0 means
+// MaxFrame.
+func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
+	return &FrameReader{r: bufio.NewReaderSize(r, frameReadBuf), maxFrame: maxFrame}
+}
+
+// Next reads one frame. payload and frame (the whole frame as it crossed the
+// wire, header included) alias the reader's buffer: they are valid until the
+// next call, and a caller that keeps either must copy it. A clean EOF before
+// any byte returns io.EOF; a stream cut mid-frame returns
+// io.ErrUnexpectedEOF. The declared length is checked against maxFrame
+// before the buffer grows to hold it.
+func (fr *FrameReader) Next() (typ byte, payload, frame []byte, err error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return 0, nil, nil, err
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return 0, nil, io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
+	total, err := FrameLen(fr.hdr[:], fr.maxFrame)
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n < frameTrailersLen {
-		return 0, nil, ErrFrameTooShort
+	if total > cap(fr.buf) {
+		fr.buf = make([]byte, total)
 	}
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	frame = fr.buf[:total]
+	copy(frame, fr.hdr[:])
+	if _, err := io.ReadFull(fr.r, frame[frameHeaderLen:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	if body[0] != FrameVersion {
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, body[0])
-	}
-	return body[1], body[2:], nil
+	typ, payload, _, err = DecodeFrame(frame, fr.maxFrame)
+	return typ, payload, frame, err
+}
+
+// ReadFrame reads one frame from r and not a byte past it: the one-shot form
+// of FrameReader, at a buffer a call, for tests and scripted peers. maxFrame
+// and the errors are Next's.
+func ReadFrame(r io.Reader, maxFrame int) (typ byte, payload []byte, err error) {
+	fr := FrameReader{r: r, maxFrame: maxFrame}
+	typ, payload, _, err = fr.Next()
+	return typ, payload, err
 }
 
 // DecodeFrame decodes the first frame in buf without copying the payload.

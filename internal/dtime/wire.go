@@ -158,17 +158,34 @@ func (d *Dec) F64s() []float64 {
 //	u32 payload length | payload
 const envelopeHeaderLen = 4*4 + 8 + 8
 
-// encodeEnvelope serializes a message bound for a remote rank.
-func encodeEnvelope(m runenv.Msg, payload []byte) []byte {
-	e := Enc{B: make([]byte, 0, envelopeHeaderLen+4+len(payload))}
+// appendEnvelope appends the envelope of a message bound for a remote rank,
+// its payload encoded in place behind the header: through codec when there
+// is one, otherwise the payload must be raw bytes (or nil).
+func appendEnvelope(dst []byte, m runenv.Msg, codec runenv.PayloadCodec) ([]byte, error) {
+	e := Enc{B: dst}
 	e.U32(uint32(m.From))
 	e.U32(uint32(m.To))
 	e.U32(uint32(m.Kind))
 	e.U32(uint32(m.Bytes))
 	e.F64(m.SendT)
 	e.U64(m.Seq)
-	e.Bytes(payload)
-	return e.B
+	e.U32(0) // payload length, filled in below
+	body := len(e.B)
+	switch {
+	case codec != nil:
+		var err error
+		if e.B, err = codec.AppendPayload(e.B, m.Kind, m.Payload); err != nil {
+			return nil, fmt.Errorf("dtime: encode payload kind %d: %w", m.Kind, err)
+		}
+	case m.Payload != nil:
+		b, ok := m.Payload.([]byte)
+		if !ok {
+			return nil, fmt.Errorf("dtime: no codec for payload type %T (kind %d)", m.Payload, m.Kind)
+		}
+		e.B = append(e.B, b...)
+	}
+	binary.BigEndian.PutUint32(e.B[body-4:], uint32(len(e.B)-body))
+	return e.B, nil
 }
 
 // decodeEnvelope parses a FrameMsg payload. The application payload is

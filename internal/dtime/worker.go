@@ -68,14 +68,15 @@ func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRun
 	}
 	defer conn.Close()
 
+	rt := &wrt{opts: opts, conn: conn, frames: NewFrameReader(conn, opts.MaxFrame), stopCh: make(chan struct{})}
 	hello := marshalJSONFrame(helloBody{
 		Worker: wenv.Worker, Pid: os.Getpid(), Ranks: wenv.Ranks, ObsAddr: opts.ObsAddr,
 	})
-	if err := WriteFrame(conn, FrameHello, hello); err != nil {
+	if err := rt.writeFrame(FrameHello, hello); err != nil {
 		return fmt.Errorf("dtime: hello: %w", err)
 	}
 	raw.SetReadDeadline(time.Now().Add(opts.Dial))
-	typ, wpayload, err := ReadFrame(conn, opts.MaxFrame)
+	typ, wpayload, _, err := rt.frames.Next()
 	if err != nil {
 		return fmt.Errorf("dtime: welcome: %w", err)
 	}
@@ -89,7 +90,6 @@ func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRun
 	raw.SetReadDeadline(time.Time{})
 
 	start := time.Now() // the model clock starts at welcome
-	rt := &wrt{opts: opts, conn: conn, stopCh: make(chan struct{})}
 	rt.world = rtime.NewWorld(wenv.Total, wenv.Ranks, opts.Speedup, start, rt)
 	go rt.reader()
 	go rt.heartbeat()
@@ -142,7 +142,15 @@ type wrt struct {
 	conn  net.Conn
 	world *rtime.World
 
-	sendMu sync.Mutex // serializes frame writes (bodies + heartbeat)
+	// frames reads the coordinator's frames; after the handshake only the
+	// reader goroutine touches it. What it returns is valid until its next
+	// frame, and the reader decodes every payload before it reads on.
+	frames *FrameReader
+
+	// sendMu serializes frame writes (bodies + heartbeat) and guards wbuf,
+	// the one buffer every outgoing frame is built in.
+	sendMu sync.Mutex
+	wbuf   []byte
 
 	mu       sync.Mutex
 	fatalErr error
@@ -158,13 +166,20 @@ func (rt *wrt) finalTime() float64 {
 	return rt.endTime
 }
 
-// writeFrame sends one frame on the coordinator connection. Exactly one
-// whole frame per conn.Write call — the contract the fault-injecting
-// wrapper's frame splitter relies on.
+// writeFrame sends one control frame on the coordinator connection.
 func (rt *wrt) writeFrame(typ byte, payload []byte) error {
 	rt.sendMu.Lock()
 	defer rt.sendMu.Unlock()
-	return WriteFrame(rt.conn, typ, payload)
+	rt.wbuf = AppendFrame(rt.wbuf[:0], typ, payload)
+	return rt.flush()
+}
+
+// flush writes the frame built in wbuf: exactly one whole frame per
+// conn.Write call — the contract the fault-injecting wrapper's frame
+// splitter relies on. A writer that keeps the bytes must copy them.
+func (rt *wrt) flush() error {
+	_, err := rt.conn.Write(rt.wbuf)
+	return err
 }
 
 // fatal records the first unrecoverable transport error and stops the
@@ -194,25 +209,21 @@ func (rt *wrt) Stop() {
 }
 
 // Send implements rtime.Link: the envelope crosses the wire and is delivered
-// on arrival. Any faults are injected by the connection wrapper.
+// on arrival. Any faults are injected by the connection wrapper. The frame is
+// built where it is written from — header, envelope, payload encoded in
+// place, the frame length filled in last — so a send allocates nothing once
+// wbuf has grown to the largest message.
 func (rt *wrt) Send(m runenv.Msg) {
-	var pb []byte
-	if rt.opts.Codec != nil {
-		var err error
-		pb, err = rt.opts.Codec.EncodePayload(m.Kind, m.Payload)
-		if err != nil {
-			rt.fatal(fmt.Errorf("dtime: encode payload kind %d: %w", m.Kind, err))
-			return
-		}
-	} else if m.Payload != nil {
-		b, ok := m.Payload.([]byte)
-		if !ok {
-			rt.fatal(fmt.Errorf("dtime: no codec for payload type %T (kind %d)", m.Payload, m.Kind))
-			return
-		}
-		pb = b
+	rt.sendMu.Lock()
+	defer rt.sendMu.Unlock()
+	buf, err := appendEnvelope(beginFrame(rt.wbuf[:0], FrameMsg), m, rt.opts.Codec)
+	if err != nil {
+		rt.fatal(err)
+		return
 	}
-	if err := rt.writeFrame(FrameMsg, encodeEnvelope(m, pb)); err != nil {
+	endFrame(buf, 0)
+	rt.wbuf = buf
+	if err := rt.flush(); err != nil {
 		rt.fatal(fmt.Errorf("dtime: send to rank %d: %w", m.To, err))
 	}
 }
@@ -222,7 +233,7 @@ func (rt *wrt) Send(m runenv.Msg) {
 // draining after a stop so relayed traffic never backs up the coordinator.
 func (rt *wrt) reader() {
 	for {
-		typ, payload, err := ReadFrame(rt.conn, rt.opts.MaxFrame)
+		typ, payload, _, err := rt.frames.Next()
 		if err != nil {
 			rt.fatal(fmt.Errorf("dtime: coordinator connection lost: %w", err))
 			return

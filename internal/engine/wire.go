@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"aiac/internal/detect"
 	"aiac/internal/dtime"
@@ -18,18 +19,26 @@ type Codec struct{}
 
 var _ runenv.PayloadCodec = Codec{}
 
-// EncodePayload implements runenv.PayloadCodec.
-func (Codec) EncodePayload(kind int, payload any) ([]byte, error) {
-	e := &dtime.Enc{}
+// EncodePayload is the one-shot form of AppendPayload.
+func (c Codec) EncodePayload(kind int, payload any) ([]byte, error) {
+	return c.AppendPayload(nil, kind, payload)
+}
+
+// AppendPayload implements runenv.PayloadCodec. The two kinds that carry
+// trajectories grow dst once, to their exact size, before appending.
+func (Codec) AppendPayload(dst []byte, kind int, payload any) ([]byte, error) {
+	e := &dtime.Enc{B: dst}
 	switch kind {
 	case kindBoundary:
 		b := payload.(boundaryMsg)
+		e.B = slices.Grow(e.B, 8+8+trajsLen(b.Comps)+8)
 		e.I64(int64(b.Iter))
 		e.I64(int64(b.Pos))
 		encTrajs(e, b.Comps)
 		e.F64(b.Load)
 	case kindLBData:
 		m := payload.(lbDataMsg)
+		e.B = slices.Grow(e.B, 8+8+8+trajsLen(m.Comps)+8)
 		e.U64(m.XferID)
 		e.I64(int64(m.Pos))
 		e.I64(int64(m.Count))
@@ -41,7 +50,7 @@ func (Codec) EncodePayload(kind int, payload any) ([]byte, error) {
 		e.I64(int64(m.Pos))
 		e.I64(int64(m.Count))
 	default:
-		data, handled, err := detect.EncodePayload(kind, payload)
+		data, handled, err := detect.AppendPayload(dst, kind, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -103,12 +112,25 @@ func encTrajs(e *dtime.Enc, ts [][]float64) {
 	}
 }
 
-// decTrajs decodes a trajectory list. It never preallocates from the
-// declared count: every iteration consumes at least the inner count prefix
-// or fails, so a corrupted count cannot balloon memory before erroring out.
+// trajsLen is the number of bytes encTrajs appends for ts.
+func trajsLen(ts [][]float64) int {
+	n := 4
+	for _, t := range ts {
+		n += 4 + 8*len(t)
+	}
+	return n
+}
+
+// decTrajs decodes a trajectory list. The outer slice is sized from the
+// declared count only as far as the bytes present could bear it out — every
+// trajectory takes at least its 4-byte count prefix — so a corrupted count
+// cannot balloon memory before erroring out.
 func decTrajs(d *dtime.Dec) [][]float64 {
 	n := int(d.U32())
-	var ts [][]float64
+	if d.Err() != nil || n == 0 {
+		return nil
+	}
+	ts := make([][]float64, 0, min(n, len(d.Rest())/4))
 	for i := 0; i < n; i++ {
 		if d.Err() != nil {
 			return nil

@@ -12,14 +12,21 @@ package runenv
 // must put on the wire. Kind is the runenv message kind; the codec must
 // round-trip every payload the application sends to a remote rank.
 //
+// The transport owns the bytes on both sides. On the way out it hands the
+// codec its own write buffer, so encoding appends and never replaces; on the
+// way in it hands the codec a view of its read buffer, which the next frame
+// overwrites, so decoding copies out every value it returns.
+//
 // Decode must be total: any input — truncated, oversized, corrupted — must
 // return an error, never panic. Encoders and decoders on both sides of a
 // connection must agree on the byte layout per kind (version it: the
 // transport's frame header carries a protocol version byte).
 type PayloadCodec interface {
-	// EncodePayload serializes the payload of one message.
-	EncodePayload(kind int, payload any) ([]byte, error)
-	// DecodePayload reconstructs a payload from its wire form.
+	// AppendPayload appends the wire form of one message's payload to dst
+	// and returns the extended slice, leaving dst[:len(dst)] as it was.
+	AppendPayload(dst []byte, kind int, payload any) ([]byte, error)
+	// DecodePayload reconstructs a payload from its wire form. It must not
+	// retain data, nor return a value that aliases it.
 	DecodePayload(kind int, data []byte) (any, error)
 }
 
