@@ -189,6 +189,10 @@ type Config struct {
 	// only because the frozen benchmark sets it (bench/workloads.go:187,247)
 	// and goes with the vt-table1-par workload (ROADMAP item 2).
 	SimWorkers int
+
+	// poisonFree fills every buffer entering a node's free list with NaN, so
+	// that a read through a stale alias shows in the result. Tests only.
+	poisonFree bool
 }
 
 func (c Config) withDefaults() Config {

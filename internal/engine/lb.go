@@ -171,6 +171,7 @@ func (n *node) lbRetry() {
 // everything else is pruned.
 func (n *node) dropOwnership(lo, hi int) {
 	for j := lo; j < hi; j++ {
+		n.recycle(n.buf.get(j)) // sends copy and lbKeep takes val: nothing else references scratch
 		n.buf.del(j)
 	}
 	// pruning of val happens lazily in pruneVal after the range moves
@@ -241,14 +242,14 @@ func (n *node) recvLBData(m runenv.Msg) {
 		for i := 0; i < d.Count; i++ {
 			j := d.Pos + n.halo + i
 			n.val.set(j, d.Comps[n.halo+i])
-			n.buf.set(j, make([]float64, n.trajLen))
+			n.buf.set(j, n.scratch())
 		}
 		n.startC = d.Pos + n.halo
 	} else {
 		for i := 0; i < d.Count; i++ {
 			j := d.Pos + i
 			n.val.set(j, d.Comps[i])
-			n.buf.set(j, make([]float64, n.trajLen))
+			n.buf.set(j, n.scratch())
 		}
 		for i := 0; i < n.halo; i++ {
 			n.val.set(d.Pos+d.Count+i, d.Comps[d.Count+i]) // new right halo
@@ -375,7 +376,7 @@ func (n *node) restoreLB(dir int) {
 	for j, tr := range n.lbKeep[dir] {
 		n.val.set(j, tr)
 		if j >= ownLo && j < ownHi {
-			n.buf.set(j, make([]float64, n.trajLen))
+			n.buf.set(j, n.scratch())
 		}
 	}
 	if dir == dirLeft {

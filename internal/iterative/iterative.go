@@ -32,7 +32,7 @@ type Problem interface {
 	Halo() int
 	// Init returns the initial trajectory of component j (the waveform
 	// initial guess; entry 0 is the initial condition for evolution
-	// problems).
+	// problems) in a fresh slice: the engine keeps it and later overwrites it.
 	Init(j int) []float64
 	// Update recomputes component j into out (len TrajLen), given its own
 	// previous trajectory `old` and an accessor for neighbor trajectories.

@@ -96,15 +96,19 @@ type World struct {
 type proc struct {
 	id  int
 	w   *World
-	rng *rand.Rand
+	rng *rand.Rand // made by the first Rand call
 	// seq is the sender-local event counter behind Msg.Seq; lastSend is the
 	// Msg.Seq of the primary copy of the most recent Send.
 	seq, lastSend uint64
 	out           []*pairState // by destination rank, made on first use
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	mailbox []runenv.Msg
+	mu   sync.Mutex
+	cond *sync.Cond
+	// mailbox[mboxHead:] holds the undelivered messages — vtime's head-index
+	// queue: popping advances the head and resets to empty when drained, so
+	// the backing array is reused instead of walked off from the front.
+	mailbox  []runenv.Msg
+	mboxHead int
 }
 
 // pairState serializes deliveries per (from, to) pair: each send takes a
@@ -157,7 +161,6 @@ func (w *World) RunRanks(cfg runenv.Config, bodies map[int]runenv.Body) float64 
 		if !w.hosts(rank) {
 			panic(fmt.Sprintf("rtime: rank %d is not hosted by this world", rank))
 		}
-		w.procs[rank].rng = rand.New(rand.NewSource(cfg.Seed + int64(rank)*7919))
 	}
 	// Workers of a distributed run are released together, so a fast peer can
 	// send before a slow one has built its bodies. Hand those arrivals over
@@ -244,7 +247,7 @@ func (w *World) deliver(m runenv.Msg) {
 	m.RecvT = w.Now()
 	dst.mu.Lock()
 	dst.mailbox = append(dst.mailbox, m)
-	depth := len(dst.mailbox)
+	depth := len(dst.mailbox) - dst.mboxHead
 	dst.cond.Broadcast()
 	dst.mu.Unlock()
 	if t := w.cfg.Trace; t != nil && !w.hosts(m.From) {
@@ -429,14 +432,19 @@ func (p *proc) nextSeq() uint64 {
 func (p *proc) recv(wait bool) (runenv.Msg, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.mailbox) == 0 {
+	for p.mboxHead == len(p.mailbox) {
 		if !wait || p.w.stopped.Load() {
 			return runenv.Msg{}, false
 		}
 		p.cond.Wait()
 	}
-	m := p.mailbox[0]
-	p.mailbox = p.mailbox[1:]
+	m := p.mailbox[p.mboxHead]
+	p.mailbox[p.mboxHead] = runenv.Msg{} // drop the payload reference
+	p.mboxHead++
+	if p.mboxHead == len(p.mailbox) {
+		p.mailbox = p.mailbox[:0]
+		p.mboxHead = 0
+	}
 	return m, true
 }
 
@@ -446,14 +454,22 @@ func (e *env) RecvWait() (runenv.Msg, bool) { return e.p.recv(true) }
 func (e *env) Pending() int {
 	e.p.mu.Lock()
 	defer e.p.mu.Unlock()
-	return len(e.p.mailbox)
+	return len(e.p.mailbox) - e.p.mboxHead
 }
 
 func (e *env) Stopped() bool { return e.p.w.stopped.Load() }
 
 func (e *env) Stop() { e.p.w.stop() }
 
-func (e *env) Rand() *rand.Rand { return e.p.rng }
+// Rand builds the generator on first use: the engine never draws from it, and
+// a source is 5 KB per rank. Only the rank's own goroutine touches it.
+func (e *env) Rand() *rand.Rand {
+	p := e.p
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.w.cfg.Seed + int64(p.id)*7919))
+	}
+	return p.rng
+}
 
 func (e *env) LastSendSeq() uint64 { return e.p.lastSend }
 

@@ -3,6 +3,7 @@ package rtime
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"aiac/internal/runenv"
 )
@@ -119,5 +120,40 @@ func TestPerPairFIFO(t *testing.T) {
 	})
 	if len(kinds) != 2 || kinds[0] != 0 || kinds[1] != 1 {
 		t.Fatalf("messages reordered: %v", kinds)
+	}
+}
+
+// TestMailboxReusesItsArray pins the head-index queue: a mailbox that is
+// drained as fast as it fills keeps one backing array (reslicing from the
+// front walked the capacity off and made append reallocate every few
+// messages), counts its depth from the head, and drops a popped payload.
+func TestMailboxReusesItsArray(t *testing.T) {
+	w := NewWorld(1, []int{0}, 1, time.Now(), nil)
+	p, e := w.procs[0], &env{p: w.procs[0]}
+	var base *runenv.Msg
+	for i := 0; i < 1000; i++ {
+		w.deliver(runenv.Msg{To: 0, Kind: i, Payload: &i})
+		w.deliver(runenv.Msg{To: 0, Kind: -i})
+		if i == 0 {
+			base = &p.mailbox[0]
+		}
+		if e.Pending() != 2 {
+			t.Fatalf("round %d: %d pending, want 2", i, e.Pending())
+		}
+		if m, ok := e.Recv(); !ok || m.Kind != i {
+			t.Fatalf("round %d: popped %+v, %v", i, m, ok)
+		}
+		if e.Pending() != 1 || p.mailbox[p.mboxHead-1].Payload != nil {
+			t.Fatalf("round %d: %d pending, popped slot holds %v", i, e.Pending(), p.mailbox[p.mboxHead-1].Payload)
+		}
+		if m, ok := e.Recv(); !ok || m.Kind != -i {
+			t.Fatalf("round %d: popped %+v, %v", i, m, ok)
+		}
+		if &p.mailbox[:1][0] != base {
+			t.Fatalf("round %d: the mailbox moved to a new array", i)
+		}
+	}
+	if _, ok := e.Recv(); ok {
+		t.Fatal("message from an empty mailbox")
 	}
 }

@@ -16,8 +16,9 @@ import (
 	"aiac/internal/trace"
 )
 
-// Msg is a delivered message. Payload is an arbitrary immutable value; the
-// runtimes never copy payloads, so senders must not mutate them after Send.
+// Msg is a delivered message. The runtimes never copy payloads: Send hands
+// the payload over to the receiver, which may reuse its buffers, so a sender
+// must not touch it after Send. A fault plan can deliver one payload twice.
 type Msg struct {
 	From, To int
 	Kind     int     // application-defined tag

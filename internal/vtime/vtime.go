@@ -138,7 +138,7 @@ type proc struct {
 	// handoffs counts runProc calls for this process; read by the tests and
 	// BenchmarkSweep (export_test.go).
 	handoffs int64
-	rng      *rand.Rand
+	rng      *rand.Rand // made by the first Rand call
 	sched    *Scheduler
 }
 
@@ -239,7 +239,6 @@ func (s *Scheduler) setup(bodies []runenv.Body) {
 			resume:  make(chan struct{}),
 			yielded: make(chan struct{}),
 			mailbox: make([]runenv.Msg, 0, mboxCap),
-			rng:     rand.New(rand.NewSource(s.cfg.Seed + int64(i)*7919)),
 			sched:   s,
 		}
 		s.procs[i] = p
@@ -506,7 +505,15 @@ func (e *env) Stop() {
 	e.p.sched.stopped = true
 }
 
-func (e *env) Rand() *rand.Rand { return e.p.rng }
+// Rand builds the generator on first use: the engine never draws from it, and
+// a source is 5 KB per process.
+func (e *env) Rand() *rand.Rand {
+	p := e.p
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.sched.cfg.Seed + int64(p.id)*7919))
+	}
+	return p.rng
+}
 
 func (e *env) LastSendSeq() uint64 { return e.p.lastSend }
 
