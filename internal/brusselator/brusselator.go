@@ -212,13 +212,7 @@ func (s cellSys) Eval(u, v float64) (f1, f2, j11, j12, j21, j22 float64) {
 // the cost adaptive: converged cells cost one iteration per step, active
 // cells several. The sweep performs no heap allocation.
 func (pr *Problem) Update(k int, old []float64, get func(i int) []float64, out []float64) float64 {
-	left, right := pr.neighbors(k, get)
-	out[0], out[1] = old[0], old[1] // the initial condition never changes
-	work, failStep := solver.BrussWindow(pr.p.Dt, pr.c, pr.p.NewtonTol, pr.p.MaxNewton,
-		pr.steps, left, right, old, out)
-	if failStep != 0 {
-		panic(newtonFailure(k, failStep, pr.p.MaxNewton))
-	}
+	work, _ := pr.UpdateFrom(k, 0, old, get, out)
 	return work
 }
 
@@ -227,19 +221,50 @@ func (pr *Problem) Update(k int, old []float64, get func(i int) []float64, out [
 // to Update(j1) followed by Update(j2) — the caller must guarantee Jacobi
 // reads (both cells see previous-iteration neighbor trajectories).
 func (pr *Problem) UpdatePair(j1, j2 int, old1, old2 []float64, get func(i int) []float64, out1, out2 []float64) (w1, w2 float64) {
+	w1, w2, _, _ = pr.UpdatePairFrom(j1, j2, 0, 0, old1, old2, get, out1, out2)
+	return w1, w2
+}
+
+// UpdateFrom implements iterative.PrefixUpdater. A time step is the entry
+// pair (2t, 2t+1) and reads nothing later than itself — step t of the two
+// neighbours and step t−1 of its own output — so a frozen prefix of `from`
+// entries is from/2 − 1 whole steps after the initial condition, and a step
+// solved again at the point it last returned passes the residual test on its
+// first evaluation: the skipped steps are charged exactly what solving them
+// would have cost.
+func (pr *Problem) UpdateFrom(k, from int, old []float64, get func(i int) []float64, out []float64) (work float64, quiet int) {
+	left, right := pr.neighbors(k, get)
+	out[0], out[1] = old[0], old[1] // the initial condition never changes
+	work, quietSteps, failStep := solver.BrussWindowFrom(pr.p.Dt, pr.c, pr.p.NewtonTol, pr.p.MaxNewton,
+		pr.steps, frozenSteps(from), left, right, old, out)
+	if failStep != 0 {
+		panic(newtonFailure(k, failStep, pr.p.MaxNewton))
+	}
+	return work, 2 * (quietSteps + 1)
+}
+
+// UpdatePairFrom implements iterative.PrefixUpdater's fused update. The two
+// lanes advance in lockstep, so both start after the shorter prefix.
+func (pr *Problem) UpdatePairFrom(j1, j2, from1, from2 int, old1, old2 []float64, get func(i int) []float64, out1, out2 []float64) (w1, w2 float64, quiet1, quiet2 int) {
 	left1, right1 := pr.neighbors(j1, get)
 	left2, right2 := pr.neighbors(j2, get)
 	out1[0], out1[1] = old1[0], old1[1]
 	out2[0], out2[1] = old2[0], old2[1]
-	w1, w2, fail1, fail2 := solver.BrussWindowPair(pr.p.Dt, pr.c, pr.p.NewtonTol, pr.p.MaxNewton,
-		pr.steps, left1, right1, old1, out1, left2, right2, old2, out2)
+	w1, w2, q1, q2, fail1, fail2 := solver.BrussWindowPairFrom(pr.p.Dt, pr.c, pr.p.NewtonTol, pr.p.MaxNewton,
+		pr.steps, frozenSteps(min(from1, from2)), left1, right1, old1, out1, left2, right2, old2, out2)
 	if fail1 != 0 {
 		panic(newtonFailure(j1, fail1, pr.p.MaxNewton))
 	}
 	if fail2 != 0 {
 		panic(newtonFailure(j2, fail2, pr.p.MaxNewton))
 	}
-	return w1, w2
+	return w1, w2, 2 * (q1 + 1), 2 * (q2 + 1)
+}
+
+// frozenSteps converts a frozen prefix in trajectory entries to whole time
+// steps after the initial condition (entries 0 and 1).
+func frozenSteps(from int) int {
+	return max(from/2-1, 0)
 }
 
 // neighbors resolves a cell's halo trajectories, substituting the constant
@@ -282,6 +307,7 @@ func V(traj []float64) []float64 {
 }
 
 var (
-	_ iterative.Problem     = (*Problem)(nil)
-	_ iterative.PairUpdater = (*Problem)(nil)
+	_ iterative.Problem       = (*Problem)(nil)
+	_ iterative.PairUpdater   = (*Problem)(nil)
+	_ iterative.PrefixUpdater = (*Problem)(nil)
 )

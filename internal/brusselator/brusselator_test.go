@@ -45,6 +45,25 @@ func TestProblemShape(t *testing.T) {
 	}
 }
 
+// TestPrefixExtensionConforms runs iterative.CheckProblem's PrefixUpdater
+// conformance over the shapes the engine meets: odd and even cell counts (a
+// lone last component or none), a single cell, and windows of 1 and 50 steps.
+func TestPrefixExtensionConforms(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 16} {
+		for _, steps := range []int{1, 50} {
+			p := DefaultParams(n, 0.02)
+			p.T = p.Dt * float64(steps)
+			pr := New(p)
+			if pr.steps != steps {
+				t.Fatalf("N=%d: %d steps, want %d", n, pr.steps, steps)
+			}
+			if err := iterative.CheckProblem(pr); err != nil {
+				t.Errorf("N=%d, %d steps: %v", n, steps, err)
+			}
+		}
+	}
+}
+
 func TestInitialConditions(t *testing.T) {
 	p := DefaultParams(10, 0.1)
 	pr := New(p)

@@ -193,6 +193,10 @@ type Config struct {
 	// poisonFree fills every buffer entering a node's free list with NaN, so
 	// that a read through a stale alias shows in the result. Tests only.
 	poisonFree bool
+	// skipTally, when non-nil, receives every node's count of trajectory
+	// entries promised frozen and produced, so that sweeps which silently
+	// stop skipping fail a test, not a benchmark. Tests only.
+	skipTally *skipTally
 }
 
 func (c Config) withDefaults() Config {

@@ -51,13 +51,16 @@ type node struct {
 	det  int // detector rank
 
 	prob iterative.Problem
-	// pairProb is prob's optional fused two-component update, used for
-	// Jacobi sweeps (nil, or unused, under local Gauss-Seidel where
-	// component j+1 must observe j's fresh trajectory).
-	pairProb iterative.PairUpdater
-	halo     int
-	m        int // total components
-	trajLen  int
+	// upd is how the sweep calls prob: through its PrefixUpdater extension,
+	// or through plainUpdater when it has none.
+	upd iterative.PrefixUpdater
+	// pair says the sweep may fuse two component updates: the problem can,
+	// and reads are Jacobi (not under local Gauss-Seidel, where component
+	// j+1 must observe j's fresh trajectory).
+	pair    bool
+	halo    int
+	m       int // total components
+	trajLen int
 
 	startC, endC int
 	val          compStore // previous-iteration trajectories + halos
@@ -65,6 +68,12 @@ type node struct {
 	// getFn is n.get as a prebuilt func value: materializing the method
 	// value inside the sweep loop would allocate a closure per Update call.
 	getFn func(i int) []float64
+	// quiet is the sweep's scratch: per owned component, how many leading
+	// entries its update left bit-identical (val's same counts to be).
+	quiet []int
+	// frozen / entries: how many trajectory entries the sweeps handed the
+	// problem as frozen, out of how many they produced (Config.skipTally).
+	frozen, entries int
 	// free holds up to maxFree trajectory buffers nothing else references;
 	// see recycle.
 	free [][]float64
@@ -143,9 +152,8 @@ func newNode(env runenv.Env, cfg *Config, rank int) *node {
 		okToTry:    cfg.LBWarmup,
 	}
 	n.getFn = n.get
-	if !cfg.GaussSeidelLocal {
-		n.pairProb, _ = cfg.Problem.(iterative.PairUpdater)
-	}
+	n.upd, n.pair = asPrefixUpdater(cfg.Problem)
+	n.pair = n.pair && !cfg.GaussSeidelLocal
 	n.startC, n.endC = partition(n.m, n.p, rank)
 	n.val.reset(n.startC-n.halo, n.endC+n.halo)
 	n.buf.reset(n.startC, n.endC)
@@ -236,6 +244,10 @@ func (n *node) run() *nodeOutcome {
 		n.outc.positions = append(n.outc.positions, j)
 		n.outc.trajs = append(n.outc.trajs, n.val.get(j))
 		n.outc.provisional = append(n.outc.provisional, restored[j])
+	}
+	if s := n.cfg.skipTally; s != nil {
+		s.frozen.Add(int64(n.frozen))
+		s.entries.Add(int64(n.entries))
 	}
 	n.outc.iters = n.iter
 	n.outc.residual = n.residual
@@ -343,23 +355,31 @@ func (n *node) sweep(midSendLeft bool) {
 	idx := 0
 	var w2 float64
 	pending2 := false
+	// Rule b: every from below reads the counts the previous sweep left in
+	// val — a Jacobi read, like the trajectories — so what this sweep finds
+	// goes to n.quiet and reaches val only in the swap pass.
+	quiet := n.quiet[:0]
 	for j := n.startC; j < n.endC; j++ {
 		var w float64
 		switch {
 		case pending2:
 			// second half of a fused update, already computed
 			w, pending2 = w2, false
-		case n.pairProb != nil && j+1 < n.endC:
+		case n.pair && j+1 < n.endC:
 			// Fused two-component update: bit-identical results, but the
 			// two inner solves overlap. Work is charged per component in
 			// the original order, so virtual times and the mid-sweep send
 			// point are unchanged.
-			w, w2 = n.pairProb.UpdatePair(j, j+1,
+			var q1, q2 int
+			w, w2, q1, q2 = n.upd.UpdatePairFrom(j, j+1, n.from(j), n.from(j+1),
 				n.val.get(j), n.val.get(j+1), n.getFn, n.buf.get(j), n.buf.get(j+1))
+			quiet = append(quiet, q1, q2)
 			pending2 = true
 		default:
 			n.sweepPos = j
-			w = n.prob.Update(j, n.val.get(j), n.getFn, n.buf.get(j))
+			var q int
+			w, q = n.upd.UpdateFrom(j, n.from(j), n.val.get(j), n.getFn, n.buf.get(j))
+			quiet = append(quiet, q)
 		}
 		units := w*cfg.WorkScale + cfg.CompOverhead
 		n.env.Work(units)
@@ -375,12 +395,25 @@ func (n *node) sweep(midSendLeft bool) {
 		idx++
 	}
 	res := 0.0
-	for j := n.startC; j < n.endC; j++ {
-		if r := iterative.Residual(n.val.get(j), n.buf.get(j)); r > res {
+	for i, q := range quiet {
+		j := n.startC + i
+		// the quiet prefix differs by exactly 0: scan the rest
+		if r := iterative.Residual(n.val.get(j)[q:], n.buf.get(j)[q:]); r > res {
 			res = r
 		}
 		n.val.swap(&n.buf, j)
+		n.val.setSame(j, q)
 	}
+	// A halo the sweep has read is, until recvBoundary replaces it, what the
+	// previous sweep read — all of it.
+	for i := 1; i <= n.halo; i++ {
+		for _, j := range [2]int{n.startC - i, n.endC - 1 + i} {
+			if n.val.get(j) != nil {
+				n.val.setSame(j, n.trajLen)
+			}
+		}
+	}
+	n.quiet = quiet
 	n.inSweep = false
 	n.residual = res
 	n.iterTime = n.env.Now() - t0
@@ -636,7 +669,12 @@ func (n *node) recvBoundary(m runenv.Msg) {
 	for i, tr := range b.Comps {
 		j := b.Pos + i
 		old := n.val.get(j)
+		// What the next sweep reads here shares with what the last one read
+		// whatever old shared with it and tr shares with old. (set puts the
+		// count to 0, like every write to val that is not the sweep's.)
+		same := min(n.val.sameAt(j), iterative.CommonPrefix(old, tr))
 		n.val.set(j, tr)
+		n.val.setSame(j, same)
 		// Rule 2: an equal-tag duplicate passes the check above and carries
 		// the slices val already holds; replacing a buffer by itself frees
 		// nothing. (Tags grow strictly per link, so once a fresher halo has

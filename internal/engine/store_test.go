@@ -99,3 +99,57 @@ func TestCompStoreResetReuses(t *testing.T) {
 		}
 	}
 }
+
+// TestCompStoreSameCounts pins rule a of DESIGN §4.2 where it is enforced:
+// a count is raised by setSame alone, follows its slot through a re-base, is
+// left alone by swap, and falls to 0 with every other write to the slot.
+func TestCompStoreSameCounts(t *testing.T) {
+	var s, scratch compStore
+	s.reset(10, 14)
+	scratch.reset(10, 14)
+	for j := 10; j < 14; j++ {
+		s.set(j, tr(float64(j)))
+		scratch.set(j, tr(0))
+		s.setSame(j, j)
+	}
+	if s.sameAt(9) != 0 || s.sameAt(14) != 0 {
+		t.Fatal("a position outside the window has a count")
+	}
+	s.set(2, tr(2))   // re-base to the left
+	s.set(30, tr(30)) // and to the right
+	for j := 10; j < 14; j++ {
+		if got := s.sameAt(j); got != j {
+			t.Fatalf("sameAt(%d) = %d after growth, want %d", j, got, j)
+		}
+	}
+	if s.sameAt(2) != 0 || s.sameAt(30) != 0 {
+		t.Fatal("a freshly stored trajectory has a count")
+	}
+	s.swap(&scratch, 11)
+	if got := s.sameAt(11); got != 11 {
+		t.Fatalf("swap moved the count: sameAt(11) = %d", got)
+	}
+	for _, w := range []struct {
+		what  string
+		write func()
+		j     int
+	}{
+		{"set", func() { s.set(10, tr(-1)) }, 10},
+		{"del", func() { s.del(11) }, 11},
+		{"prune", func() { s.prune(10, 13) }, 13},
+	} {
+		w.write()
+		if got := s.sameAt(w.j); got != 0 {
+			t.Errorf("sameAt(%d) = %d after %s rewrote the slot, want 0", w.j, got, w.what)
+		}
+	}
+	if got := s.sameAt(12); got != 12 {
+		t.Errorf("a position nothing rewrote: sameAt(12) = %d", got)
+	}
+	s.set(13, tr(13))
+	s.setSame(13, 1)
+	s.reset(10, 14)
+	if got := s.sameAt(13); got != 0 {
+		t.Errorf("reset kept a count: sameAt(13) = %d", got)
+	}
+}

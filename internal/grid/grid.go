@@ -127,8 +127,15 @@ func (lt *LoadTrace) Factor(t float64) float64 {
 	if lt == nil || len(lt.Factors) == 0 {
 		return 1
 	}
-	// linear scan is fine: traces have few hundred segments and calls
-	// pass monotone times; binary search keeps worst case tame.
+	return lt.Factors[max(lt.breaksUpTo(t)-1, 0)]
+}
+
+// breaksUpTo returns the number of breaks <= t: segment breaksUpTo(t)-1
+// (clamped to 0) holds t, and Breaks[breaksUpTo(t)], if there is one, is the
+// first break strictly after it.
+func (lt *LoadTrace) breaksUpTo(t float64) int {
+	// traces have a few hundred segments and callers pass monotone times;
+	// binary search keeps the worst case tame.
 	lo, hi := 0, len(lt.Breaks)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -138,12 +145,7 @@ func (lt *LoadTrace) Factor(t float64) float64 {
 			hi = mid
 		}
 	}
-	// lo = number of breaks <= t; segment index lo-1, clamped.
-	idx := lo - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return lt.Factors[idx]
+	return lo
 }
 
 // timeFor returns the duration, starting at `start`, needed to accumulate
@@ -155,14 +157,16 @@ func (lt *LoadTrace) timeFor(start, base float64) float64 {
 	t := start
 	remaining := base
 	for {
-		f := lt.Factor(t)
+		// one search per segment serves both the factor and the segment's end
+		lo := lt.breaksUpTo(t)
+		f := lt.Factors[max(lo-1, 0)]
 		if f <= 0 {
 			panic("grid: load trace factor must be positive")
 		}
-		next, hasNext := lt.nextBreak(t)
-		if !hasNext {
+		if lo >= len(lt.Breaks) {
 			return t + remaining/f - start
 		}
+		next := lt.Breaks[lo]
 		span := next - t
 		capWork := span * f
 		if capWork >= remaining {
@@ -171,23 +175,6 @@ func (lt *LoadTrace) timeFor(start, base float64) float64 {
 		remaining -= capWork
 		t = next
 	}
-}
-
-// nextBreak returns the first break strictly after t.
-func (lt *LoadTrace) nextBreak(t float64) (float64, bool) {
-	lo, hi := 0, len(lt.Breaks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if lt.Breaks[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(lt.Breaks) {
-		return 0, false
-	}
-	return lt.Breaks[lo], true
 }
 
 // Validate checks trace invariants: strictly increasing breaks, positive

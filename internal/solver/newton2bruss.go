@@ -47,13 +47,17 @@ func Newton2Bruss(dt, c, uPrev, vPrev, uL, vL, uR, vR, u0, v0, tol float64, maxI
 	ndt3 := -(3 * dt)
 	k1 := -dt - dtc*(uL+uR) - uPrev
 	k2 := -dtc*(vL+vR) - vPrev
+	ntol := -tol
 	u, v = u0, v0
 	for iters = 1; iters <= maxIter; iters++ {
 		uu := u * u
 		dtuuv := dt * uu * v
 		f1 := math.FMA(a1, u, k1) - dtuuv
 		f2 := math.FMA(ndt3, u, math.FMA(b1, v, k2)) + dtuuv
-		if math.Abs(f1) <= tol && math.Abs(f2) <= tol {
+		// |f| <= tol as a two-sided compare: math.Abs has no amd64 intrinsic
+		// and moves every operand through a general-purpose register. Same
+		// truth value for every input, NaN (false) and ±Inf included.
+		if f1 <= tol && f1 >= ntol && f2 <= tol && f2 >= ntol {
 			return u, v, iters, true
 		}
 		nv := -v
@@ -75,7 +79,7 @@ func Newton2Bruss(dt, c, uPrev, vPrev, uL, vL, uR, vR, u0, v0, tol float64, maxI
 	return u, v, maxIter, false
 }
 
-// BrussWindow advances one Brusselator cell over a whole time window:
+// BrussWindowFrom advances one Brusselator cell over a whole time window:
 // steps sequential implicit-Euler steps, each solved like Newton2Bruss,
 // warm-started from the previous sweep's trajectory in old and retried once
 // from the previous time level when the warm start fails. left, right, old,
@@ -84,6 +88,20 @@ func Newton2Bruss(dt, c, uPrev, vPrev, uL, vL, uR, vR, u0, v0, tol float64, maxI
 // out, work accumulates Newton iterations across all steps and retries, and
 // failStep is 0 on success or the 1-based time step whose retry also failed
 // (out is then valid only before that step).
+//
+// Steps 1..from are not solved: the caller asserts that for them left, right
+// and the preset out[0], out[1] are bit-identical to what the call that
+// produced old read, so solving them again would evaluate the residual at
+// the very point that call returned, with the very coefficients that passed
+// there — one evaluation, the warm start returned unchanged. They are copied
+// old → out and charged that one evaluation each; work only ever sums whole
+// numbers, so the total is the full solve's to the bit. from = 0 solves
+// everything and asserts nothing.
+//
+// quiet is the number of leading steps — the skipped ones included — that
+// returned their warm start after one evaluation: out equals old bit for bit
+// up to there. It is what the next call over the same cell can hand its
+// neighbours as their from, and is unspecified on failure.
 //
 // This exists because the per-step call boundary was the last overhead in
 // the sweep hot path: calling Newton2Bruss once per step re-derives the
@@ -94,9 +112,12 @@ func Newton2Bruss(dt, c, uPrev, vPrev, uL, vL, uR, vR, u0, v0, tol float64, maxI
 // identical — TestBrussWindowMatchesStepwise pins the equivalence bitwise.
 // The cold retry path simply calls Newton2Bruss, which recomputes k1/k2
 // with the same operations and so stays on the same iterates.
-func BrussWindow(dt, c, tol float64, maxIter, steps int, left, right, old, out []float64) (work float64, failStep int) {
+func BrussWindowFrom(dt, c, tol float64, maxIter, steps, from int, left, right, old, out []float64) (work float64, quiet, failStep int) {
 	if maxIter <= 0 {
 		panic("solver: maxIter must be positive")
+	}
+	if from < 0 || from > steps {
+		panic("solver: from outside [0, steps]")
 	}
 	n := 2 * (steps + 1)
 	left, right, old, out = left[:n], right[:n], old[:n], out[:n]
@@ -105,8 +126,17 @@ func BrussWindow(dt, c, tol float64, maxIter, steps int, left, right, old, out [
 	b1 := 1 + 2*dtc
 	dt2 := 2 * dt
 	ndt3 := -(3 * dt)
-	uPrev, vPrev := out[0], out[1]
-	for i, t := 2, 1; i < n-1; i, t = i+2, t+1 {
+	ntol := -tol
+	start := 2 * (from + 1)
+	copy(out[2:start], old[2:start])
+	// evals counts residual evaluations as an integer: cheaper to add than a
+	// float64, and a step is quiet exactly when the count still equals the
+	// step number — every step costs at least one evaluation, a retry at
+	// least one more.
+	evals := from
+	quiet = from
+	uPrev, vPrev := out[start-2], out[start-1]
+	for i, t := start, from+1; i < n-1; i, t = i+2, t+1 {
 		uL, vL := left[i], left[i+1]
 		uR, vR := right[i], right[i+1]
 		k1 := -dt - dtc*(uL+uR) - uPrev
@@ -119,7 +149,7 @@ func BrussWindow(dt, c, tol float64, maxIter, steps int, left, right, old, out [
 			dtuuv := dt * uu * v
 			f1 := math.FMA(a1, u, k1) - dtuuv
 			f2 := math.FMA(ndt3, u, math.FMA(b1, v, k2)) + dtuuv
-			if math.Abs(f1) <= tol && math.Abs(f2) <= tol {
+			if f1 <= tol && f1 >= ntol && f2 <= tol && f2 >= ntol {
 				conv = true
 				break
 			}
@@ -140,44 +170,59 @@ func BrussWindow(dt, c, tol float64, maxIter, steps int, left, right, old, out [
 		if iters > maxIter {
 			iters = maxIter // match Newton2Bruss's exhaustion count
 		}
-		work += float64(iters)
+		evals += iters
 		if !conv {
 			// Cold path: early in the outer iteration the waveform iterate
 			// can be a poor start; retry from the previous time level.
 			var ok bool
 			u, v, iters, ok = Newton2Bruss(dt, c, uPrev, vPrev, uL, vL, uR, vR,
 				uPrev, vPrev, tol, maxIter)
-			work += float64(iters)
+			evals += iters
 			if !ok {
-				return work, t
+				return float64(evals), quiet, t
 			}
+		}
+		if evals == t {
+			quiet = t
 		}
 		out[i], out[i+1] = u, v
 		uPrev, vPrev = u, v
 	}
-	return work, 0
+	return float64(evals), quiet, 0
 }
 
-// BrussWindowPair is BrussWindow over two independent cells at once, their
-// Newton iterations interleaved in lockstep. One cell's solve is a serial
-// dependency chain (residual → Jacobian → divide → update, step after
+// BrussWindow is BrussWindowFrom with nothing skipped.
+func BrussWindow(dt, c, tol float64, maxIter, steps int, left, right, old, out []float64) (work float64, failStep int) {
+	work, _, failStep = BrussWindowFrom(dt, c, tol, maxIter, steps, 0, left, right, old, out)
+	return work, failStep
+}
+
+// BrussWindowPairFrom is BrussWindowFrom over two independent cells at once,
+// their Newton iterations interleaved in lockstep. One cell's solve is a
+// serial dependency chain (residual → Jacobian → divide → update, step after
 // step) that leaves most execution ports idle; interleaving a second,
 // independent chain nearly doubles instruction-level parallelism without
 // touching either cell's arithmetic. Every floating-point operation of each
-// cell has exactly the operands it would have in a solo BrussWindow call,
-// so outputs and work counts are bit-identical to two sequential windows —
-// TestBrussWindowPairMatchesSolo pins this. Valid only when the two cells
-// are independent within the sweep (Jacobi neighbor reads), which the
-// caller guarantees.
+// cell has exactly the operands it would have in a solo BrussWindowFrom
+// call, so outputs, work and quiet counts are bit-identical to two
+// sequential windows — TestBrussWindowPairMatchesSolo pins this. Valid only
+// when the two cells are independent within the sweep (Jacobi neighbor
+// reads), which the caller guarantees.
 //
-// failA/failB report the first failing step per cell as in BrussWindow; on
-// any failure the function returns immediately and the remaining outputs
+// The lanes advance together, so there is one from: the caller's assertion
+// must hold for both cells (it passes the smaller of their two prefixes).
+//
+// failA/failB report the first failing step per cell as in BrussWindowFrom;
+// on any failure the function returns immediately and the remaining outputs
 // are unspecified (callers panic on failure).
-func BrussWindowPair(dt, c, tol float64, maxIter, steps int,
+func BrussWindowPairFrom(dt, c, tol float64, maxIter, steps, from int,
 	leftA, rightA, oldA, outA,
-	leftB, rightB, oldB, outB []float64) (workA, workB float64, failA, failB int) {
+	leftB, rightB, oldB, outB []float64) (workA, workB float64, quietA, quietB, failA, failB int) {
 	if maxIter <= 0 {
 		panic("solver: maxIter must be positive")
+	}
+	if from < 0 || from > steps {
+		panic("solver: from outside [0, steps]")
 	}
 	n := 2 * (steps + 1)
 	leftA, rightA, oldA, outA = leftA[:n], rightA[:n], oldA[:n], outA[:n]
@@ -187,9 +232,15 @@ func BrussWindowPair(dt, c, tol float64, maxIter, steps int,
 	b1 := 1 + 2*dtc
 	dt2 := 2 * dt
 	ndt3 := -(3 * dt)
-	uPrevA, vPrevA := outA[0], outA[1]
-	uPrevB, vPrevB := outB[0], outB[1]
-	for i, t := 2, 1; i < n-1; i, t = i+2, t+1 {
+	ntol := -tol
+	start := 2 * (from + 1)
+	copy(outA[2:start], oldA[2:start])
+	copy(outB[2:start], oldB[2:start])
+	evalsA, evalsB := from, from // see BrussWindowFrom
+	quietA, quietB = from, from
+	uPrevA, vPrevA := outA[start-2], outA[start-1]
+	uPrevB, vPrevB := outB[start-2], outB[start-1]
+	for i, t := start, from+1; i < n-1; i, t = i+2, t+1 {
 		uLA, vLA := leftA[i], leftA[i+1]
 		uRA, vRA := rightA[i], rightA[i+1]
 		uLB, vLB := leftB[i], leftB[i+1]
@@ -210,7 +261,7 @@ func BrussWindowPair(dt, c, tol float64, maxIter, steps int,
 				dtuuv := dt * uu * vA
 				f1 := math.FMA(a1, uA, kA1) - dtuuv
 				f2 := math.FMA(ndt3, uA, math.FMA(b1, vA, kA2)) + dtuuv
-				if math.Abs(f1) <= tol && math.Abs(f2) <= tol {
+				if f1 <= tol && f1 >= ntol && f2 <= tol && f2 >= ntol {
 					convA, actA = true, false
 				} else {
 					nv := -vA
@@ -238,7 +289,7 @@ func BrussWindowPair(dt, c, tol float64, maxIter, steps int,
 				dtuuv := dt * uu * vB
 				f1 := math.FMA(a1, uB, kB1) - dtuuv
 				f2 := math.FMA(ndt3, uB, math.FMA(b1, vB, kB2)) + dtuuv
-				if math.Abs(f1) <= tol && math.Abs(f2) <= tol {
+				if f1 <= tol && f1 >= ntol && f2 <= tol && f2 >= ntol {
 					convB, actB = true, false
 				} else {
 					nv := -vB
@@ -261,16 +312,16 @@ func BrussWindowPair(dt, c, tol float64, maxIter, steps int,
 				}
 			}
 		}
-		workA += float64(itA)
-		workB += float64(itB)
+		evalsA += itA
+		evalsB += itB
 		if !convA {
 			var r int
 			var ok bool
 			uA, vA, r, ok = Newton2Bruss(dt, c, uPrevA, vPrevA, uLA, vLA, uRA, vRA,
 				uPrevA, vPrevA, tol, maxIter)
-			workA += float64(r)
+			evalsA += r
 			if !ok {
-				return workA, workB, t, 0
+				return float64(evalsA), float64(evalsB), quietA, quietB, t, 0
 			}
 		}
 		if !convB {
@@ -278,15 +329,30 @@ func BrussWindowPair(dt, c, tol float64, maxIter, steps int,
 			var ok bool
 			uB, vB, r, ok = Newton2Bruss(dt, c, uPrevB, vPrevB, uLB, vLB, uRB, vRB,
 				uPrevB, vPrevB, tol, maxIter)
-			workB += float64(r)
+			evalsB += r
 			if !ok {
-				return workA, workB, 0, t
+				return float64(evalsA), float64(evalsB), quietA, quietB, 0, t
 			}
+		}
+		if evalsA == t {
+			quietA = t
+		}
+		if evalsB == t {
+			quietB = t
 		}
 		outA[i], outA[i+1] = uA, vA
 		outB[i], outB[i+1] = uB, vB
 		uPrevA, vPrevA = uA, vA
 		uPrevB, vPrevB = uB, vB
 	}
-	return workA, workB, 0, 0
+	return float64(evalsA), float64(evalsB), quietA, quietB, 0, 0
+}
+
+// BrussWindowPair is BrussWindowPairFrom with nothing skipped.
+func BrussWindowPair(dt, c, tol float64, maxIter, steps int,
+	leftA, rightA, oldA, outA,
+	leftB, rightB, oldB, outB []float64) (workA, workB float64, failA, failB int) {
+	workA, workB, _, _, failA, failB = BrussWindowPairFrom(dt, c, tol, maxIter, steps, 0,
+		leftA, rightA, oldA, outA, leftB, rightB, oldB, outB)
+	return workA, workB, failA, failB
 }
