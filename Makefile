@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race loc bench bench-json bench-diff bench-svc bench-svc-record bench-trace-dist bench-trace-dist-record check test-faults test-dist test-svc test-trace-dist fmt-check doc-check report critpath cover
+.PHONY: build test vet race loc bench bench-json bench-diff bench-svc bench-svc-record bench-trace-dist bench-trace-dist-record check test-faults test-dist test-svc test-trace-dist fmt-check doc-check dep-check report critpath cover
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,12 @@ fmt-check:
 # EXPERIMENTS.md and the verify skill mention has to exist.
 doc-check:
 	sh scripts/doc-check.sh
+
+# The import graph must be the one DESIGN.md §6 writes down: every import of
+# a module package under internal/ and cmd/ is listed in its package's row of
+# the table there, and every row names a package that exists.
+dep-check:
+	sh scripts/dep-check.sh
 
 # Telemetry demo: run the Figure-5-style LB pair with -metrics, render the
 # balanced run's dashboard, then diff the pair (see README "Observability").
@@ -154,4 +160,4 @@ loc:
 	@printf 'non-test Go lines, total:          '; find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 	@printf 'non-test Go lines, outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
-check: build fmt-check doc-check vet test test-faults test-dist test-trace-dist test-svc race
+check: build fmt-check doc-check dep-check vet test test-faults test-dist test-trace-dist test-svc race

@@ -1,11 +1,18 @@
 package aiac_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"aiac"
+	"aiac/internal/loadbalance"
 )
 
 // TestPublicAPIQuickstart exercises the whole public surface the way a
@@ -60,7 +67,7 @@ func TestPublicAPIPlatforms(t *testing.T) {
 		t.Fatal("HeteroGrid15")
 	}
 	pol := aiac.DefaultLBPolicy()
-	if !pol.Enabled || pol.Estimator != aiac.EstimatorResidual {
+	if !pol.Enabled || pol.Estimator != loadbalance.EstimatorResidual {
 		t.Fatalf("unexpected default policy: %+v", pol)
 	}
 }
@@ -85,35 +92,37 @@ func TestPublicAPITrace(t *testing.T) {
 	}
 }
 
+// TestPublicAPIRunners reaches both in-process runtimes through the front
+// door: RunSpec's backend field, translated by BuildConfig.
 func TestPublicAPIRunners(t *testing.T) {
-	params := aiac.BrusselatorParams(8, 0.1)
-	params.T = 0.5
-	prob := aiac.NewBrusselator(params)
-	cfgV := aiac.Config{
-		Mode: aiac.AIAC, P: 2, Problem: prob,
-		Cluster: aiac.Homogeneous(2),
-		Tol:     1e-6, MaxIter: 10000, Seed: 1,
-		Runner: aiac.VirtualRunner(),
-	}
-	if res, err := aiac.Solve(cfgV); err != nil || !res.Converged {
-		t.Fatalf("virtual runner: %v / %+v", err, res)
-	}
-	cfgR := cfgV
-	cfgR.Runner = aiac.RealRunner(50)
-	cfgR.MaxTime = 300
-	if res, err := aiac.Solve(cfgR); err != nil || !res.Converged {
-		t.Fatalf("real runner: %v", err)
+	for _, backend := range []string{"vtime", "rtime"} {
+		cfg, err := aiac.RunSpec{
+			Mode: "aiac", P: 2, Problem: "brusselator", N: 8, Dt: 0.1, T: 0.5,
+			Tol: 1e-6, MaxIter: 10000, Backend: backend, MaxTime: 300,
+		}.BuildConfig()
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		if res, err := aiac.Solve(cfg); err != nil || !res.Converged {
+			t.Fatalf("%s runner: %v / %+v", backend, err, res)
+		}
 	}
 }
 
+// TestPublicAPISequentialBaseline solves the Poisson problem with SISC on a
+// single node — the sequential Jacobi sweep — against the exact solution.
 func TestPublicAPISequentialBaseline(t *testing.T) {
 	pp := aiac.PoissonParams{N: 16}
-	state, err := aiac.SolveSequential(aiac.NewPoisson(pp), 1e-12, 100000)
-	if err != nil {
-		t.Fatal(err)
+	res, err := aiac.Solve(aiac.Config{
+		Mode: aiac.SISC, P: 1, Problem: aiac.NewPoisson(pp),
+		Cluster: aiac.Homogeneous(1),
+		Tol:     1e-12, MaxIter: 100000, Seed: 1,
+	})
+	if err != nil || !res.Converged {
+		t.Fatalf("solve: %v / %+v", err, res)
 	}
 	for i := 0; i < pp.N; i++ {
-		if d := math.Abs(state[i][0] - pp.Exact(i+1)); d > 1e-9 {
+		if d := math.Abs(res.State[i][0] - pp.Exact(i+1)); d > 1e-9 {
 			t.Fatalf("point %d off by %g", i, d)
 		}
 	}
@@ -122,7 +131,6 @@ func TestPublicAPISequentialBaseline(t *testing.T) {
 // TestPublicAPISurface touches every facade constructor and helper so the
 // re-export layer stays wired to the internals.
 func TestPublicAPISurface(t *testing.T) {
-	// problems
 	if aiac.NewHeat(aiac.HeatParams(8, 0.01)).Components() != 8 {
 		t.Fatal("heat")
 	}
@@ -132,46 +140,9 @@ func TestPublicAPISurface(t *testing.T) {
 	if aiac.NewPoisson2D(aiac.Poisson2DParams{N: 8}).Components() != 8 {
 		t.Fatal("poisson2d")
 	}
-	if aiac.NewNLDiffusion(aiac.NLDiffusionParams{N: 8, NewtonTol: 1e-10, MaxNewton: 20}).Components() != 8 {
-		t.Fatal("nldiffusion")
-	}
-	// sparse + linsys
-	sb := aiac.NewSparseBuilder(4)
-	rhs := make([]float64, 4)
-	for i := 0; i < 4; i++ {
-		sb.Set(i, i, 3)
-		if i > 0 {
-			sb.Set(i, i-1, -1)
-		}
-		rhs[i] = 1
-	}
-	ls, err := aiac.NewLinSys(aiac.LinSysParams{A: sb.Build(), B: rhs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.Components() != 4 {
-		t.Fatal("linsys")
-	}
-	// windowing
+	// history + JSON export through the facade types
 	params := aiac.BrusselatorParams(8, 0.05)
 	params.T = 0.25
-	wres, err := aiac.SolveWindows(aiac.Config{
-		Mode: aiac.AIAC, P: 2, Cluster: aiac.Homogeneous(2),
-		Tol: 1e-8, MaxIter: 100000, Seed: 1,
-	}, 2, func(w int, prev [][]float64) aiac.Problem {
-		p := params
-		if prev != nil {
-			p.Init0 = aiac.BrusselatorFinalState(prev)
-		}
-		return aiac.NewBrusselator(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wres.Converged || len(wres.StitchTrajectories(2)) != 8 {
-		t.Fatal("windowed solve")
-	}
-	// history + JSON export through the facade types
 	hist := &aiac.History{Stride: 5}
 	res, err := aiac.Solve(aiac.Config{
 		Mode: aiac.AIAC, P: 2, Problem: aiac.NewBrusselator(params),
@@ -182,20 +153,95 @@ func TestPublicAPISurface(t *testing.T) {
 	if err != nil || !res.Converged {
 		t.Fatalf("solve: %v", err)
 	}
-	var sb2 strings.Builder
-	if err := res.WriteJSON(&sb2); err != nil {
+	var sb strings.Builder
+	if err := res.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if len(hist.FinalCounts()) != 2 {
 		t.Fatal("history")
 	}
-	// sequential fallback and estimators' names
-	if _, err := aiac.SolveSequential(aiac.NewPoisson(aiac.PoissonParams{N: 6}), 1e-10, 100000); err != nil {
+}
+
+// TestFacadeNamesAreUsed keeps the public API a decision: every exported
+// name of aiac.go must be named by a command, an example or the benchmark
+// (an aiac.X selector in a non-test file under cmd/, examples/ or bench/).
+func TestFacadeNamesAreUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "aiac.go", nil, parser.SkipObjectResolution)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []aiac.LBEstimator{aiac.EstimatorResidual, aiac.EstimatorIterTime, aiac.EstimatorCount} {
-		if e.String() == "" {
-			t.Fatal("estimator name")
+	var exported []string
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				exported = append(exported, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						exported = append(exported, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							exported = append(exported, n.Name)
+						}
+					}
+				}
+			}
 		}
+	}
+
+	used := map[string]bool{}
+	for _, dir := range []string{"cmd", "examples", "bench"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			local := ""
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"aiac"` {
+					local = "aiac"
+					if imp.Name != nil {
+						local = imp.Name.Name
+					}
+				}
+			}
+			if local == "" {
+				return nil
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
+						used[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var unused []string
+	for _, name := range exported {
+		if !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	if len(exported) == 0 || len(unused) > 0 {
+		t.Errorf("%d exported facade names, unused by cmd/, examples/ and bench/: %s",
+			len(exported), strings.Join(unused, ", "))
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"aiac"
 	"aiac/internal/experiments"
 	"aiac/internal/linalg"
+	"aiac/internal/metrics"
+	"aiac/internal/rtime"
 	"aiac/internal/runenv"
 	"aiac/internal/vtime"
 )
@@ -157,7 +159,7 @@ func BenchmarkAIACSolveMetrics(b *testing.B) {
 			Cluster: aiac.Homogeneous(4),
 			Tol:     1e-7, MaxIter: 100000,
 			LB: aiac.DefaultLBPolicy(), Seed: int64(i),
-			Metrics: &aiac.MetricsSink{},
+			Metrics: &metrics.Sink{},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -186,7 +188,7 @@ func benchRealSolve(b *testing.B, withHTTP bool) {
 		// Server start/stop happens outside the timed section: the bound
 		// under test is the plane's cost DURING a live run, not the one-off
 		// listener setup.
-		sink := &aiac.MetricsSink{}
+		sink := &metrics.Sink{}
 		var srv *aiac.ObsServer
 		stop := make(chan struct{})
 		scraped := make(chan int)
@@ -226,7 +228,7 @@ func benchRealSolve(b *testing.B, withHTTP bool) {
 			Tol:     1e-7, MaxIter: 100000,
 			LB: aiac.DefaultLBPolicy(), Seed: int64(i),
 			Metrics: sink,
-			Runner:  aiac.RealRunner(200), MaxTime: 3600,
+			Runner:  rtime.Runner{Speedup: 200}, MaxTime: 3600,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -30,14 +30,12 @@ import (
 	"aiac/internal/trace"
 )
 
-// Message kinds used by the detection protocols. Engine message kinds must
-// stay below KindBase.
+// Message kinds used by the detection protocols: the control plane, numbered
+// from runenv.ControlKindBase.
 const (
-	KindBase = 100
-
 	// KindState: node → detector, payload StateMsg, sent when the node's
 	// local convergence state flips.
-	KindState = KindBase + iota
+	KindState = runenv.ControlKindBase + 1 + iota
 	// KindVerify: detector → nodes, payload RoundMsg.
 	KindVerify
 	// KindConfirm: node → detector, payload ConfirmMsg.

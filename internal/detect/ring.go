@@ -17,7 +17,7 @@ import (
 // Any relapse dirties the node and fails the next round.
 const (
 	// KindToken carries TokenMsg around the ring.
-	KindToken = KindBase + 50 + iota
+	KindToken = runenv.ControlKindBase + 50 + iota
 	// KindRingHalt terminates the computation, forwarded around the ring.
 	KindRingHalt
 )

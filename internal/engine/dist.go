@@ -266,7 +266,7 @@ func DistFaultConn(cfg Config, speedup float64) (func(net.Conn) net.Conn, *fault
 					return 0, 0, 0, 0, false
 				}
 				from, to, kind, bytes, _, _, ok = dtime.EnvelopeInfo(payload)
-				if !ok || (dataOnly && kind >= detect.KindBase) {
+				if !ok || (dataOnly && kind >= runenv.ControlKindBase) {
 					return 0, 0, 0, 0, false
 				}
 				return from, to, kind, bytes, true

@@ -241,6 +241,31 @@ func (c Config) Validate() error {
 	if c.MaxIter < 1 {
 		return fmt.Errorf("engine: MaxIter = %d, need >= 1", c.MaxIter)
 	}
+	if c.Mode < SISC || c.Mode > AIAC {
+		return fmt.Errorf("engine: unknown %s", c.Mode)
+	}
+	if c.Detection != DetectCentral && c.Detection != DetectRing {
+		return fmt.Errorf("engine: unknown %s", c.Detection)
+	}
+	// Zero means the default (or, for MaxTime and TraceIters, no bound); a
+	// negative value would bypass the local criterion or charge negative
+	// compute time.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"MaxTime", c.MaxTime},
+		{"ConvStreak", float64(c.ConvStreak)},
+		{"LBWarmup", float64(c.LBWarmup)},
+		{"WorkScale", c.WorkScale},
+		{"CompOverhead", c.CompOverhead},
+		{"IterOverhead", c.IterOverhead},
+		{"TraceIters", float64(c.TraceIters)},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("engine: %s = %g, need >= 0", f.name, f.v)
+		}
+	}
 	m, h := c.Problem.Components(), c.Problem.Halo()
 	if h < 1 {
 		return fmt.Errorf("engine: problems with halo %d are not supported (need >= 1)", h)
@@ -649,7 +674,7 @@ func scopedFaultHook(cfg *Config, inj *fault.Injector) func(from, to, kind, byte
 		// the SISC barrier ride a reliable control channel unless the
 		// plan names their kinds explicitly.
 		hook = func(from, to, kind, bytes int, now, delay float64) runenv.MsgFault {
-			if kind >= detect.KindBase {
+			if kind >= runenv.ControlKindBase {
 				return runenv.MsgFault{}
 			}
 			return inj.MsgFault(from, to, kind, bytes, now, delay)

@@ -357,6 +357,46 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidationRejectsOutOfRange pins the knobs whose zero means "the
+// default" or "no bound": a negative value (or an unnamed mode/protocol) is
+// refused by Validate and by Run, instead of running — a negative ConvStreak
+// used to halt this solve after 8 iterations instead of 51.
+func TestConfigValidationRejectsOutOfRange(t *testing.T) {
+	p := brusselator.DefaultParams(8, 0.05)
+	p.T = 1
+	prob := brusselator.New(p)
+	base := baseConfig(prob, 2)
+	base.Tol = 1e-6
+	if res, err := Run(base); err != nil || !res.Converged {
+		t.Fatalf("valid config: %v / %+v", err, res)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"ConvStreak -1", func(c *Config) { c.ConvStreak = -1 }},
+		{"WorkScale -1", func(c *Config) { c.WorkScale = -1 }},
+		{"CompOverhead -5", func(c *Config) { c.CompOverhead = -5 }},
+		{"IterOverhead -1", func(c *Config) { c.IterOverhead = -1 }},
+		{"Mode 9", func(c *Config) { c.Mode = 9 }},
+		{"Mode -1", func(c *Config) { c.Mode = -1 }},
+		{"Detection 7", func(c *Config) { c.Detection = 7 }},
+		{"MaxTime -1", func(c *Config) { c.MaxTime = -1 }},
+		{"MaxTime NaN", func(c *Config) { c.MaxTime = math.NaN() }},
+		{"LBWarmup -3", func(c *Config) { c.LBWarmup = -3 }},
+		{"TraceIters -1", func(c *Config) { c.TraceIters = -1 }},
+	} {
+		cfg := base
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+		if res, err := Run(cfg); err == nil {
+			t.Errorf("%s: Run ran it (%d iterations)", tc.name, res.TotalIters)
+		}
+	}
+}
+
 func TestModeString(t *testing.T) {
 	for _, m := range []Mode{SISC, SIAC, AIACGeneral, AIAC, Mode(42)} {
 		if m.String() == "" {

@@ -1,6 +1,6 @@
 package engine
 
-// Engine message kinds. They must stay below detect.KindBase (100).
+// Engine message kinds: the data plane, below runenv.ControlKindBase.
 const (
 	// kindBoundary carries a halo update plus the sender's load estimate
 	// (the paper attaches the residual and the global positions to every

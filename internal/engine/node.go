@@ -609,7 +609,7 @@ func (n *node) barrier(k int, conv, abort bool) (halt, ok bool) {
 
 // handleMsg dispatches one received message.
 func (n *node) handleMsg(m runenv.Msg) {
-	if m.Kind >= detect.KindBase {
+	if m.Kind >= runenv.ControlKindBase {
 		if m.Kind == detect.KindBarrierGo {
 			g := m.Payload.(detect.GoMsg)
 			n.pendingGo = &g

@@ -12,9 +12,10 @@ import (
 
 // Codec implements runenv.PayloadCodec for every message the solvers put on
 // the wire: the engine's data plane (boundary halos and the LB handshake)
-// plus the detection control plane (delegated to internal/detect). The
-// distributed backend carries these payloads between worker processes;
-// decoding is total — malformed bytes produce an error, never a panic.
+// plus the detection control plane (internal/detect's protocol messages).
+// The distributed backend carries these payloads between worker processes;
+// decoding is total — malformed bytes produce an error, never a panic — and
+// returns the exact value types the solver and protocol code assert on.
 type Codec struct{}
 
 var _ runenv.PayloadCodec = Codec{}
@@ -49,21 +50,42 @@ func (Codec) AppendPayload(dst []byte, kind int, payload any) ([]byte, error) {
 		e.U64(m.XferID)
 		e.I64(int64(m.Pos))
 		e.I64(int64(m.Count))
+	case detect.KindState:
+		e.Bool(payload.(detect.StateMsg).Conv)
+	case detect.KindVerify:
+		e.I64(int64(payload.(detect.RoundMsg).Round))
+	case detect.KindConfirm:
+		m := payload.(detect.ConfirmMsg)
+		e.I64(int64(m.Round))
+		e.Bool(m.Conv)
+	case detect.KindHalt:
+		e.Bool(payload.(detect.HaltMsg).Aborted)
+	case detect.KindAbort:
+		// no payload
+	case detect.KindBarrierArrive:
+		m := payload.(detect.ArriveMsg)
+		e.I64(int64(m.Iter))
+		e.Bool(m.Conv)
+		e.Bool(m.Abort)
+	case detect.KindBarrierGo:
+		m := payload.(detect.GoMsg)
+		e.I64(int64(m.Iter))
+		e.Bool(m.Halt)
+		e.Bool(m.Aborted)
+	case detect.KindToken:
+		m := payload.(detect.TokenMsg)
+		e.I64(int64(m.Round))
+		e.Bool(m.Clean)
+	case detect.KindRingHalt:
+		e.Bool(payload.(detect.RingHaltMsg).Aborted)
 	default:
-		data, handled, err := detect.AppendPayload(dst, kind, payload)
-		if err != nil {
-			return nil, err
-		}
-		if !handled {
-			return nil, fmt.Errorf("engine: no wire encoding for message kind %d", kind)
-		}
-		return data, nil
+		return nil, fmt.Errorf("engine: no wire encoding for message kind %d", kind)
 	}
 	return e.B, nil
 }
 
-// DecodePayload implements runenv.PayloadCodec. It returns the exact value
-// types the solver code asserts on.
+// DecodePayload implements runenv.PayloadCodec, copying every value out of
+// data.
 func (Codec) DecodePayload(kind int, data []byte) (any, error) {
 	d := &dtime.Dec{B: data}
 	var payload any
@@ -89,15 +111,26 @@ func (Codec) DecodePayload(kind int, data []byte) (any, error) {
 		m.Pos = int(d.I64())
 		m.Count = int(d.I64())
 		payload = m
+	case detect.KindState:
+		payload = detect.StateMsg{Conv: d.Bool()}
+	case detect.KindVerify:
+		payload = detect.RoundMsg{Round: int(d.I64())}
+	case detect.KindConfirm:
+		payload = detect.ConfirmMsg{Round: int(d.I64()), Conv: d.Bool()}
+	case detect.KindHalt:
+		payload = detect.HaltMsg{Aborted: d.Bool()}
+	case detect.KindAbort:
+		payload = nil
+	case detect.KindBarrierArrive:
+		payload = detect.ArriveMsg{Iter: int(d.I64()), Conv: d.Bool(), Abort: d.Bool()}
+	case detect.KindBarrierGo:
+		payload = detect.GoMsg{Iter: int(d.I64()), Halt: d.Bool(), Aborted: d.Bool()}
+	case detect.KindToken:
+		payload = detect.TokenMsg{Round: int(d.I64()), Clean: d.Bool()}
+	case detect.KindRingHalt:
+		payload = detect.RingHaltMsg{Aborted: d.Bool()}
 	default:
-		p, handled, err := detect.DecodePayload(kind, data)
-		if err != nil {
-			return nil, err
-		}
-		if !handled {
-			return nil, fmt.Errorf("engine: no wire decoding for message kind %d", kind)
-		}
-		return p, nil
+		return nil, fmt.Errorf("engine: no wire decoding for message kind %d", kind)
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("engine: decode payload kind %d: %w", kind, err)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"aiac/internal/detect"
 	"aiac/internal/runenv"
 )
 
@@ -230,7 +229,7 @@ func TestSinkMsgDelivered(t *testing.T) {
 	s := &Sink{}
 	s.Start(2)
 	s.MsgDelivered(runenv.Msg{Kind: 1, SendT: 0, RecvT: 0.5}, 3)
-	s.MsgDelivered(runenv.Msg{Kind: detect.KindBase + 1, SendT: 0, RecvT: 0.1}, 7)
+	s.MsgDelivered(runenv.Msg{Kind: runenv.ControlKindBase + 1, SendT: 0, RecvT: 0.1}, 7)
 	if s.Delivered.Value() != 1 || s.Control.Value() != 1 {
 		t.Fatalf("delivered=%d control=%d", s.Delivered.Value(), s.Control.Value())
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aiac/internal/detect"
 	"aiac/internal/runenv"
 )
 
@@ -358,7 +357,7 @@ func (s *Sink) MsgDelivered(m runenv.Msg, depth int) {
 	if s == nil {
 		return
 	}
-	if m.Kind >= detect.KindBase {
+	if m.Kind >= runenv.ControlKindBase {
 		s.Control.Inc()
 	} else {
 		s.Delivered.Inc()

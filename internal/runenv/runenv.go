@@ -21,7 +21,7 @@ import (
 // must not touch it after Send. A fault plan can deliver one payload twice.
 type Msg struct {
 	From, To int
-	Kind     int     // application-defined tag
+	Kind     int     // application-defined tag; see ControlKindBase
 	Payload  any     // application data
 	Bytes    int     // modeled wire size, used for bandwidth cost
 	SendT    float64 // time Send was called
@@ -33,6 +33,12 @@ type Msg struct {
 	// runtime interleaved other processes.
 	Seq uint64
 }
+
+// ControlKindBase splits message kinds in two. Kinds below it are the data
+// plane (halo exchange, the load-balancing handshake); kinds from it up are
+// the convergence-detection control plane, which fault plans leave reliable
+// by default and telemetry counts apart.
+const ControlKindBase = 100
 
 // Env is the world as seen by one process (one grid node). All times are in
 // seconds: virtual seconds under vtime, scaled wall-clock seconds under
