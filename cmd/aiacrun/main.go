@@ -15,6 +15,11 @@
 // zero (-seed 0, -p 0, ...) means "the default" as it does in a JSON spec.
 // Everything else here is output: where the artifacts go and what is printed.
 //
+// The exit code says how the run ended, once every artifact is written: 0
+// converged, 3 stopped without converging (the -maxiter bound or the
+// backend's watchdog), 130 canceled by SIGINT/SIGTERM, 1 an error (bad
+// input, a failed backend), 2 a flag that does not parse.
+//
 // With -backend dist the solve spans worker OS processes: aiacrun re-execs
 // itself once per worker (the hidden worker mode is selected by the
 // AIAC_DTIME_WORKER environment variable), coordinates them over TCP, and
@@ -291,11 +296,15 @@ func main() {
 	exitFor(res)
 }
 
-// exitFor maps a canceled run to the conventional 128+SIGINT exit code,
-// after every artifact has been flushed.
+// exitFor ends the process with the run's outcome, after every artifact has
+// been flushed: 130 (the conventional 128+SIGINT) for a canceled run, 3 for
+// one that stopped without converging, 0 for a converged one.
 func exitFor(res *aiac.Result) {
-	if res.Canceled {
+	switch {
+	case res.Canceled:
 		os.Exit(130)
+	case !res.Converged:
+		os.Exit(3)
 	}
 }
 

@@ -100,6 +100,36 @@ func TestBadInputIsOneLine(t *testing.T) {
 	}
 }
 
+// TestUnconvergedRunExitsThree: a run that stops at its iteration bound exits
+// 3, with or without -json, so a script can tell it from a solved run (exit 0).
+func TestUnconvergedRunExitsThree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a child process")
+	}
+	bin := buildAiacrun(t)
+	base := []string{"-mode", "aiac", "-p", "2", "-n", "16"}
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-maxiter", "5"}, 3},
+		{[]string{"-maxiter", "5", "-json"}, 3},
+		{nil, 0},
+	} {
+		args := append(append([]string(nil), base...), c.args...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		code := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("aiacrun %v: %v", args, err)
+		}
+		if code != c.want {
+			t.Errorf("aiacrun %v: exit %d, want %d\n%s", args, code, c.want, out)
+		}
+	}
+}
+
 // TestSameSpecSameArtifactsFromBothDoors: one spec, given to aiacrun as flags
 // and to the service's scheduler as a RunSpec, leaves the same trace.csv byte
 // for byte and the same metrics.jsonl up to what describes the host and the

@@ -3,10 +3,10 @@ package aiac_test
 // BenchmarkDistTraceOverhead pins the cost of distributed tracing: the same
 // loopback dist solve with Config.Trace off and on. The trace=on op adds
 // per-event logging on every worker, the FrameTrace export at outcome time
-// and the coordinator-side federation; the committed BENCH_7.json record
-// documents the overhead on its num_cpu (compare the pair's ns/op — the
-// tracing tax must stay under 5%), and `make bench-trace-dist` diffs a live
-// run against it.
+// and the coordinator-side federation. The gap between the pair's ns/op is
+// the tracing tax, which must stay under 5%:
+//
+//	go test -run NONE -bench DistTraceOverhead -benchtime 5x .
 
 import (
 	"fmt"

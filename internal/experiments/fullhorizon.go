@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"aiac/internal/brusselator"
@@ -8,13 +9,12 @@ import (
 	"aiac/internal/grid"
 	"aiac/internal/iterative"
 	"aiac/internal/stats"
-	"aiac/internal/windowing"
 )
 
 // FullHorizon (X7) runs the paper's actual workload — the Brusselator over
 // the whole [0, 10] horizon — via time windowing (waveform relaxation's
 // contraction degrades with window length, so long horizons are solved as
-// chained windows; see internal/windowing). It compares the balanced and
+// chained windows; see solveWindows). It compares the balanced and
 // non-balanced AIAC solvers on the Table-1 heterogeneous grid, and
 // validates the stitched trajectory against a sequential full-horizon
 // reference.
@@ -55,16 +55,16 @@ func FullHorizon(scale Scale) Report {
 	full := brusselator.DefaultParams(n, dt)
 	full.T = windowT * float64(windows)
 	var (
-		noLB, withLB         *windowing.Result
+		noLB, withLB         *windowedResult
 		ref                  [][]float64
 		errNo, errLB, errRef error
 	)
 	runTasks(
-		func() { noLB, errNo = windowing.Solve(template, windows, factory) },
+		func() { noLB, errNo = solveWindows(template, windows, factory) },
 		func() {
 			balancedCfg := template
 			balancedCfg.LB = lbPolicy(20)
-			withLB, errLB = windowing.Solve(balancedCfg, windows, factory)
+			withLB, errLB = solveWindows(balancedCfg, windows, factory)
 		},
 		func() {
 			// validate the stitched balanced solution against a single
@@ -81,7 +81,7 @@ func FullHorizon(scale Scale) Report {
 	if errRef != nil {
 		panic(fmt.Sprintf("experiments: full horizon reference: %v", errRef))
 	}
-	stitched := withLB.StitchTrajectories(2)
+	stitched := withLB.stitchTrajectories(2)
 	dev := brusselator.MaxTrajDiff(stitched, ref)
 
 	ratio := noLB.Time / withLB.Time
@@ -104,4 +104,101 @@ func FullHorizon(scale Scale) Report {
 		Pass: ratio > 1 && dev < devBound,
 		Text: tab.String(),
 	}
+}
+
+// Time windowing drives a waveform-relaxation solve over a long horizon by
+// splitting it into successive windows: each window is a complete parallel
+// solve (any engine mode, with or without load balancing), and its final
+// state becomes the next window's initial condition. The paper iterates over
+// its whole [0, 10] horizon in one window; waveform relaxation's contraction
+// degrades as the window grows (the iteration count scales with the coupling
+// strength times the window length), so windowing is the standard practical
+// technique for long horizons — and it lets X7 run the paper's full problem
+// at realistic sizes.
+
+// windowFactory builds the problem for each window given the previous
+// window's final state (nil for the first window).
+type windowFactory func(window int, prev [][]float64) iterative.Problem
+
+// windowedResult aggregates a windowed solve.
+type windowedResult struct {
+	// Windows holds each window's engine result (State, timings, LB
+	// statistics). Windows[i].State is the converged component-major
+	// state of window i.
+	Windows []*engine.Result
+	// Time is the summed execution time over all windows.
+	Time float64
+	// TotalIters and TotalWork aggregate over windows and nodes.
+	TotalIters int
+	TotalWork  float64
+	// Converged is true when every window converged.
+	Converged bool
+	// LBTransfers and LBCompsMoved aggregate the balancing activity.
+	LBTransfers  int
+	LBCompsMoved int
+}
+
+// solveWindows runs `windows` successive solves. The template config
+// supplies everything except the problem, which the factory builds per
+// window; the template's Problem field is ignored. Each window gets a
+// distinct seed (template seed + window index) so platform load traces and
+// runtime noise do not repeat identically.
+func solveWindows(template engine.Config, windows int, factory windowFactory) (*windowedResult, error) {
+	if windows < 1 {
+		return nil, errors.New("windowing: need at least one window")
+	}
+	if factory == nil {
+		return nil, errors.New("windowing: factory is required")
+	}
+	out := &windowedResult{Converged: true}
+	var prev [][]float64
+	for w := 0; w < windows; w++ {
+		cfg := template
+		cfg.Problem = factory(w, prev)
+		if cfg.Problem == nil {
+			return nil, fmt.Errorf("windowing: factory returned nil problem for window %d", w)
+		}
+		cfg.Seed = template.Seed + int64(w)
+		res, err := engine.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("windowing: window %d: %w", w, err)
+		}
+		out.Windows = append(out.Windows, res)
+		out.Time += res.Time
+		out.TotalIters += res.TotalIters
+		out.TotalWork += res.TotalWork
+		out.LBTransfers += res.LBTransfers
+		out.LBCompsMoved += res.LBCompsMoved
+		if !res.Converged {
+			out.Converged = false
+			return out, fmt.Errorf("windowing: window %d did not converge (residual %.3g)", w, res.MaxResidual)
+		}
+		prev = res.State
+	}
+	return out, nil
+}
+
+// stitchTrajectories concatenates the windows' component trajectories into
+// full-horizon trajectories, dropping each later window's duplicated
+// initial time point. `pointWidth` is the number of scalars per time point
+// in a trajectory (2 for the Brusselator's interleaved (u, v), 1 for scalar
+// problems).
+func (r *windowedResult) stitchTrajectories(pointWidth int) [][]float64 {
+	if len(r.Windows) == 0 {
+		return nil
+	}
+	if pointWidth < 1 {
+		panic("windowing: pointWidth must be >= 1")
+	}
+	m := len(r.Windows[0].State)
+	out := make([][]float64, m)
+	for j := 0; j < m; j++ {
+		out[j] = append([]float64(nil), r.Windows[0].State[j]...)
+		for _, wres := range r.Windows[1:] {
+			// skip the first time point: it duplicates the previous
+			// window's final point
+			out[j] = append(out[j], wres.State[j][pointWidth:]...)
+		}
+	}
+	return out
 }

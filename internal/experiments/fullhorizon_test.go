@@ -1,4 +1,4 @@
-package windowing
+package experiments
 
 import (
 	"math"
@@ -11,7 +11,7 @@ import (
 	"aiac/internal/loadbalance"
 )
 
-func template(p int) engine.Config {
+func windowTemplate(p int) engine.Config {
 	return engine.Config{
 		Mode:    engine.AIAC,
 		P:       p,
@@ -22,7 +22,7 @@ func template(p int) engine.Config {
 	}
 }
 
-func brussFactory(n int, windowT, dt float64) Factory {
+func brussFactory(n int, windowT, dt float64) windowFactory {
 	return func(w int, prev [][]float64) iterative.Problem {
 		p := brusselator.DefaultParams(n, dt)
 		p.T = windowT
@@ -36,7 +36,7 @@ func brussFactory(n int, windowT, dt float64) Factory {
 func TestWindowedMatchesSingleWindow(t *testing.T) {
 	const n = 12
 	// 4 windows of 0.5 vs a single reference integration over [0, 2]
-	res, err := Solve(template(3), 4, brussFactory(n, 0.5, 0.05))
+	res, err := solveWindows(windowTemplate(3), 4, brussFactory(n, 0.5, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestWindowedMatchesSingleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stitched := res.StitchTrajectories(2)
+	stitched := res.stitchTrajectories(2)
 	if len(stitched) != n {
 		t.Fatalf("stitched %d components", len(stitched))
 	}
@@ -72,11 +72,11 @@ func TestWindowingIsFasterThanOneLongWindow(t *testing.T) {
 	const n = 16
 	// waveform contraction degrades with window length: many short
 	// windows should need less total work than one long one
-	long, err := Solve(template(2), 1, brussFactory(n, 2, 0.05))
+	long, err := solveWindows(windowTemplate(2), 1, brussFactory(n, 2, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := Solve(template(2), 4, brussFactory(n, 0.5, 0.05))
+	short, err := solveWindows(windowTemplate(2), 4, brussFactory(n, 0.5, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,12 @@ func TestWindowingIsFasterThanOneLongWindow(t *testing.T) {
 }
 
 func TestWindowingWithLB(t *testing.T) {
-	cfg := template(4)
+	cfg := windowTemplate(4)
 	cfg.Cluster = grid.Heterogeneous(4, 0.3, 7)
 	cfg.LB = loadbalance.DefaultPolicy()
 	cfg.LB.MinKeep = 2
 	cfg.LB.Period = 5
-	res, err := Solve(cfg, 3, brussFactory(16, 0.5, 0.05))
+	res, err := solveWindows(cfg, 3, brussFactory(16, 0.5, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,29 +106,29 @@ func TestWindowingWithLB(t *testing.T) {
 }
 
 func TestWindowingValidation(t *testing.T) {
-	if _, err := Solve(template(2), 0, brussFactory(8, 0.5, 0.05)); err == nil {
+	if _, err := solveWindows(windowTemplate(2), 0, brussFactory(8, 0.5, 0.05)); err == nil {
 		t.Fatal("zero windows should fail")
 	}
-	if _, err := Solve(template(2), 1, nil); err == nil {
+	if _, err := solveWindows(windowTemplate(2), 1, nil); err == nil {
 		t.Fatal("nil factory should fail")
 	}
-	if _, err := Solve(template(2), 1, func(int, [][]float64) iterative.Problem { return nil }); err == nil {
+	if _, err := solveWindows(windowTemplate(2), 1, func(int, [][]float64) iterative.Problem { return nil }); err == nil {
 		t.Fatal("nil problem should fail")
 	}
 }
 
 func TestStitchPointWidthPanics(t *testing.T) {
-	res := &Result{Windows: []*engine.Result{{State: [][]float64{{1, 2}}}}}
+	res := &windowedResult{Windows: []*engine.Result{{State: [][]float64{{1, 2}}}}}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	res.StitchTrajectories(0)
+	res.stitchTrajectories(0)
 }
 
 func TestWindowedResultAggregates(t *testing.T) {
-	res, err := Solve(template(2), 3, brussFactory(8, 0.25, 0.05))
+	res, err := solveWindows(windowTemplate(2), 3, brussFactory(8, 0.25, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +146,9 @@ func TestWindowSeedsAdvance(t *testing.T) {
 	// windows get distinct seeds: identical configs should not replay the
 	// exact same execution (times differ across windows even at the fixed
 	// point of the platform)
-	cfg := template(2)
+	cfg := windowTemplate(2)
 	cfg.Seed = 5
-	res, err := Solve(cfg, 2, brussFactory(8, 0.25, 0.05))
+	res, err := solveWindows(cfg, 2, brussFactory(8, 0.25, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 # From README.md, DESIGN.md, EXPERIMENTS.md and the verify skill it takes
 #   - every `make <target>` (in a code span or at the start of a line),
 #   - every code span that is a repository path ending in .go or /,
+#   - every ./path package argument of a go run/build/test/vet command,
 #   - every -flag that follows the name aiacrun or paperexp on its command
 #     line, and every code span starting with a -flag on a line naming them,
 # and checks them against `make -qp`, the file system and the commands' own
@@ -39,6 +40,13 @@ check() {
 
 	for p in $(echo "$text" | grep -oE '`[A-Za-z0-9_./-]+(\.go|/)`' | tr -d '`' | sort -u); do
 		[ -e "$p" ] || echo "$doc: $p: no such path"
+	done
+
+	# the package arguments of go run/build/test/vet: every ./path or
+	# ./path/... must be a directory
+	for p in $(echo "$text" | grep -oE 'go (run|build|test|vet)[^|;&`]*' |
+		grep -oE '[[:space:]]\./[A-Za-z0-9_./-]*' | sed -e 's/^[[:space:]]*//' -e 's|/\.\.\.$||' | sort -u); do
+		[ -d "$p" ] || echo "$doc: $p: no such package directory"
 	done
 
 	# every pipeline segment that names aiacrun or paperexp: its -flags must
