@@ -28,6 +28,8 @@ bench:
 # determinism, and aiacrun's signal-sealing contract (see DESIGN.md §12).
 test-svc:
 	$(GO) test -race -timeout 30m ./internal/obs/ ./internal/report/ ./cmd/aiacrun/
+	$(GO) test -race -run NONE -fuzz FuzzStream -fuzztime 10s ./internal/report/
+	$(GO) test -race -run NONE -fuzz FuzzReadSSE -fuzztime 10s ./internal/report/
 
 # Everything must stay gofmt-clean; prints the offending files on failure.
 fmt-check:

@@ -2,10 +2,13 @@ package metrics
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 )
 
 // Run is the parsed (or snapshotted) content of one telemetry export —
@@ -103,6 +106,116 @@ func SampleLine(node int, sm NodeSample) []byte {
 func EventLine(ev Event) []byte { return mustLine(lineEvent{Type: "event", Event: ev}) }
 
 func (r *Run) RuntimeLine() []byte { return mustLine(r.runtimeLine()) }
+
+// Every line struct declares Type first, and encoding/json writes fields in
+// declaration order. So a line the writer produced opens with typeHead, a
+// sample line goes on with the node and then t (lineSample: Type, Node, then
+// NodeSample's T), and an event line with t (lineEvent: Type, then Event's
+// T). LineType, SampleKey and EventTime read those fields where that order
+// puts them, without decoding the rest of the line.
+const (
+	typeHead   = `{"type":"`
+	sampleHead = `{"type":"sample","node":`
+	eventHead  = `{"type":"event","t":`
+)
+
+// LineType returns the type name a line opens with, and false for a line
+// that does not open with a "type" string field.
+func LineType(line []byte) ([]byte, bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(typeHead))
+	if !ok {
+		return nil, false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 {
+		return nil, false
+	}
+	return rest[:end], true
+}
+
+// SampleKey reads a "sample" line's node and virtual time. It rejects a line
+// that does not have lineSample's shape there: a non-negative integer node,
+// then a finite JSON number t followed by more fields, and a closing brace.
+func SampleKey(line []byte) (node int, t float64, err error) {
+	rest, ok := bytes.CutPrefix(line, []byte(sampleHead))
+	if !ok || !bytes.HasSuffix(line, []byte("}")) {
+		return 0, 0, errLine("sample")
+	}
+	num, rest := cutNumber(rest)
+	rest, ok = bytes.CutPrefix(rest, []byte(`,"t":`))
+	if !ok || bytes.ContainsAny(num, "-.eE") {
+		return 0, 0, errLine("sample")
+	}
+	if node, err = strconv.Atoi(string(num)); err != nil {
+		return 0, 0, errLine("sample")
+	}
+	if t, err = timeField(rest); err != nil {
+		return 0, 0, errLine("sample")
+	}
+	return node, t, nil
+}
+
+// EventTime reads an "event" line's virtual time, rejecting a line that does
+// not have lineEvent's shape there.
+func EventTime(line []byte) (float64, error) {
+	rest, ok := bytes.CutPrefix(line, []byte(eventHead))
+	if !ok || !bytes.HasSuffix(line, []byte("}")) {
+		return 0, errLine("event")
+	}
+	t, err := timeField(rest)
+	if err != nil {
+		return 0, errLine("event")
+	}
+	return t, nil
+}
+
+// timeField parses the JSON number b opens with, which more fields must
+// follow.
+func timeField(b []byte) (float64, error) {
+	num, rest := cutNumber(b)
+	if len(num) == 0 || !bytes.HasPrefix(rest, []byte(",")) {
+		return 0, strconv.ErrSyntax
+	}
+	return strconv.ParseFloat(string(num), 64) // out of range: ErrRange, as encoding/json refuses it
+}
+
+// cutNumber splits b after the JSON number it opens with
+// (-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?); num is empty when b does
+// not open with one.
+func cutNumber(b []byte) (num, rest []byte) {
+	i := 0
+	accept := func(chars string) bool {
+		if i < len(b) && strings.IndexByte(chars, b[i]) >= 0 {
+			i++
+			return true
+		}
+		return false
+	}
+	digits := func() (n int) {
+		for accept("0123456789") {
+			n++
+		}
+		return n
+	}
+	accept("-")
+	if n := digits(); n == 0 || n > 1 && b[i-n] == '0' {
+		return nil, b
+	}
+	if accept(".") && digits() == 0 {
+		return nil, b
+	}
+	if accept("eE") {
+		accept("+-")
+		if digits() == 0 {
+			return nil, b
+		}
+	}
+	return b[:i], b[i:]
+}
+
+func errLine(typ string) error {
+	return fmt.Errorf("metrics: not a %s line as the writer produces it", typ)
+}
 
 func mustLine(v any) []byte {
 	b, err := json.Marshal(v)

@@ -318,3 +318,58 @@ func TestManifestFillHost(t *testing.T) {
 		t.Fatalf("FillHost left fields empty: %+v", m2)
 	}
 }
+
+// TestLineKeysReadTheWriterFields: SampleKey and EventTime read back the
+// node and t the line encoders wrote, for times in every float format
+// encoding/json uses, and refuse lines of another shape.
+func TestLineKeysReadTheWriterFields(t *testing.T) {
+	for _, tm := range []float64{0, 1, 0.5, 1e-7, 1.5e21, 123456.789, 0.013941223928571419, 1e300} {
+		for _, node := range []int{0, 3, 1 << 20} {
+			line := SampleLine(node, NodeSample{T: tm, Iter: 7, Residual: 1e-9, Work: 3})
+			gotNode, gotT, err := SampleKey(line)
+			if err != nil || gotNode != node || gotT != tm {
+				t.Fatalf("SampleKey(%s) = %d, %v, %v; want %d, %v", line, gotNode, gotT, err, node, tm)
+			}
+		}
+		line := EventLine(Event{T: tm, Node: -1, Name: "halt", Detail: `a "quoted", detail`})
+		if got, err := EventTime(line); err != nil || got != tm {
+			t.Fatalf("EventTime(%s) = %v, %v; want %v", line, got, err, tm)
+		}
+		if typ, ok := LineType(line); !ok || string(typ) != "event" {
+			t.Fatalf("LineType(%s) = %q, %v", line, typ, ok)
+		}
+	}
+	for _, line := range []string{
+		`{"type":"sample","node":-1,"t":1,"iter":0}`,
+		`{"type":"sample","node":01,"t":1,"iter":0}`,
+		`{"type":"sample","node":1.0,"t":1,"iter":0}`,
+		`{"type":"sample","node":1,"iter":0,"t":1}`,
+		`{"type":"sample","t":1,"node":1,"iter":0}`,
+		`{"type":"sample","node":1,"t":1}`,
+		`{"type":"sample","node":1,"t":1e999,"iter":0}`,
+		`{"type":"sample","node":1,"t":.5,"iter":0}`,
+		`{"type":"sample","node":1,"t":1.,"iter":0}`,
+		`{"type":"sample","node":1,"t":1e,"iter":0}`,
+		`{"type":"sample","node":1,"t":"1","iter":0}`,
+		`{"type":"sample","node":1,"t":1,"iter":0`,
+		`{"type":"sample", "node":1,"t":1,"iter":0}`,
+		`{"node":1,"type":"sample","t":1,"iter":0}`,
+	} {
+		if _, _, err := SampleKey([]byte(line)); err == nil {
+			t.Errorf("SampleKey accepted %s", line)
+		}
+	}
+	for _, line := range []string{
+		`{"type":"event","node":0,"t":1,"name":"x"}`,
+		`{"type":"event","t":-,"node":0,"name":"x"}`,
+		`{"type":"event","t":1}`,
+		`{"type":"event","t":1,"node":0,"name":"x"`,
+	} {
+		if _, err := EventTime([]byte(line)); err == nil {
+			t.Errorf("EventTime accepted %s", line)
+		}
+	}
+	if _, ok := LineType([]byte(`{"x":1,"type":"sample"}`)); ok {
+		t.Error("LineType read a type that is not the first field")
+	}
+}

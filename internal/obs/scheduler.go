@@ -431,9 +431,9 @@ func writeArtifacts(dir string, run *metrics.Run, tlog *trace.Log) error {
 		[]byte(report.Render(run, report.Options{})), 0o644)
 }
 
-// streamListener adapts metrics.Sink's live hooks to SSE frames. The first
-// frame (on the run's Start) is the manifest echo, so a follower attached
-// before the run starts sees the same opening a replay produces.
+// streamListener adapts metrics.Sink's live hooks to the live stream. The
+// first frame (on the run's Start) is the manifest echo, so a follower
+// attached before the run starts sees the same opening a replay produces.
 type streamListener struct {
 	sink   *metrics.Sink
 	stream *liveStream
@@ -447,21 +447,43 @@ func (l *streamListener) LivePhase(phase string) {
 }
 
 func (l *streamListener) LiveSample(node int, sm metrics.NodeSample) {
-	l.stream.append(report.SampleFrame(node, sm))
+	l.stream.appendSample(node, sm)
 }
 
-func (l *streamListener) LiveEvent(ev metrics.Event) {
-	l.stream.append(report.EventFrame(ev))
-}
+func (l *streamListener) LiveEvent(ev metrics.Event) { l.stream.appendEvent(ev) }
 
-// liveStream is a grow-only frame buffer with change notification: SSE
-// handlers replay frames[i:] and wait for more until closed. Appends come
+// liveStream is a grow-only log of a run's frames with change notification:
+// SSE handlers read entries[i:] and wait for more until closed. Appends come
 // from solver goroutines (concurrent under rtime), reads from HTTP handlers.
+// Samples and events, nearly all of a run's frames, are stored typed and
+// encoded by the reader outside the lock, so the solver never encodes one
+// and a run nobody follows live never encodes any. The few other frames
+// (manifest, phases, runtime) are stored encoded.
 type liveStream struct {
-	mu     sync.Mutex
-	frames []report.Frame
-	closed bool
-	subs   map[chan struct{}]struct{}
+	mu      sync.Mutex
+	entries []liveEntry
+	samples []liveSample
+	events  []metrics.Event
+	frames  []report.Frame
+	closed  bool
+	subs    map[chan struct{}]struct{}
+}
+
+// liveEntry is one appended frame: which slice holds it, and where.
+type liveEntry struct {
+	kind uint8 // entryFrame, entrySample or entryEvent
+	i    int32
+}
+
+const (
+	entryFrame uint8 = iota
+	entrySample
+	entryEvent
+)
+
+type liveSample struct {
+	node int
+	sm   metrics.NodeSample
 }
 
 func newLiveStream() *liveStream {
@@ -470,13 +492,38 @@ func newLiveStream() *liveStream {
 
 func (ls *liveStream) append(f report.Frame) {
 	ls.mu.Lock()
-	if ls.closed {
-		ls.mu.Unlock()
-		return
+	defer ls.mu.Unlock()
+	if ls.addLocked(entryFrame, len(ls.frames)) {
+		ls.frames = append(ls.frames, f)
 	}
-	ls.frames = append(ls.frames, f)
+}
+
+func (ls *liveStream) appendSample(node int, sm metrics.NodeSample) {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	if ls.addLocked(entrySample, len(ls.samples)) {
+		ls.samples = append(ls.samples, liveSample{node, sm})
+	}
+}
+
+func (ls *liveStream) appendEvent(ev metrics.Event) {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	if ls.addLocked(entryEvent, len(ls.events)) {
+		ls.events = append(ls.events, ev)
+	}
+}
+
+// addLocked logs the next entry as element i of its kind's slice, which the
+// caller then appends, and wakes the readers; it reports false once the
+// stream is closed.
+func (ls *liveStream) addLocked(kind uint8, i int) bool {
+	if ls.closed {
+		return false
+	}
+	ls.entries = append(ls.entries, liveEntry{kind, int32(i)})
 	ls.notifyLocked()
-	ls.mu.Unlock()
+	return true
 }
 
 func (ls *liveStream) close() {
@@ -510,12 +557,29 @@ func (ls *liveStream) unsubscribe(ch chan struct{}) {
 	ls.mu.Unlock()
 }
 
-// snapshot returns frames[from:] and whether the stream is closed.
+// snapshot encodes entries[from:] as frames and reports whether the stream
+// is closed.
+// Only the slice headers are read under the lock: appends never write below
+// a slice's length, so the entries they cover are encoded after it is
+// released.
 func (ls *liveStream) snapshot(from int) ([]report.Frame, bool) {
 	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if from >= len(ls.frames) {
-		return nil, ls.closed
+	entries, samples, events, frames, closed := ls.entries, ls.samples, ls.events, ls.frames, ls.closed
+	ls.mu.Unlock()
+	if from >= len(entries) {
+		return nil, closed
 	}
-	return ls.frames[from:len(ls.frames):len(ls.frames)], ls.closed
+	out := make([]report.Frame, 0, len(entries)-from)
+	for _, e := range entries[from:] {
+		switch e.kind {
+		case entrySample:
+			s := samples[e.i]
+			out = append(out, report.SampleFrame(s.node, s.sm))
+		case entryEvent:
+			out = append(out, report.EventFrame(events[e.i]))
+		default:
+			out = append(out, frames[e.i])
+		}
+	}
+	return out, closed
 }

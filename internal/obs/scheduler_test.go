@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"aiac/internal/metrics"
 	"aiac/internal/report"
 )
 
@@ -331,5 +333,49 @@ func TestSubmitBadSpec(t *testing.T) {
 	}
 	if n := len(reg.List("", "")); n != 0 {
 		t.Fatalf("%d records written for rejected specs", n)
+	}
+}
+
+// TestLiveStreamReadWhileAppending: a reader encodes what it reads while the
+// solver side keeps appending; it sees every appended frame once, in order,
+// encoded as its type's line.
+func TestLiveStreamReadWhileAppending(t *testing.T) {
+	ls := newLiveStream()
+	const n = 3000
+	want := func(i int) report.Frame {
+		switch i % 3 {
+		case 0:
+			return report.SampleFrame(i%4, metrics.NodeSample{T: float64(i), Iter: i})
+		case 1:
+			return report.EventFrame(metrics.Event{T: float64(i), Node: i % 4, Name: "conv"})
+		}
+		return report.PhaseFrame(metrics.PhaseRunning)
+	}
+	go func() {
+		for i := 0; i < n; i++ {
+			switch i % 3 {
+			case 0:
+				ls.appendSample(i%4, metrics.NodeSample{T: float64(i), Iter: i})
+			case 1:
+				ls.appendEvent(metrics.Event{T: float64(i), Node: i % 4, Name: "conv"})
+			default:
+				ls.append(report.PhaseFrame(metrics.PhaseRunning))
+			}
+		}
+		ls.close()
+	}()
+	var got []report.Frame
+	for closed := false; !closed; {
+		var frames []report.Frame
+		frames, closed = ls.snapshot(len(got))
+		got = append(got, frames...)
+	}
+	if len(got) != n {
+		t.Fatalf("read %d frames, want %d", len(got), n)
+	}
+	for i, f := range got {
+		if w := want(i); f.Event != w.Event || !bytes.Equal(f.Data, w.Data) {
+			t.Fatalf("frame %d = %s %s, want %s %s", i, f.Event, f.Data, w.Event, w.Data)
+		}
 	}
 }

@@ -203,10 +203,12 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 var sseKeepalive = 15 * time.Second
 
 // handleEvents streams a run's dashboard frames as Server-Sent Events. A
-// finished run replays its stored telemetry through report.Stream — a pure
-// function of the artifact, so the bytes are deterministic. A queued or
-// running run streams the live buffer as telemetry arrives and ends when
-// the run reaches a terminal state.
+// finished run replays its stored metrics.jsonl through report.Stream, which
+// frames the file's own lines and decodes none but the manifest — a pure
+// function of the artifact, so the bytes are deterministic. An export cut
+// short by a crash (no closing runtime line) is no telemetry. A queued or
+// running run streams the live buffer as telemetry arrives and ends when the
+// run reaches a terminal state.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rec, ok := s.reg.Get(id)
@@ -218,14 +220,18 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ls := s.sched.Stream(id)
 	if ls == nil {
 		// Terminal: canonical replay from the stored artifact.
-		run, err := s.reg.LoadRun(id)
+		export, err := os.ReadFile(filepath.Join(s.reg.Dir(id), "metrics.jsonl"))
+		var frames []report.Frame
+		if err == nil {
+			frames, err = report.Stream(export)
+		}
 		if err != nil {
 			writeError(w, http.StatusNotFound, "run %s has no telemetry (state %s)", id, rec.State)
 			return
 		}
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
-		report.WriteSSEStream(w, report.Stream(run))
+		report.WriteSSEStream(w, frames)
 		return
 	}
 
@@ -242,14 +248,14 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sent := 0
 	for {
 		frames, closed := ls.snapshot(sent)
-		for _, f := range frames {
-			if err := report.WriteSSE(w, f); err != nil {
+		if len(frames) > 0 {
+			if err := report.WriteSSEStream(w, frames); err != nil {
 				return
 			}
-		}
-		sent += len(frames)
-		if len(frames) > 0 && fl != nil {
-			fl.Flush()
+			sent += len(frames)
+			if fl != nil {
+				fl.Flush()
+			}
 		}
 		if closed {
 			return

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -384,4 +386,56 @@ func TestServiceQuotaOverHTTP(t *testing.T) {
 		t.Fatalf("over-quota = %d, want 429", code)
 	}
 	httpJSON(t, "DELETE", base+"/runs/"+slowID, nil, nil)
+}
+
+// TestTornExportIsNoTelemetry: metrics.jsonl is written before the done
+// record. A crash in between leaves a run the restart demotes to lost; if
+// the export was cut short at a line boundary (no closing runtime line), the
+// replay must not pass it off as a finished run — its manifest line already
+// carries the sealed outcome — but answer that there is no telemetry. An
+// export that was written whole still replays.
+func TestTornExportIsNoTelemetry(t *testing.T) {
+	root := t.TempDir()
+	svc, srv, base := startService(t, root)
+	torn := submitAndWait(t, base, quickSpec("t"))
+	whole := submitAndWait(t, base, quickSpec("t"))
+	srv.Close(time.Second)
+	svc.Close()
+
+	path := filepath.Join(svc.Registry().Dir(torn), "metrics.jsonl")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(b, []byte("\n"))
+	if len(lines) < 6 {
+		t.Fatalf("export has %d lines", len(lines))
+	}
+	if err := os.WriteFile(path, bytes.Join(lines[:len(lines)/2], nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{torn, whole} {
+		rec, _ := svc.Registry().Get(id)
+		rec.State, rec.FinishedAt, rec.Outcome = StateRunning, "", nil
+		if err := writeRecord(svc.Registry().Dir(id), &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, _, base = startService(t, root)
+	get := func(id string) (int, string) {
+		resp, err := http.Get(base + "/runs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get(torn); code != http.StatusNotFound || !strings.Contains(body, "has no telemetry (state lost)") {
+		t.Fatalf("torn export replayed: %d %.200s", code, body)
+	}
+	if code, body := get(whole); code != http.StatusOK || !strings.HasSuffix(body, "data: {\"type\":\"phase\",\"phase\":\"done\"}\n\n") {
+		t.Fatalf("whole export of a lost run: %d %.200s", code, body)
+	}
 }

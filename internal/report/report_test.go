@@ -22,6 +22,19 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // the host fields of the manifest reproduces exactly on any machine.
 func goldenRun(t *testing.T, lb bool, name string) *metrics.Run {
 	t.Helper()
+	return goldenRunWith(t, name, func(cfg *engine.Config) {
+		if lb {
+			cfg.LB = loadbalance.DefaultPolicy()
+			cfg.LB.Period = 10
+			cfg.LB.MinKeep = 2
+		}
+	})
+}
+
+// goldenRunWith is goldenRun with the configuration edited by edit before
+// the run.
+func goldenRunWith(t *testing.T, name string, edit func(*engine.Config)) *metrics.Run {
+	t.Helper()
 	params := brusselator.DefaultParams(32, 0.05)
 	params.T = 1
 	s := &metrics.Sink{}
@@ -44,11 +57,7 @@ func goldenRun(t *testing.T, lb bool, name string) *metrics.Run {
 		Seed:    7,
 		Metrics: s,
 	}
-	if lb {
-		cfg.LB = loadbalance.DefaultPolicy()
-		cfg.LB.Period = 10
-		cfg.LB.MinKeep = 2
-	}
+	edit(&cfg)
 	res, err := engine.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,10 +3,11 @@ package report
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"aiac/internal/metrics"
@@ -17,9 +18,9 @@ import (
 // format (type "manifest" / "sample" / "event" / "runtime"), plus a "phase"
 // frame type marking lifecycle transitions. Because the payloads ARE the
 // JSONL lines, a follower rebuilds the run with metrics.ReadRun and renders
-// the same dashboard the server would — and replaying a finished run is a
-// pure function of its stored telemetry, so the byte stream is
-// deterministic and golden-testable.
+// the same dashboard the server would — and a finished run is replayed by
+// framing its stored lines (Stream), so the byte stream is a pure function
+// of the stored telemetry, deterministic and golden-testable.
 
 // Frame is one streamed dashboard frame: an SSE event name plus a
 // single-line JSON payload.
@@ -58,6 +59,13 @@ func PhaseFrame(phase string) Frame {
 	return Frame{Event: FramePhase, Data: data}
 }
 
+// The phase frames every replay carries, encoded once and shared: a Frame's
+// Data is read-only to whoever holds it.
+var (
+	phaseRunning = PhaseFrame(metrics.PhaseRunning)
+	phaseDone    = PhaseFrame(metrics.PhaseDone)
+)
+
 func SampleFrame(node int, sm metrics.NodeSample) Frame {
 	return Frame{Event: FrameSample, Data: metrics.SampleLine(node, sm)}
 }
@@ -70,68 +78,125 @@ func RuntimeFrame(run *metrics.Run) Frame {
 	return Frame{Event: FrameRuntime, Data: run.RuntimeLine()}
 }
 
-// Stream replays a finished run as the canonical frame sequence: manifest,
-// phase "running", then samples and events merged in virtual-time order
-// (ties: samples before events, samples by ascending node), the runtime
-// aggregates, and a terminal phase frame. The output is a pure function of
-// the run, so streaming the same stored run twice yields identical bytes.
-func Stream(run *metrics.Run) []Frame {
-	frames := []Frame{
-		ManifestFrame(run.Manifest),
-		PhaseFrame(metrics.PhaseRunning),
-	}
-
+// Stream replays a stored telemetry export as the canonical frame sequence:
+// the manifest, phase "running", then samples and events merged in
+// virtual-time order (ties: samples before events, samples by ascending
+// node, then stored order), the runtime aggregates, and a terminal phase
+// frame. Every frame but the phase frames carries a line of the export
+// verbatim: only the manifest is decoded, to learn whether the run sealed,
+// and each sample and event is ordered by the time metrics.SampleKey and
+// metrics.EventTime read off its line. The output is a pure function of the
+// stored bytes, so streaming the same export twice yields identical bytes.
+//
+// An export must end with a newline-terminated runtime line, the last line
+// the writer produces; one cut short (a crash mid-write) is an error, as is a
+// line that is not shaped as the writer shapes it. Lines of an unknown type
+// are skipped.
+func Stream(export []byte) ([]Frame, error) {
 	type item struct {
 		t    float64
 		kind int // 0 = sample, 1 = event; samples first at equal t
+		node int // samples only
 		f    Frame
 	}
-	var items []item
-	for node, row := range run.Samples {
-		for _, sm := range row {
-			items = append(items, item{t: sm.T, kind: 0, f: SampleFrame(node, sm)})
+	if bytes.IndexByte(export, '\r') >= 0 {
+		// The writer escapes every CR; a bare one would end an SSE line.
+		return nil, fmt.Errorf("report: export holds a carriage return")
+	}
+	items := make([]item, 0, bytes.Count(export, []byte("\n")))
+	var manifest, runtime []byte
+	for rest, lineNo := export, 1; len(rest) > 0; lineNo++ {
+		line, after, found := bytes.Cut(rest, []byte("\n"))
+		rest = after
+		if len(line) == 0 {
+			continue
+		}
+		typ, ok := metrics.LineType(line)
+		if !ok {
+			return nil, fmt.Errorf("report: export line %d has no type", lineNo)
+		}
+		runtime = nil // only the last line counts
+		var err error
+		switch string(typ) {
+		case FrameManifest:
+			manifest = line
+		case FrameSample:
+			it := item{kind: 0, f: Frame{Event: FrameSample, Data: line}}
+			it.node, it.t, err = metrics.SampleKey(line)
+			items = append(items, it)
+		case FrameEvent:
+			it := item{kind: 1, f: Frame{Event: FrameEvent, Data: line}}
+			it.t, err = metrics.EventTime(line)
+			items = append(items, it)
+		case FrameRuntime:
+			if found && bytes.HasPrefix(line, []byte(`{"type":"runtime",`)) && bytes.HasSuffix(line, []byte("}")) {
+				runtime = line
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("report: export line %d: %w", lineNo, err)
 		}
 	}
-	for _, ev := range run.Events {
-		items = append(items, item{t: ev.T, kind: 1, f: EventFrame(ev)})
+	if manifest == nil {
+		return nil, fmt.Errorf("report: export has no manifest line")
 	}
-	// Stable sort: node-major sample order and stored event order are
-	// preserved within equal keys, so equal-time samples stay in ascending
-	// node order.
-	sort.SliceStable(items, func(i, j int) bool {
-		if items[i].t != items[j].t {
-			return items[i].t < items[j].t
+	if runtime == nil {
+		return nil, fmt.Errorf("report: export does not end with a newline-terminated runtime line: it was cut short")
+	}
+	var head struct {
+		Manifest struct {
+			Outcome json.RawMessage `json:"outcome"`
+		} `json:"manifest"`
+	}
+	if err := json.Unmarshal(manifest, &head); err != nil {
+		return nil, fmt.Errorf("report: manifest line: %v", err)
+	}
+
+	// Stable: equal keys keep stored order, which is node-major for samples
+	// (WriteJSONL) and canonical for events (Sink.Events).
+	slices.SortStableFunc(items, func(a, b item) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		return items[i].kind < items[j].kind
+		if c := cmp.Compare(a.kind, b.kind); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.node, b.node)
 	})
+	frames := make([]Frame, 0, len(items)+4)
+	frames = append(frames, Frame{Event: FrameManifest, Data: manifest}, phaseRunning)
 	for _, it := range items {
 		frames = append(frames, it.f)
 	}
-
-	frames = append(frames, RuntimeFrame(run))
-	phase := metrics.PhaseDone
-	if run.Manifest.Outcome == nil {
+	end := phaseDone
+	if o := head.Manifest.Outcome; len(o) == 0 || string(o) == "null" {
 		// An unsealed run (crashed or still live when exported) has no
 		// outcome; report it as still running so followers keep waiting.
-		phase = metrics.PhaseRunning
+		end = phaseRunning
 	}
-	frames = append(frames, PhaseFrame(phase))
-	return frames
+	frames = append(frames, Frame{Event: FrameRuntime, Data: runtime}, end)
+	return frames, nil
 }
 
-// WriteSSE encodes one frame in Server-Sent Events wire format.
-func WriteSSE(w io.Writer, f Frame) error {
-	if bytes.ContainsAny(f.Data, "\n\r") {
-		return fmt.Errorf("report: frame payload contains newline")
-	}
-	_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", f.Event, f.Data)
-	return err
-}
-
-// WriteSSEStream encodes a frame sequence.
+// WriteSSEStream encodes a frame sequence in Server-Sent Events wire format.
+// A frame whose payload holds a newline would corrupt the wire format: it is
+// refused, and then nothing is written.
 func WriteSSEStream(w io.Writer, frames []Frame) error {
 	for _, f := range frames {
-		if err := WriteSSE(w, f); err != nil {
+		if bytes.ContainsAny(f.Data, "\n\r") {
+			return fmt.Errorf("report: frame payload contains newline")
+		}
+	}
+	for _, f := range frames {
+		for _, s := range [...]string{"event: ", f.Event, "\ndata: "} {
+			if _, err := io.WriteString(w, s); err != nil {
+				return err
+			}
+		}
+		if _, err := w.Write(f.Data); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, "\n\n"); err != nil {
 			return err
 		}
 	}

@@ -9,13 +9,29 @@ import (
 	"aiac/internal/metrics"
 )
 
-func streamBytes(t *testing.T, run *metrics.Run) string {
+// export is the run's telemetry as the service stores it.
+func export(t testing.TB, run *metrics.Run) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSSEStream(&buf, Stream(run)); err != nil {
+	if err := run.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.String()
+	return buf.Bytes()
+}
+
+// streamFrames replays the run's stored export.
+func streamFrames(t testing.TB, run *metrics.Run) []Frame {
+	t.Helper()
+	frames, err := Stream(export(t, run))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+func streamBytes(t *testing.T, run *metrics.Run) string {
+	t.Helper()
+	return string(sseBytes(t, streamFrames(t, run)))
 }
 
 // TestStreamGolden pins the full SSE byte stream of a finished vtime run.
@@ -41,11 +57,7 @@ func TestStreamDeterministic(t *testing.T) {
 // Accumulate, and requires the rebuilt run to render the same dashboard.
 func TestStreamRoundTrip(t *testing.T) {
 	run := goldenRun(t, false, "roundtrip")
-	var buf bytes.Buffer
-	if err := WriteSSEStream(&buf, Stream(run)); err != nil {
-		t.Fatal(err)
-	}
-	frames, err := ReadSSE(&buf)
+	frames, err := ReadSSE(bytes.NewReader(sseBytes(t, streamFrames(t, run))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +109,7 @@ func TestStreamOrdering(t *testing.T) {
 		},
 	}
 	var want []string
-	for _, f := range Stream(run) {
+	for _, f := range streamFrames(t, run) {
 		want = append(want, f.Event)
 	}
 	joined := strings.Join(want, " ")
@@ -110,7 +122,7 @@ func TestStreamOrdering(t *testing.T) {
 // TestStreamUnsealedRun: a run with no sealed outcome must not claim "done".
 func TestStreamUnsealedRun(t *testing.T) {
 	run := &metrics.Run{Manifest: metrics.Manifest{Name: "live"}}
-	frames := Stream(run)
+	frames := streamFrames(t, run)
 	last := frames[len(frames)-1]
 	if last.Event != FramePhase {
 		t.Fatalf("last frame = %q, want phase", last.Event)
@@ -140,7 +152,7 @@ func TestReadSSESkipsKeepalives(t *testing.T) {
 // wire format and must be refused.
 func TestWriteSSERejectsNewlines(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteSSE(&buf, Frame{Event: "sample", Data: []byte("{\n}")})
+	err := WriteSSEStream(&buf, []Frame{{Event: "sample", Data: []byte("{\n}")}})
 	if err == nil {
 		t.Fatal("newline payload accepted")
 	}
