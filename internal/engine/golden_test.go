@@ -142,6 +142,66 @@ func TestParallelEngineEquivalence(t *testing.T) {
 			jsonl:  "89d460cd82b177a1b60580b16fc5d305070b9c9129fb1eeee159e3cad7483c3c",
 			trace:  "b7b9f1ed69e65aa71c54be3cf2defffa439b4d6adcd29491064a94c9261b0195",
 		}},
+		// The cases below pin paths the unification of the node-side
+		// detection protocols moved; their digests were computed on the
+		// commit before it. MaxIter aborts under all three protocols (the
+		// AIAC ones with verification rounds and tokens in flight), SIAC
+		// under the ring, and a SISC run whose barrier trace events are
+		// cut by TraceIters.
+		{"aiac-central-maxiter-abort", func() Config {
+			cfg := baseConfig(small, 4)
+			cfg.Cluster = grid.Heterogeneous(4, 0.3, 5)
+			cfg.MaxIter = 72
+			return cfg
+		}, goldenDigest{
+			result: "005f7760fe044ffa911e10634e38a8d4bd979f7ff3a880addeeb3177a16b2172",
+			jsonl:  "d8694742a8f94c8414e7e91a6301c06483314e7b2157675849167f03d70ed998",
+			trace:  "fda2e17b076716cf0950672e5ed8f494981d25509b336e0efa09360d4398a2a1",
+		}},
+		{"aiac-ring-maxiter-abort", func() Config {
+			cfg := baseConfig(small, 4)
+			cfg.Cluster = grid.Heterogeneous(4, 0.3, 5)
+			cfg.Detection = DetectRing
+			cfg.MaxIter = 80
+			return cfg
+		}, goldenDigest{
+			result: "6d344a7d148b2a10ff4b73747111007bffe5f42ae7886bf0a184a589b7477e22",
+			jsonl:  "86e61241471f44749a6f55a0d10494ec8af57544ab4d80bb7418d0dfeffa1436",
+			trace:  "61fc99993cd1ccf775d8f215fc02b88cd5106b7ad3fb8cccec5ca7e97eed70cb",
+		}},
+		{"sisc-maxiter-abort", func() Config {
+			cfg := baseConfig(small, 4)
+			cfg.Mode = SISC
+			cfg.Cluster = grid.Heterogeneous(4, 0.3, 5)
+			cfg.MaxIter = 30
+			return cfg
+		}, goldenDigest{
+			result: "890c45ba8bd449c2506977b658cca4f4444cfb9aacbdebcd3af85a9049b38e50",
+			jsonl:  "7921d6be4f4dfb91125ee72419cfef8f3a31ad4bfbf6d05158036cca11ee62dd",
+			trace:  "a22f58fc7d3a859eee0fe955115dc35a4c7f8816d0771c605bf593527a515d1c",
+		}},
+		{"siac-ring-heterogeneous", func() Config {
+			cfg := baseConfig(small, 4)
+			cfg.Mode = SIAC
+			cfg.Detection = DetectRing
+			cfg.Cluster = grid.Heterogeneous(4, 0.3, 5)
+			return cfg
+		}, goldenDigest{
+			result: "70f4b1219f2b5a534261dac7d7ad303733f6c9c034f9f040dd36e988bcd03907",
+			jsonl:  "249ca37d11071eeec71981606ad496e3616e41832bc788bf0f469ed72fab2293",
+			trace:  "9e085abfada6d093f70f422a676a1a643dfd75e837ebd37a56a80cd1e21e6e84",
+		}},
+		{"sisc-traceiters", func() Config {
+			cfg := baseConfig(small, 4)
+			cfg.Mode = SISC
+			cfg.Cluster = grid.Heterogeneous(4, 0.3, 5)
+			cfg.TraceIters = 3
+			return cfg
+		}, goldenDigest{
+			result: "64ff0936a4f875a1812cd26357c5f4b7eb6b5c7b66e8a68fc0d0ea1e544c1a1b",
+			jsonl:  "6bfaafda66609e6bf2e0fb2dc745f9ee729561fa610ac165a9eac3b32b87ca56",
+			trace:  "fc667afaf883d48de4d1b6ba30eaf1f18d1fd6b541c542e4f5d357f830539e09",
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
