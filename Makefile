@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race loc bench check test-faults test-dist test-svc test-trace-dist fmt-check doc-check dep-check report critpath cover
+.PHONY: build test vet race loc bench check test-faults test-dist test-svc test-trace-dist fmt-check doc-check dep-check report critpath cover flakes
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,28 @@ test-dist:
 test-trace-dist:
 	$(GO) test -race -timeout 30m ./internal/trace/
 	$(GO) test -race -timeout 30m ./internal/engine/ -run 'TestDistTrace'
+
+# ROADMAP item 0's real-time tests, each run FLAKE_RUNS times from one
+# prebuilt engine test binary: prints "name passes/runs" per test and fails
+# when any run failed. Not in check: their pass rates are what item 0 has to
+# fix, and this measures them.
+FLAKE_RUNS ?= 20
+FLAKE_TESTS = TestDistWireInvariants TestRealTimeRunnerCrossCheck \
+	TestRingDetectionOnRealRuntime TestDistEquivalenceGrid \
+	TestDistTraceFederatedEndToEnd
+flakes:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) test -c -o "$$dir/engine.test" ./internal/engine/ && \
+	cd internal/engine && fail=0 && \
+	for t in $(FLAKE_TESTS); do \
+		pass=0; \
+		for i in $$(seq $(FLAKE_RUNS)); do \
+			if "$$dir/engine.test" -test.run "^$$t\$$" >/dev/null 2>&1; \
+			then pass=$$((pass + 1)); else fail=1; fi; \
+		done; \
+		echo "$$t $$pass/$(FLAKE_RUNS)"; \
+	done; \
+	exit $$fail
 
 # Coverage gate: the trace layer (causal schema, Chrome export, critical-path
 # analysis) must stay >= 80% covered.

@@ -3,29 +3,38 @@
 // for AIAC algorithms ("choosing the good criterion for convergence
 // detection and the good halting procedure", §1.2).
 //
-// Two protocols are provided:
+// Three protocols are provided, each named by a Protocol value:
 //
-//   - An asynchronous two-phase verification detector for SIAC/AIAC: nodes
-//     report local-convergence transitions; when every node is converged
-//     the detector runs one (or two, by default) verification rounds in
-//     which every node must re-confirm; any relapse cancels the round. A
-//     unanimous confirmation triggers a HALT broadcast. Combined with the
-//     node-side streak requirement (local residual below tolerance for
-//     several consecutive iterations) this makes premature halts vanishingly
-//     unlikely under contraction — and the engine's tests validate final
-//     solutions against sequential references to catch any that slip by.
+//   - Central, an asynchronous two-phase verification detector for
+//     SIAC/AIAC: nodes report local-convergence transitions; when every node
+//     is converged the detector runs two verification rounds in which every
+//     node must re-confirm; any relapse cancels the round. A unanimous
+//     confirmation triggers a HALT broadcast. Combined with the node-side
+//     streak requirement (local residual below tolerance for several
+//     consecutive iterations) this makes premature halts unlikely under
+//     contraction — and the engine's tests validate final solutions against
+//     sequential references to catch any that slip by.
 //
-//   - A barrier coordinator for SISC: nodes report their residual at every
-//     global barrier; the coordinator releases the barrier and halts the
-//     system exactly when the global residual is below tolerance, making
-//     SISC terminate on precisely the same iteration as the sequential
-//     algorithm.
+//   - Ring, a decentralized token ring for SIAC/AIAC with no coordinator at
+//     all, matching the paper's preference for fully decentralized control:
+//     the same streak, two consecutive clean token rounds, and a HALT that
+//     travels around the ring.
 //
-// The detector runs as one extra process (by convention rank P, co-located
-// with node 0 for link-delay purposes).
+//   - Barrier, SISC's global barrier: nodes report their residual at every
+//     iteration; the coordinator releases the barrier and halts the system
+//     exactly when the global residual is below tolerance, making SISC
+//     terminate on precisely the same iteration as the sequential algorithm.
+//
+// A worker node talks to every protocol through one type, Node: it reports
+// each local iteration to Node.Iterate and hands Node.Handle the messages it
+// receives. The coordinator of Central and Barrier is Run, one extra process
+// (by convention rank P, co-located with node 0 for link-delay purposes);
+// the ring leaves that slot inert, so rank numbering does not change.
 package detect
 
 import (
+	"fmt"
+
 	"aiac/internal/runenv"
 	"aiac/internal/trace"
 )
@@ -49,6 +58,14 @@ const (
 	KindBarrierArrive
 	// KindBarrierGo: coordinator → nodes, payload GoMsg.
 	KindBarrierGo
+)
+
+// Message kinds of the ring protocol.
+const (
+	// KindToken carries TokenMsg around the ring.
+	KindToken = runenv.ControlKindBase + 50 + iota
+	// KindRingHalt terminates the computation, forwarded around the ring.
+	KindRingHalt
 )
 
 // StateMsg reports a node's local convergence state.
@@ -86,6 +103,47 @@ type GoMsg struct {
 	Aborted bool
 }
 
+// TokenMsg is the circulating detection token.
+type TokenMsg struct {
+	Round int
+	Clean bool
+}
+
+// RingHaltMsg ends the computation.
+type RingHaltMsg struct {
+	Aborted bool
+}
+
+// Protocol selects a convergence-detection protocol.
+type Protocol int
+
+const (
+	// Central is the two-phase verification detector at rank P.
+	Central Protocol = iota
+	// Ring is the decentralized token ring: no coordinator.
+	Ring
+	// Barrier is SISC's barrier coordinator at rank P.
+	Barrier
+)
+
+// String returns the protocol's name.
+func (p Protocol) String() string {
+	switch p {
+	case Central:
+		return "central"
+	case Ring:
+		return "ring"
+	case Barrier:
+		return "barrier"
+	}
+	return fmt.Sprintf("protocol(%d)", int(p))
+}
+
+// Coordinated reports whether rank P runs a coordinator under p, whose
+// Outcome is the run's verdict. Under the ring, which has none, the verdict
+// is every node's Node.OK.
+func (p Protocol) Coordinated() bool { return p != Ring }
+
 // control messages are tiny; this is the modeled wire size.
 const ctrlBytes = 32
 
@@ -94,12 +152,9 @@ type Config struct {
 	// P is the number of worker nodes (ranks 0..P-1); the detector itself
 	// runs as rank P.
 	P int
-	// Barrier selects the SISC barrier-coordinator protocol instead of
-	// the asynchronous detector.
-	Barrier bool
-	// SingleVerify disables the second verification round of the
-	// asynchronous protocol (kept as an ablation knob).
-	SingleVerify bool
+	// Protocol selects what the process runs; under Ring it returns at
+	// once.
+	Protocol Protocol
 
 	// TraceIters bounds which barrier releases are traced (a SISC run emits
 	// P control sends per barrier, which would dwarf the rest of the trace):
@@ -107,11 +162,11 @@ type Config struct {
 	// asynchronous protocols' traffic is round-bounded and always traced.
 	TraceIters int
 
-	// OnRound, when non-nil, is called when the asynchronous detector opens
-	// a verification round (the barrier coordinator releases far too many
+	// OnRound, when non-nil, is called when the central detector opens a
+	// verification round (the barrier coordinator releases far too many
 	// barriers to report each one). OnHalt, when non-nil, is called when
-	// either protocol broadcasts the final HALT. Both are telemetry hooks;
-	// they run on the detector process.
+	// either coordinator broadcasts the final HALT. Both are telemetry
+	// hooks; they run on the detector process.
 	OnRound func(t float64, round int)
 	OnHalt  func(t float64, aborted bool)
 }
@@ -120,8 +175,8 @@ type Config struct {
 type Outcome struct {
 	Halted  bool
 	Aborted bool
-	// Rounds counts verification rounds opened (async) or barriers
-	// released (barrier mode).
+	// Rounds counts verification rounds opened (Central) or barriers
+	// released (Barrier).
 	Rounds int
 }
 
@@ -131,24 +186,36 @@ type Outcome struct {
 // write, and a T0 read after it can land past the receiver's delivery stamp.
 // env.Trace is a no-op when tracing is disabled.
 func sendCtrl(env runenv.Env, to, kind int, payload any, iter int, note string) {
+	sendTraced(env, true, to, kind, payload, iter, note)
+}
+
+// sendTraced is sendCtrl for the barrier's per-iteration messages, which are
+// recorded only when traced holds.
+func sendTraced(env runenv.Env, traced bool, to, kind int, payload any, iter int, note string) {
 	t0 := env.Now()
 	arrival := env.Send(to, kind, payload, ctrlBytes)
-	env.Trace(trace.Event{
-		T0: t0, T1: arrival, Node: env.Rank(), To: to,
-		Kind: trace.Control, Iter: iter, Note: note, Seq: env.LastSendSeq(),
-	})
-}
-
-// Run is the detector process body. It returns when a HALT (or abort) has
-// been broadcast, or when the world stops.
-func Run(env runenv.Env, cfg Config) Outcome {
-	if cfg.Barrier {
-		return runBarrier(env, cfg)
+	if traced {
+		env.Trace(trace.Event{
+			T0: t0, T1: arrival, Node: env.Rank(), To: to,
+			Kind: trace.Control, Iter: iter, Note: note, Seq: env.LastSendSeq(),
+		})
 	}
-	return runAsync(env, cfg)
 }
 
-func runAsync(env runenv.Env, cfg Config) Outcome {
+// Run is the body of the coordinator process, rank P. It returns when a HALT
+// (or abort) has been broadcast, or when the world stops; under Ring, at
+// once.
+func Run(env runenv.Env, cfg Config) Outcome {
+	switch cfg.Protocol {
+	case Barrier:
+		return runBarrier(env, cfg)
+	case Central:
+		return runCentral(env, cfg)
+	}
+	return Outcome{}
+}
+
+func runCentral(env runenv.Env, cfg Config) Outcome {
 	conv := make([]bool, cfg.P)
 	allConv := func() bool {
 		for _, c := range conv {
@@ -214,7 +281,7 @@ func runAsync(env runenv.Env, cfg Config) Outcome {
 				secondPass = false
 				break
 			}
-			if !cfg.SingleVerify && !secondPass {
+			if !secondPass {
 				secondPass = true
 				openRound()
 				break
@@ -272,11 +339,7 @@ func runBarrier(env runenv.Env, cfg Config) Outcome {
 		go_ := GoMsg{Iter: iter, Halt: halt || abort, Aborted: abort}
 		traceGo := cfg.TraceIters == 0 || iter < cfg.TraceIters
 		for i := 0; i < cfg.P; i++ {
-			if traceGo {
-				sendCtrl(env, i, KindBarrierGo, go_, iter, "barrier-go")
-			} else {
-				env.Send(i, KindBarrierGo, go_, ctrlBytes)
-			}
+			sendTraced(env, traceGo, i, KindBarrierGo, go_, iter, "barrier-go")
 		}
 		if halt || abort {
 			if cfg.OnHalt != nil {

@@ -58,8 +58,8 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 	}
 	wallStart := time.Now()
 	if s := cfg.Metrics; s != nil {
+		fillManifest(&s.Manifest, &cfg) // before Start opens the live stream with it
 		s.Start(cfg.P)
-		fillManifest(&s.Manifest, &cfg)
 	}
 
 	// When the caller traces, the coordinator keeps its own wire log
@@ -110,7 +110,7 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 		}
 		stats.Add(wr.stats)
 	}
-	if cfg.useCentral() && !sawDet {
+	if cfg.protocol().Coordinated() && !sawDet {
 		return nil, info, fmt.Errorf("engine: no worker reported the detector outcome")
 	}
 
@@ -297,8 +297,8 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 	}
 	cfg = cfg.withDefaults()
 	if s := cfg.Metrics; s != nil {
+		fillManifest(&s.Manifest, &cfg) // before Start opens the live stream with it
 		s.Start(cfg.P)
-		fillManifest(&s.Manifest, &cfg)
 	}
 	return dtime.RunWorker(wenv, dtime.WorkerOptions{
 		Codec:    Codec{},

@@ -124,8 +124,6 @@ type Config struct {
 	// ConvStreak is how many consecutive converged iterations a node
 	// needs before reporting convergence (default 2; SISC ignores it).
 	ConvStreak int
-	// SingleVerify disables the detector's second verification round.
-	SingleVerify bool
 	// LBWarmup is how many iterations to wait before the first balancing
 	// attempt (default: LB.Period).
 	LBWarmup int
@@ -372,8 +370,8 @@ func Run(cfg Config) (*Result, error) {
 	var wallStart time.Time
 	if s := cfg.Metrics; s != nil {
 		wallStart = time.Now()
+		fillManifest(&s.Manifest, &cfg) // before Start opens the live stream with it
 		s.Start(p)
-		fillManifest(&s.Manifest, &cfg)
 	}
 	outcomes := make([]*nodeOutcome, p)
 	bodies := make([]runenv.Body, p+1)
@@ -418,27 +416,27 @@ func nodeBody(cfg *Config, rank int, out **nodeOutcome) runenv.Body {
 	}
 }
 
-// useCentral reports whether the extra process slot at rank P runs an
-// actual coordinator: the SISC barrier or the central detector. The
-// decentralized ring protocol needs no coordinator for AIAC/SIAC, but the
-// process slot stays (inert) so rank numbering is uniform.
-func (c *Config) useCentral() bool {
-	return c.Mode == SISC || c.Detection != DetectRing
+// protocol is the detection protocol the run uses: SISC always has its
+// barrier.
+func (c *Config) protocol() detect.Protocol {
+	switch {
+	case c.Mode == SISC:
+		return detect.Barrier
+	case c.Detection == DetectRing:
+		return detect.Ring
+	}
+	return detect.Central
 }
 
-// detectorBody returns the body of the rank-P process slot: the central
-// detector / SISC barrier coordinator, or an inert body under ring
-// detection. The detector outcome is written into *out.
+// detectorBody returns the body of the rank-P process slot: the
+// protocol's coordinator, which under the ring returns at once. The
+// detector outcome is written into *out.
 func detectorBody(cfg *Config, out *detect.Outcome) runenv.Body {
 	return func(env runenv.Env) {
-		if !cfg.useCentral() {
-			return
-		}
 		dcfg := detect.Config{
-			P:            cfg.P,
-			Barrier:      cfg.Mode == SISC,
-			SingleVerify: cfg.SingleVerify,
-			TraceIters:   cfg.TraceIters,
+			P:          cfg.P,
+			Protocol:   cfg.protocol(),
+			TraceIters: cfg.TraceIters,
 		}
 		if s := cfg.Metrics; s != nil {
 			dcfg.OnRound = func(t float64, round int) {
@@ -463,7 +461,7 @@ func detectorBody(cfg *Config, out *detect.Outcome) runenv.Body {
 func assembleResult(cfg *Config, outcomes []*nodeOutcome, detOut detect.Outcome, end float64, timedOut bool, stats fault.Stats) (*Result, error) {
 	p := cfg.P
 	converged := detOut.Halted && !detOut.Aborted
-	if !cfg.useCentral() {
+	if !cfg.protocol().Coordinated() {
 		converged = true
 		for _, o := range outcomes {
 			if o == nil || !o.haltedOK {
@@ -576,11 +574,7 @@ func fillManifest(m *metrics.Manifest, cfg *Config) {
 	m.MaxIter = cfg.MaxIter
 	m.MaxTime = cfg.MaxTime
 	if m.Detection == "" {
-		if cfg.Mode == SISC {
-			m.Detection = "barrier"
-		} else {
-			m.Detection = cfg.Detection.String()
-		}
+		m.Detection = cfg.protocol().String()
 	}
 	m.GaussSeidel = cfg.GaussSeidelLocal
 	m.Seed = cfg.Seed

@@ -34,9 +34,8 @@ type nodeOutcome struct {
 	lbRetries                              int
 	msgsBoundary, suppressed               int
 
-	// haltedOK is true when this node halted through successful
-	// convergence detection (used by the decentralized ring protocol,
-	// which has no central detector to report the outcome).
+	// haltedOK is detect.Node.OK at halt: the ring protocol's verdict,
+	// which has no coordinator to report it.
 	haltedOK bool
 }
 
@@ -48,7 +47,8 @@ type node struct {
 	cfg  *Config
 	rank int
 	p    int
-	det  int // detector rank
+	// det is this node's side of the convergence-detection protocol.
+	det *detect.Node
 
 	prob iterative.Problem
 	// upd is how the sweep calls prob: through its PrefixUpdater extension,
@@ -120,11 +120,6 @@ type node struct {
 	// messages must not overwrite fresher halo data.
 	nbHaloIter [2]int
 
-	pendingGo *detect.GoMsg
-
-	client convDetector
-	halted bool
-
 	// inSweep is true while sweep is between its first Update and its
 	// buf→val swap; it tells newest() where the freshest values live.
 	inSweep bool
@@ -142,7 +137,6 @@ func newNode(env runenv.Env, cfg *Config, rank int) *node {
 		cfg:        cfg,
 		rank:       rank,
 		p:          cfg.P,
-		det:        cfg.P,
 		prob:       cfg.Problem,
 		halo:       cfg.Problem.Halo(),
 		m:          cfg.Problem.Components(),
@@ -152,6 +146,11 @@ func newNode(env runenv.Env, cfg *Config, rank int) *node {
 		okToTry:    cfg.LBWarmup,
 	}
 	n.getFn = n.get
+	n.det = &detect.Node{
+		Env: env, Protocol: cfg.protocol(), P: cfg.P,
+		Streak: cfg.ConvStreak, TraceIters: cfg.TraceIters,
+		Data: n.handleData,
+	}
 	n.upd, n.pair = asPrefixUpdater(cfg.Problem)
 	n.pair = n.pair && !cfg.GaussSeidelLocal
 	n.startC, n.endC = partition(n.m, n.p, rank)
@@ -164,13 +163,6 @@ func newNode(env runenv.Env, cfg *Config, rank int) *node {
 		n.val.set(j, n.prob.Init(j))
 		if j >= n.startC && j < n.endC {
 			n.buf.set(j, make([]float64, n.trajLen))
-		}
-	}
-	if cfg.Mode != SISC {
-		if cfg.Detection == DetectRing {
-			n.client = &detect.RingClient{Rank: rank, P: cfg.P, Streak: cfg.ConvStreak}
-		} else {
-			n.client = &detect.Client{DetectorID: n.det, Streak: cfg.ConvStreak}
 		}
 	}
 	n.ownLog(fault.OwnInit, n.startC, n.endC, 0)
@@ -194,25 +186,9 @@ func (n *node) pendingOwnRange(dir int) (lo, hi int) {
 	return pos, pos + count
 }
 
-// convDetector is the node-side face of a convergence-detection protocol;
-// satisfied by the centralized detect.Client and the decentralized
-// detect.RingClient.
-type convDetector interface {
-	AfterIteration(env runenv.Env, locallyConverged bool)
-	HandleMsg(env runenv.Env, m runenv.Msg) bool
-	Abort(env runenv.Env)
-	Halted() bool
-	Aborted() bool
-}
-
 // run executes the node until global halt and returns its outcome.
 func (n *node) run() *nodeOutcome {
-	switch n.cfg.Mode {
-	case SISC, SIAC:
-		n.runSync()
-	default:
-		n.runAsync()
-	}
+	n.iterate()
 	if n.cfg.Trace != nil {
 		// The halt anchor the critical-path analysis walks back from; not
 		// gated by TraceIters (one event per node per run).
@@ -251,21 +227,19 @@ func (n *node) run() *nodeOutcome {
 	}
 	n.outc.iters = n.iter
 	n.outc.residual = n.residual
-	if n.client != nil {
-		n.outc.haltedOK = n.client.Halted() && !n.client.Aborted()
-	} else {
-		n.outc.haltedOK = n.halted
-	}
+	n.outc.haltedOK = n.det.OK()
 	return &n.outc
 }
 
-// runAsync is the AIAC main loop: Algorithm 1 (unbalanced) extended with
-// the Algorithm 4 load-balancing sections.
-func (n *node) runAsync() {
+// iterate is the main loop of every mode: Algorithm 1, extended in the AIAC
+// modes with the Algorithm 4 load-balancing sections, and kept in lockstep in
+// the synchronous ones by the neighbor-data wait (SISC and SIAC) and the
+// detection barrier (SISC).
+func (n *node) iterate() {
 	cfg := n.cfg
 	for {
 		n.drain()
-		if n.halted || n.env.Stopped() {
+		if n.det.Halted() || n.env.Stopped() {
 			return
 		}
 		if cfg.LB.Enabled {
@@ -286,31 +260,8 @@ func (n *node) runAsync() {
 				n.okToTry--
 			}
 		}
-		n.sweep(true)
-		n.sendBoundary(dirRight, n.loadEst, n.iter)
-		n.iter++
-		conv := n.residual < cfg.Tol
-		n.noteConv(conv)
-		n.client.AfterIteration(n.env, conv)
-		if n.iter >= cfg.MaxIter {
-			n.client.Abort(n.env)
-			n.waitHalt()
-			return
-		}
-	}
-}
-
-// runSync is the SISC/SIAC main loop: iterations stay in lockstep through
-// neighbor-data waits (both modes) and a global barrier (SISC only).
-func (n *node) runSync() {
-	cfg := n.cfg
-	for {
-		n.drain()
-		if n.halted || n.env.Stopped() {
-			return
-		}
 		k := n.iter
-		n.sweep(cfg.Mode == SIAC)
+		n.sweep(cfg.Mode != SISC)
 		if cfg.Mode == SISC {
 			n.sendBoundary(dirLeft, n.loadEst, k)
 		}
@@ -318,20 +269,10 @@ func (n *node) runSync() {
 		n.iter++
 		conv := n.residual < cfg.Tol
 		n.noteConv(conv)
-		if cfg.Mode == SISC {
-			halt, ok := n.barrier(k, conv, n.iter >= cfg.MaxIter)
-			if halt || !ok {
-				return
-			}
-		} else {
-			n.client.AfterIteration(n.env, conv)
-			if n.iter >= cfg.MaxIter {
-				n.client.Abort(n.env)
-				n.waitHalt()
-				return
-			}
+		if n.det.Iterate(k, conv, n.iter >= cfg.MaxIter) {
+			return
 		}
-		if !n.waitNeighbors(k) {
+		if cfg.Mode.Synchronous() && !n.waitNeighbors(k) {
 			return
 		}
 	}
@@ -521,18 +462,7 @@ func (n *node) drain() {
 		if !ok {
 			return
 		}
-		n.handleMsg(m)
-	}
-}
-
-// waitHalt blocks until the detector halts the system.
-func (n *node) waitHalt() {
-	for !n.halted {
-		m, ok := n.env.RecvWait()
-		if !ok {
-			return
-		}
-		n.handleMsg(m)
+		n.det.Handle(m)
 	}
 }
 
@@ -559,7 +489,7 @@ func (n *node) waitNeighbors(k int) bool {
 			}
 			return true
 		}
-		if n.halted || n.env.Stopped() {
+		if n.det.Halted() || n.env.Stopped() {
 			return false
 		}
 		m, ok := n.env.RecvWait()
@@ -567,62 +497,13 @@ func (n *node) waitNeighbors(k int) bool {
 			return false
 		}
 		waited = true
-		n.handleMsg(m)
+		n.det.Handle(m)
 	}
 }
 
-// barrier implements the SISC global barrier through the coordinator,
-// reporting convergence; it returns halt=true when the coordinator ends
-// the computation.
-func (n *node) barrier(k int, conv, abort bool) (halt, ok bool) {
-	sendT := n.env.Now()
-	arr := n.env.Send(n.det, detect.KindBarrierArrive,
-		detect.ArriveMsg{Iter: k, Conv: conv, Abort: abort}, msgHeaderBytes)
-	if n.traceOn() {
-		n.env.Trace(trace.Event{
-			T0: sendT, T1: arr, Node: n.rank, To: n.det,
-			Kind: trace.Control, Iter: k, Note: "barrier-arrive", Seq: n.env.LastSendSeq(),
-		})
-	}
-	t0 := n.env.Now()
-	for {
-		if g := n.pendingGo; g != nil && g.Iter == k {
-			n.pendingGo = nil
-			if n.traceOn() {
-				n.env.Trace(trace.Event{
-					T0: t0, T1: n.env.Now(), Node: n.rank, To: -1,
-					Kind: trace.Idle, Iter: k, Note: "barrier",
-				})
-			}
-			if g.Halt {
-				n.halted = true
-			}
-			return g.Halt, true
-		}
-		m, okRecv := n.env.RecvWait()
-		if !okRecv {
-			return false, false
-		}
-		n.handleMsg(m)
-	}
-}
-
-// handleMsg dispatches one received message.
-func (n *node) handleMsg(m runenv.Msg) {
-	if m.Kind >= runenv.ControlKindBase {
-		if m.Kind == detect.KindBarrierGo {
-			g := m.Payload.(detect.GoMsg)
-			n.pendingGo = &g
-			return
-		}
-		if n.client != nil {
-			n.client.HandleMsg(n.env, m)
-			if n.client.Halted() {
-				n.halted = true
-			}
-		}
-		return
-	}
+// handleData dispatches one data-plane message; detection messages go to
+// n.det, which hands this method the rest.
+func (n *node) handleData(m runenv.Msg) {
 	n.msgsRecv++
 	switch m.Kind {
 	case kindBoundary:

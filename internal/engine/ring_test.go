@@ -71,6 +71,10 @@ func TestRingDetectionSingleNode(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("single-node ring did not converge")
 	}
+	// Its own stable convergence halts it: it must not run on to MaxIter.
+	if res.NodeIters[0] >= cfg.MaxIter {
+		t.Fatalf("single-node ring ran %d iterations, to its bound", res.NodeIters[0])
+	}
 }
 
 func TestRingDetectionAbort(t *testing.T) {

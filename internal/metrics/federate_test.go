@@ -13,6 +13,7 @@ func workerRun(runID string, worker int, ranks []int, events []Event) *Run {
 	r := &Run{
 		Manifest: Manifest{
 			Name: "dist-test",
+			P:    2,
 			Dist: &DistManifest{RunID: runID, Workers: 2, Role: "worker", Worker: worker, Ranks: ranks},
 		},
 		Events:    events,

@@ -268,7 +268,8 @@ func (r *Run) WriteFile(path string) error {
 // WriteJSONL exports the sink's collected state (Snapshot + WriteJSONL).
 func (s *Sink) WriteJSONL(w io.Writer) error { return s.Snapshot().WriteJSONL(w) }
 
-// ReadRun parses a JSONL export.
+// ReadRun parses a JSONL export. A sample line must name a rank below the
+// p of the manifest line before it.
 func ReadRun(rd io.Reader) (*Run, error) {
 	r := &Run{}
 	sc := bufio.NewScanner(rd)
@@ -300,8 +301,11 @@ func ReadRun(rd io.Reader) (*Run, error) {
 			if err := json.Unmarshal(line, &ls); err != nil {
 				return nil, fmt.Errorf("metrics: line %d: %v", lineNo, err)
 			}
-			if ls.Node < 0 {
-				return nil, fmt.Errorf("metrics: line %d: negative node", lineNo)
+			// The writer puts the manifest first, and the engine fills its p:
+			// a node the manifest before it does not count is malformed, and
+			// no untrusted index sizes Samples.
+			if ls.Node < 0 || !sawManifest || ls.Node >= r.Manifest.P {
+				return nil, fmt.Errorf("metrics: line %d: sample node %d is not a rank of the manifest before it", lineNo, ls.Node)
 			}
 			for len(r.Samples) <= ls.Node {
 				r.Samples = append(r.Samples, nil)

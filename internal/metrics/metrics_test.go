@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -303,6 +304,35 @@ func TestReadRunRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadRun(strings.NewReader(`{"type":"sample","node":-2}` + "\n")); err == nil {
 		t.Fatal("want error on negative node")
+	}
+}
+
+// TestReadRunBoundsSampleNodes: a sample line's node indexes Samples, so one
+// the manifest before it does not count is refused before anything is sized
+// by it.
+func TestReadRunBoundsSampleNodes(t *testing.T) {
+	manifest := string(ManifestLine(Manifest{P: 2})) + "\n"
+	for _, bad := range []string{
+		// The two cheap cases first: where the bound is missing they fail
+		// the test before the third allocates gigabytes.
+		manifest + `{"type":"sample","node":2,"t":1,"iter":0}` + "\n",
+		`{"type":"sample","node":0,"t":1,"iter":0}` + "\n" + manifest,
+		manifest + `{"type":"sample","node":1000000000,"t":1,"iter":0}` + "\n",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadRun(strings.NewReader(bad))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("want an error for %q", bad)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Fatalf("%q: allocated %d bytes", bad, b)
+		}
+	}
+	r, err := ReadRun(strings.NewReader(manifest + `{"type":"sample","node":1,"t":1,"iter":0}` + "\n"))
+	if err != nil || len(r.Samples) != 2 || len(r.Samples[1]) != 1 {
+		t.Fatalf("a sample of the last rank: %v, %+v", err, r)
 	}
 }
 

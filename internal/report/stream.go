@@ -105,6 +105,16 @@ func Stream(export []byte) ([]Frame, error) {
 	}
 	items := make([]item, 0, bytes.Count(export, []byte("\n")))
 	var manifest, runtime []byte
+	// What Stream reads of the latest manifest: p bounds the sample lines
+	// after it, as metrics.ReadRun bounds them for a follower, and the
+	// outcome says whether the run sealed.
+	type manifestHead struct {
+		Manifest struct {
+			P       int             `json:"p"`
+			Outcome json.RawMessage `json:"outcome"`
+		} `json:"manifest"`
+	}
+	var head manifestHead
 	for rest, lineNo := export, 1; len(rest) > 0; lineNo++ {
 		line, after, found := bytes.Cut(rest, []byte("\n"))
 		rest = after
@@ -119,10 +129,16 @@ func Stream(export []byte) ([]Frame, error) {
 		var err error
 		switch string(typ) {
 		case FrameManifest:
-			manifest = line
+			manifest, head = line, manifestHead{}
+			if err := json.Unmarshal(line, &head); err != nil {
+				return nil, fmt.Errorf("report: manifest line %d: %v", lineNo, err)
+			}
 		case FrameSample:
 			it := item{kind: 0, f: Frame{Event: FrameSample, Data: line}}
 			it.node, it.t, err = metrics.SampleKey(line)
+			if err == nil && (manifest == nil || it.node >= head.Manifest.P) {
+				return nil, fmt.Errorf("report: export line %d: sample node %d is not a rank of the manifest before it", lineNo, it.node)
+			}
 			items = append(items, it)
 		case FrameEvent:
 			it := item{kind: 1, f: Frame{Event: FrameEvent, Data: line}}
@@ -142,14 +158,6 @@ func Stream(export []byte) ([]Frame, error) {
 	}
 	if runtime == nil {
 		return nil, fmt.Errorf("report: export does not end with a newline-terminated runtime line: it was cut short")
-	}
-	var head struct {
-		Manifest struct {
-			Outcome json.RawMessage `json:"outcome"`
-		} `json:"manifest"`
-	}
-	if err := json.Unmarshal(manifest, &head); err != nil {
-		return nil, fmt.Errorf("report: manifest line: %v", err)
 	}
 
 	// Stable: equal keys keep stored order, which is node-major for samples

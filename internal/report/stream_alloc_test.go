@@ -27,7 +27,7 @@ func TestStreamReplayAllocsAreFixed(t *testing.T) {
 	}
 	golden := export(t, goldenRun(t, true, "golden-sse"))
 	tiny := export(t, &metrics.Run{
-		Manifest: metrics.Manifest{Name: "tiny", Outcome: &metrics.Outcome{Converged: true}},
+		Manifest: metrics.Manifest{Name: "tiny", P: 1, Outcome: &metrics.Outcome{Converged: true}},
 		Samples:  [][]metrics.NodeSample{{{T: 1}}},
 	})
 	if n := bytes.Count(golden, []byte("\n")); n < 200 {

@@ -136,7 +136,7 @@ func TestStreamMatchesOracle(t *testing.T) {
 			return metrics.SampleLine(node, metrics.NodeSample{T: t, Iter: iter})
 		}
 		b := bytes.Join([][]byte{
-			metrics.ManifestLine(metrics.Manifest{Name: "eq"}),
+			metrics.ManifestLine(metrics.Manifest{Name: "eq", P: 2}),
 			sample(1, 1, 1),
 			metrics.EventLine(metrics.Event{T: 1, Name: "conv"}),
 			sample(0, 2, 1),
@@ -145,6 +145,23 @@ func TestStreamMatchesOracle(t *testing.T) {
 			(&metrics.Run{}).RuntimeLine(),
 		}, []byte("\n"))
 		checkAgainstOracle(t, append(b, '\n'))
+	})
+	t.Run("sample-outside-p", func(t *testing.T) {
+		// A follower's metrics.ReadRun refuses a sample of a rank the
+		// manifest before it does not count, so the replay must too.
+		for _, b := range [][]byte{
+			[]byte(`{"type":"manifest","manifest":{"p":2}}` + "\n" + `{"type":"sample","node":2,"t":1,"iter":0}` + "\n"),
+			[]byte(`{"type":"sample","node":0,"t":1,"iter":0}` + "\n" + `{"type":"manifest","manifest":{"p":2}}` + "\n"),
+		} {
+			b = append(b, (&metrics.Run{}).RuntimeLine()...)
+			b = append(b, '\n')
+			if _, err := oracleStream(b); err == nil {
+				t.Fatalf("the oracle replays %q", b)
+			}
+			if _, err := Stream(b); err == nil {
+				t.Fatalf("Stream replays %q", b)
+			}
+		}
 	})
 }
 

@@ -95,6 +95,7 @@ func TestStreamOrdering(t *testing.T) {
 	run := &metrics.Run{
 		Manifest: metrics.Manifest{
 			Name: "order",
+			P:    2,
 			Outcome: &metrics.Outcome{
 				Converged: true, Time: 3, TotalIters: 3, MaxResidual: 1,
 			},
