@@ -148,15 +148,15 @@ func (d *Node) abort() {
 	}
 }
 
-// Ring-based decentralized detection, adapted from Safra-style token
-// termination detection. A token circulates around the logical ring
-// 0 → 1 → … → P−1 → 0. Node 0 launches a round once it is stably converged;
-// every node ANDs into the token whether it is stably converged AND has not
-// relapsed since the token's previous visit. A round that returns clean is
-// repeated once (the double-round rule); two consecutive clean rounds
-// trigger a HALT that travels around the ring.
-
 // ringIterate records a relapse and, on node 0, launches token rounds.
+//
+// The ring protocol is adapted from Safra-style token termination
+// detection. A token circulates around the logical ring 0 → 1 → … → P−1 → 0.
+// Node 0 launches a round once it is stably converged; every node ANDs into
+// the token whether it is stably converged AND has not relapsed since the
+// token's previous visit. A round that returns clean is repeated once (the
+// double-round rule); two consecutive clean rounds trigger a HALT that
+// travels around the ring.
 func (d *Node) ringIterate(stable bool) {
 	if d.wasStable && !stable {
 		d.dirty = true

@@ -83,10 +83,11 @@ func RuntimeFrame(run *metrics.Run) Frame {
 // virtual-time order (ties: samples before events, samples by ascending
 // node, then stored order), the runtime aggregates, and a terminal phase
 // frame. Every frame but the phase frames carries a line of the export
-// verbatim: only the manifest is decoded, to learn whether the run sealed,
-// and each sample and event is ordered by the time metrics.SampleKey and
-// metrics.EventTime read off its line. The output is a pure function of the
-// stored bytes, so streaming the same export twice yields identical bytes.
+// verbatim: only the manifest is decoded, to learn whether the run sealed
+// and how many ranks its samples may name, and each sample and event is
+// ordered by the time metrics.SampleKey and metrics.EventTime read off its
+// line. The output is a pure function of the stored bytes, so streaming the
+// same export twice yields identical bytes.
 //
 // An export must end with a newline-terminated runtime line, the last line
 // the writer produces; one cut short (a crash mid-write) is an error, as is a
@@ -106,8 +107,8 @@ func Stream(export []byte) ([]Frame, error) {
 	items := make([]item, 0, bytes.Count(export, []byte("\n")))
 	var manifest, runtime []byte
 	// What Stream reads of the latest manifest: p bounds the sample lines
-	// after it, as metrics.ReadRun bounds them for a follower, and the
-	// outcome says whether the run sealed.
+	// after it (0 before the first manifest), as metrics.ReadRun bounds them
+	// for a follower, and the outcome says whether the run sealed.
 	type manifestHead struct {
 		Manifest struct {
 			P       int             `json:"p"`
@@ -136,7 +137,7 @@ func Stream(export []byte) ([]Frame, error) {
 		case FrameSample:
 			it := item{kind: 0, f: Frame{Event: FrameSample, Data: line}}
 			it.node, it.t, err = metrics.SampleKey(line)
-			if err == nil && (manifest == nil || it.node >= head.Manifest.P) {
+			if err == nil && it.node >= head.Manifest.P {
 				return nil, fmt.Errorf("report: export line %d: sample node %d is not a rank of the manifest before it", lineNo, it.node)
 			}
 			items = append(items, it)
