@@ -226,14 +226,17 @@ const DistEnvVar = dtime.EnvVar
 
 // SolveDist runs the configured solver across worker OS processes — node
 // groups exchanging halo, load-balancing and detection messages over TCP —
-// and assembles the same global Result Solve produces in process. A worker
-// that crashes or goes silent fails the run with a *dtime.WorkerError.
+// and assembles the same global Result Solve produces in process; the
+// workers' telemetry and traces come back with their outcomes, so cfg.Metrics
+// and cfg.Trace then hold the whole run, as after Solve. A worker that
+// crashes or goes silent fails the run with a *dtime.WorkerError.
 func SolveDist(cfg Config, opts DistOptions) (*Result, *DistRunInfo, error) {
 	return engine.RunDist(cfg, opts)
 }
 
 // SolveDistWorker executes this process's share of a distributed run; the
-// Config must match the coordinator's on every worker.
+// Config must match the coordinator's on every worker, each with a sink and
+// a trace log of its own.
 func SolveDistWorker(cfg Config, wenv DistWorkerEnv, opts DistWorkerOptions) error {
 	return engine.RunDistWorker(cfg, wenv, opts)
 }

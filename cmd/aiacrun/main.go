@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -120,7 +119,7 @@ func main() {
 	// Config the coordinator holds; everything past this point (signals,
 	// profiles, result printing) is coordinator business.
 	if env := os.Getenv(aiac.DistEnvVar); env != "" {
-		runDistWorker(env, cfg, spec.Speedup, *metricsOut != "", *httpAddr != "")
+		runDistWorker(env, cfg, spec.Speedup, *httpAddr != "")
 		return
 	}
 
@@ -144,9 +143,6 @@ func main() {
 	}
 
 	sink := cfg.Metrics
-	if sink != nil {
-		sink.Manifest.FillHost()
-	}
 
 	var obsSrv *aiac.ObsServer
 	if *httpAddr != "" {
@@ -220,25 +216,10 @@ func main() {
 	}
 
 	if sink != nil && *metricsOut != "" {
-		// A distributed run's telemetry lives in the workers; prefer the
-		// coordinator's federated merge (written into the run directory by
-		// SolveDist) over the coordinator's own sample-less sink.
-		if dinfo != nil {
-			fed := filepath.Join(dinfo.RunDir, "metrics.jsonl")
-			if b, rerr := os.ReadFile(fed); rerr == nil {
-				if werr := os.WriteFile(*metricsOut, b, 0o644); werr != nil {
-					fatalf("%v", werr)
-				}
-				fmt.Fprintf(os.Stderr, "aiacrun: federated telemetry written to %s\n", *metricsOut)
-				sink = nil
-			}
+		if err := sink.Snapshot().WriteFile(*metricsOut); err != nil {
+			fatalf("%v", err)
 		}
-		if sink != nil {
-			if err := sink.Snapshot().WriteFile(*metricsOut); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Fprintf(os.Stderr, "aiacrun: telemetry written to %s\n", *metricsOut)
-		}
+		fmt.Fprintf(os.Stderr, "aiacrun: telemetry written to %s\n", *metricsOut)
 	}
 
 	if *traceCSV != "" {
@@ -313,13 +294,13 @@ func exitFor(res *aiac.Result) {
 // locally hosted ranks, and exit. cfg was rebuilt from the same flags the
 // coordinator parsed, so every process holds an identical configuration —
 // its sink included, whose manifest names the run as the coordinator's does,
-// so the sidecars and the /manifest endpoint describe the same run.
-func runDistWorker(env string, cfg aiac.Config, speedup float64, exportMetrics, serveObs bool) {
+// so the telemetry it ships and the /manifest endpoint describe the same run.
+func runDistWorker(env string, cfg aiac.Config, speedup float64, serveObs bool) {
 	wenv, err := aiac.DecodeDistWorkerEnv(env)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	opts := aiac.DistWorkerOptions{Speedup: speedup, ExportMetrics: exportMetrics}
+	opts := aiac.DistWorkerOptions{Speedup: speedup}
 	opts.WrapConn, opts.WireFaults = aiac.DistFaultConn(cfg, speedup)
 	if serveObs {
 		// Each worker serves its own observability plane on an ephemeral

@@ -1,10 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -43,8 +43,10 @@ type DistOptions struct {
 
 // RunDist executes the configured solver across worker OS processes and
 // assembles the global Result from their reported outcomes, exactly as Run
-// assembles it in process. The second return is the coordinator's run
-// record (run directory, worker identities, federated end time).
+// assembles it in process. The workers' telemetry and traces come back with
+// their outcomes, so cfg.Metrics and cfg.Trace then hold the whole run, as
+// after Run. The second return is the coordinator's run record (run
+// directory, worker identities, federated end time).
 func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -56,8 +58,12 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 	if opts.Workers < 1 || opts.Workers > cfg.P {
 		return nil, nil, fmt.Errorf("engine: %d workers for %d node ranks", opts.Workers, cfg.P)
 	}
+	if opts.RunID == "" {
+		opts.RunID = dtime.NewRunID()
+	}
 	wallStart := time.Now()
 	if s := cfg.Metrics; s != nil {
+		s.Manifest.Dist = &metrics.DistManifest{RunID: opts.RunID, Workers: opts.Workers, Role: "coordinator"}
 		fillManifest(&s.Manifest, &cfg) // before Start opens the live stream with it
 		s.Start(cfg.P)
 	}
@@ -89,11 +95,19 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 	outcomes := make([]*nodeOutcome, cfg.P)
 	var detOut detect.Outcome
 	var stats fault.Stats
+	var runs []*metrics.Run
 	sawDet := false
 	for w, blob := range blobs {
 		wr, err := decodeWorkerResult(blob)
 		if err != nil {
 			return nil, info, fmt.Errorf("engine: worker %d outcome: %w", w, err)
+		}
+		if cfg.Metrics != nil && len(wr.telemetry) > 0 {
+			run, err := metrics.ReadRun(bytes.NewReader(wr.telemetry))
+			if err != nil {
+				return nil, info, fmt.Errorf("engine: worker %d telemetry: %w", w, err)
+			}
+			runs = append(runs, run)
 		}
 		for i, rank := range wr.ranks {
 			if rank < 0 || rank >= cfg.P {
@@ -121,23 +135,28 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 	if err != nil {
 		return res, info, err
 	}
+	if len(runs) > 0 {
+		merged, err := metrics.MergeRuns(runs)
+		if err == nil {
+			err = cfg.Metrics.Merge(merged)
+		}
+		if err != nil {
+			return res, info, fmt.Errorf("engine: merge worker telemetry: %w", err)
+		}
+	}
 	finishMetrics(&cfg, res, wallStart)
 	if cfg.Trace != nil {
 		if err := federateTrace(&cfg, opts, info, wireLog); err != nil {
 			return res, info, fmt.Errorf("engine: federate trace: %w", err)
 		}
 	}
-	if err := writeFederatedView(&cfg, res, info, wallStart); err != nil {
-		return res, info, fmt.Errorf("engine: federate run view: %w", err)
-	}
 	return res, info, nil
 }
 
 // federateTrace merges the worker traces shipped over FrameTrace with the
-// coordinator's wire log into cfg.Trace — the caller's log then reads as one
+// coordinator's wire log into cfg.Trace: the caller's log then reads as one
 // global causal stream, so every single-process export path (CSV, Chrome,
-// critical path) works on a distributed run unchanged — and writes the
-// federated trace.csv into the run directory.
+// critical path) works on a distributed run unchanged.
 func federateTrace(cfg *Config, opts DistOptions, info *dtime.RunInfo, wireLog *trace.Log) error {
 	workers := make([]trace.ProcTrace, 0, len(info.WorkerTraces))
 	for _, pt := range info.WorkerTraces {
@@ -156,47 +175,7 @@ func federateTrace(cfg *Config, opts DistOptions, info *dtime.RunInfo, wireLog *
 		return err
 	}
 	cfg.Trace.SetEvents(fed.Events())
-	return cfg.Trace.WriteCSVFile(filepath.Join(info.RunDir, "trace.csv"))
-}
-
-// writeFederatedView writes the coordinator's view of the run into the run
-// directory: manifest.json (the run manifest with the Dist section) and —
-// when the workers exported telemetry sidecars — a merged metrics.jsonl
-// that aiacreport renders like any single-process run.
-func writeFederatedView(cfg *Config, res *Result, info *dtime.RunInfo, wallStart time.Time) error {
-	var man metrics.Manifest
-	if s := cfg.Metrics; s != nil {
-		man = s.Manifest
-	} else {
-		fillManifest(&man, cfg)
-		out := outcomeOf(cfg, res, wallStart)
-		man.Outcome = &out
-	}
-	man.FillHost()
-	man.Dist = &metrics.DistManifest{
-		RunID: info.RunID, Workers: len(info.Workers), Role: "coordinator",
-	}
-	if err := man.WriteFile(filepath.Join(info.RunDir, "manifest.json")); err != nil {
-		return err
-	}
-
-	var paths []string
-	for _, w := range info.Workers {
-		path := filepath.Join(w.StateDir, "metrics.jsonl")
-		if _, err := os.Stat(path); err != nil {
-			continue
-		}
-		paths = append(paths, path)
-	}
-	if len(paths) != len(info.Workers) {
-		return nil // workers ran without telemetry export
-	}
-	merged, err := metrics.FederateRuns(paths)
-	if err != nil {
-		return err
-	}
-	merged.Manifest = man
-	return merged.WriteFile(filepath.Join(info.RunDir, "metrics.jsonl"))
+	return nil
 }
 
 // DistWorkerOptions configures the worker-process half of a distributed
@@ -211,9 +190,6 @@ type DistWorkerOptions struct {
 	// ObsAddr is this worker's /metrics listen address, reported to the
 	// coordinator (empty = no observability plane).
 	ObsAddr string
-	// ExportMetrics writes a metrics.jsonl telemetry sidecar next to the
-	// manifest.json in the worker's state directory (requires cfg.Metrics).
-	ExportMetrics bool
 	// WireFaults is the injector behind WrapConn (second return of
 	// DistFaultConn); its counters are folded into the reported outcome so
 	// wire faults show up in the coordinator's Result.FaultStats.
@@ -288,15 +264,21 @@ func DistFaultConn(cfg Config, speedup float64) (func(net.Conn) net.Conn, *fault
 
 // RunDistWorker executes this process's share of a distributed run: it
 // joins the coordinator named by wenv, runs the locally hosted ranks with
-// the exact same bodies and runtime hooks Run would use, reports the
-// outcome blob, and writes its state-directory sidecars. The caller must
-// pass the same Config on every worker and on the coordinator.
+// the exact same bodies and runtime hooks Run would use, seals cfg.Metrics
+// with its own ranks' outcome, and reports the outcome blob, which carries
+// the sink's export. The caller must pass the same Config on every worker
+// and on the coordinator, each with a sink and a trace log of its own.
 func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	cfg = cfg.withDefaults()
+	wallStart := time.Now()
 	if s := cfg.Metrics; s != nil {
+		s.Manifest.Dist = &metrics.DistManifest{
+			RunID: wenv.RunID, Workers: wenv.Workers, Role: "worker",
+			Worker: wenv.Worker, Ranks: wenv.Ranks, Pid: os.Getpid(),
+		}
 		fillManifest(&s.Manifest, &cfg) // before Start opens the live stream with it
 		s.Start(cfg.P)
 	}
@@ -323,7 +305,7 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 		// See Config.Cancel: the dist backend does not support it, and the
 		// world the ranks run on would poll it.
 		rcfg.Canceled = nil
-		pr.RunRanks(rcfg, bodies)
+		end := pr.RunRanks(rcfg, bodies)
 
 		wr := &workerResult{hasDet: hasDet, detOut: detOut}
 		for i, rank := range wenv.Ranks {
@@ -342,41 +324,21 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 		if wi := opts.WireFaults; wi != nil {
 			wr.stats.Add(wi.Stats())
 		}
-		if err := writeWorkerSidecars(&cfg, wenv, opts); err != nil {
-			return nil, err
+		if s := cfg.Metrics; s != nil {
+			// This worker's share of the outcome: its ranks' totals, and the
+			// verdict as far as they saw it.
+			part := &Result{Time: end, Converged: true, FaultStats: wr.stats}
+			for _, o := range wr.outcomes {
+				part.tally(o)
+				part.Converged = part.Converged && o.haltedOK
+			}
+			s.FinishRun(outcomeOf(&cfg, part, wallStart))
+			var buf bytes.Buffer
+			if err := s.WriteJSONL(&buf); err != nil {
+				return nil, err
+			}
+			wr.telemetry = buf.Bytes()
 		}
 		return encodeWorkerResult(wr), nil
 	})
-}
-
-// writeWorkerSidecars leaves the worker's state directory self-describing:
-// a manifest.json identifying the run and this worker's share of it, and —
-// when telemetry export is on — its metrics.jsonl series.
-func writeWorkerSidecars(cfg *Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) error {
-	var man metrics.Manifest
-	if s := cfg.Metrics; s != nil {
-		man = s.Manifest
-	} else {
-		fillManifest(&man, cfg)
-	}
-	man.FillHost()
-	man.Dist = &metrics.DistManifest{
-		RunID: wenv.RunID, Workers: wenv.Workers, Role: "worker",
-		Worker: wenv.Worker, Ranks: wenv.Ranks, Pid: os.Getpid(),
-	}
-	if err := man.WriteFile(filepath.Join(wenv.StateDir, "manifest.json")); err != nil {
-		return err
-	}
-	if t := cfg.Trace; t != nil {
-		// The worker-local causal log, on this worker's own clock — a
-		// debugging artifact; the coordinator writes the federated view.
-		if err := t.WriteCSVFile(filepath.Join(wenv.StateDir, "trace.csv")); err != nil {
-			return err
-		}
-	}
-	if s := cfg.Metrics; s != nil && opts.ExportMetrics {
-		s.Manifest.Dist = man.Dist
-		return s.Snapshot().WriteFile(filepath.Join(wenv.StateDir, "metrics.jsonl"))
-	}
-	return nil
 }

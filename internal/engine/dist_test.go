@@ -1,12 +1,13 @@
 package engine
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
-	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,7 +21,9 @@ import (
 )
 
 // distRun executes cfg over the given number of in-process loopback workers
-// (goroutines joined over real TCP through the coordinator relay).
+// (goroutines joined over real TCP through the coordinator relay). A worker
+// is a process of its own in production, so when cfg has a sink each worker
+// gets a fresh one.
 func distRun(t *testing.T, cfg Config, workers int, wopts DistWorkerOptions) (*Result, *dtime.RunInfo, error) {
 	t.Helper()
 	if wopts.Speedup == 0 {
@@ -30,7 +33,11 @@ func distRun(t *testing.T, cfg Config, workers int, wopts DistWorkerOptions) (*R
 		Workers: workers,
 		RunRoot: t.TempDir(),
 		Spawn: dtime.GoroutineSpawner(func(w dtime.WorkerEnv) error {
-			return RunDistWorker(cfg, w, wopts)
+			wcfg := cfg
+			if cfg.Metrics != nil {
+				wcfg.Metrics = &metrics.Sink{Period: cfg.Metrics.Period}
+			}
+			return RunDistWorker(wcfg, w, wopts)
 		}),
 		HeartbeatTimeout: 10 * time.Second,
 		Wall:             2 * time.Minute,
@@ -58,22 +65,103 @@ func TestDistSmoke(t *testing.T) {
 	if res.MaxResidual >= cfg.Tol {
 		t.Fatalf("max residual %g above tol %g", res.MaxResidual, cfg.Tol)
 	}
-	// Graceful shutdown leaves a complete manifest.json sidecar in every
-	// per-process state directory, plus the coordinator's federated one.
-	for _, w := range info.Workers {
-		if _, err := os.Stat(filepath.Join(w.StateDir, "manifest.json")); err != nil {
-			t.Errorf("worker %d sidecar: %v", w.Worker, err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(info.RunDir, "manifest.json")); err != nil {
-		t.Errorf("federated manifest: %v", err)
+	if files := regularFiles(t, info.RunDir); len(files) != 0 {
+		t.Errorf("the engine wrote files into the run directory: %v", files)
 	}
 }
 
-// TestDistManifestOutcomeWithoutSink: the run directory's manifest.json
-// records the whole outcome even when the coordinator collects no telemetry:
-// the sink-less path must not write a thinner outcome than the sealed sink's.
-func TestDistManifestOutcomeWithoutSink(t *testing.T) {
+// regularFiles lists the regular files under dir: a loopback run's directory
+// has none, because the engine writes no files and goroutine workers leave no
+// worker.log.
+func regularFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestDistTelemetryRidesTheOutcome: after a loopback RunDist whose workers
+// keep their own sinks, the caller's sink holds the whole run, as after Run:
+// every rank's samples, the detector's halt, the coordinator's sealed
+// manifest, and per-sample fault counts the workers resolved before shipping
+// them. Nothing of it is a file.
+func TestDistTelemetryRidesTheOutcome(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed loopback run")
+	}
+	prob, _ := smallBruss()
+	cfg := lbConfig(prob)
+	cfg.Faults = &fault.Plan{Seed: 3, Msg: fault.Rates{Drop: 0.05}}
+	cfg.MaxTime = 5000
+	cfg.MaxIter = 500000
+	cfg.Metrics = &metrics.Sink{}
+	res, info, err := distRun(t, cfg, 2, DistWorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := cfg.Metrics.Snapshot()
+
+	for rank := 0; rank < cfg.P; rank++ {
+		if rank >= len(run.Samples) || len(run.Samples[rank]) == 0 {
+			t.Fatalf("no samples of rank %d", rank)
+		}
+	}
+	halted := false
+	for _, ev := range run.Events {
+		halted = halted || ev.Node == -1 && ev.Name == "halt"
+	}
+	if !halted {
+		t.Errorf("no halt event among %d events", len(run.Events))
+	}
+	m := run.Manifest
+	if m.Outcome == nil || m.Outcome.Converged != res.Converged || m.Outcome.TotalIters != res.TotalIters {
+		t.Errorf("manifest outcome %+v does not seal the result", m.Outcome)
+	}
+	if d := m.Dist; d == nil || d.Role != "coordinator" || d.RunID != info.RunID || d.Workers != 2 {
+		t.Errorf("manifest dist section %+v, want the coordinator of run %s", d, info.RunID)
+	}
+
+	faulted := false
+	for rank, row := range run.Samples {
+		for _, sm := range row {
+			if sm.Faults > run.Faults[rank] {
+				t.Fatalf("rank %d: a sample counts %d faults, the run %d", rank, sm.Faults, run.Faults[rank])
+			}
+		}
+		faulted = faulted || row[len(row)-1].Faults > 0
+	}
+	if !faulted {
+		t.Errorf("every sample counts 0 faults; the runtime line counts %v", run.Faults)
+	}
+
+	var buf bytes.Buffer
+	if err := run.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := metrics.ReadRun(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, run) {
+		t.Error("the merged run does not survive WriteJSONL and ReadRun unchanged")
+	}
+	if files := regularFiles(t, info.RunDir); len(files) != 0 {
+		t.Errorf("the engine wrote files into the run directory: %v", files)
+	}
+}
+
+// TestDistManifestOutcomeWithoutWorkerSinks: the coordinator's sealed
+// manifest records the whole outcome even when no worker collects telemetry
+// and there is nothing to merge.
+func TestDistManifestOutcomeWithoutWorkerSinks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed loopback run")
 	}
@@ -81,19 +169,26 @@ func TestDistManifestOutcomeWithoutSink(t *testing.T) {
 	cfg := lbConfig(prob)
 	cfg.MaxTime = 5000
 	cfg.MaxIter = 500000
-	res, info, err := distRun(t, cfg, 2, DistWorkerOptions{})
+	sink := &metrics.Sink{}
+	cfg.Metrics = sink
+	res, _, err := RunDist(cfg, DistOptions{
+		Workers: 2,
+		RunRoot: t.TempDir(),
+		Spawn: dtime.GoroutineSpawner(func(w dtime.WorkerEnv) error {
+			wcfg := cfg
+			wcfg.Metrics = nil
+			return RunDistWorker(wcfg, w, DistWorkerOptions{Speedup: 200})
+		}),
+		HeartbeatTimeout: 10 * time.Second,
+		Wall:             2 * time.Minute,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var man metrics.Manifest
-	b, err := os.ReadFile(filepath.Join(info.RunDir, "manifest.json"))
-	if err == nil {
-		err = json.Unmarshal(b, &man)
+	out := sink.Manifest.Outcome
+	if out == nil {
+		t.Fatal("the coordinator's manifest is not sealed")
 	}
-	if err != nil || man.Outcome == nil {
-		t.Fatalf("federated manifest: %v (outcome %v)", err, man.Outcome)
-	}
-	out := man.Outcome
 	if res.LBTransfers == 0 || res.BoundaryMsgs == 0 {
 		t.Fatalf("the run balanced nothing (%d transfers, %d boundary messages): the test shows nothing", res.LBTransfers, res.BoundaryMsgs)
 	}
@@ -104,6 +199,9 @@ func TestDistManifestOutcomeWithoutSink(t *testing.T) {
 	}
 	if out.WallSeconds <= 0 {
 		t.Errorf("wall_seconds = %g, want > 0", out.WallSeconds)
+	}
+	if n := len(sink.Samples(0)); n != 0 {
+		t.Errorf("sinkless workers, yet rank 0 has %d samples", n)
 	}
 }
 

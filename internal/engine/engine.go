@@ -185,7 +185,7 @@ type Config struct {
 	// Deprecated: SimWorkers is accepted and ignored. It selected a second,
 	// windowed virtual-time scheduler that no longer exists; the field stays
 	// only because the frozen benchmark sets it (bench/workloads.go:187,247)
-	// and goes with the vt-table1-par workload (ROADMAP item 2).
+	// and goes with the vt-table1-par workload (ROADMAP item 3(d)).
 	SimWorkers int
 
 	// poisonFree fills every buffer entering a node's free list with NaN, so
@@ -487,17 +487,7 @@ func assembleResult(cfg *Config, outcomes []*nodeOutcome, detOut detect.Outcome,
 		res.NodeIters[r] = o.iters
 		res.NodeWork[r] = o.work
 		res.NodeResid[r] = o.residual
-		res.TotalIters += o.iters
-		res.TotalWork += o.work
-		if o.residual > res.MaxResidual {
-			res.MaxResidual = o.residual
-		}
-		res.LBTransfers += o.lbRecv
-		res.LBRejects += o.lbRejected
-		res.LBCompsMoved += o.compsMoved
-		res.LBRetries += o.lbRetries
-		res.BoundaryMsgs += o.msgsBoundary
-		res.SuppressedSnd += o.suppressed
+		res.tally(o)
 	}
 	// Gather the state in two passes: regular copies first, then the
 	// provisional (halt-time restored) copies to fill any position the
@@ -525,6 +515,21 @@ func assembleResult(cfg *Config, outcomes []*nodeOutcome, detOut detect.Outcome,
 	return res, nil
 }
 
+// tally adds one node's outcome to the result's run-wide totals.
+func (res *Result) tally(o *nodeOutcome) {
+	res.TotalIters += o.iters
+	res.TotalWork += o.work
+	if o.residual > res.MaxResidual {
+		res.MaxResidual = o.residual
+	}
+	res.LBTransfers += o.lbRecv
+	res.LBRejects += o.lbRejected
+	res.LBCompsMoved += o.compsMoved
+	res.LBRetries += o.lbRetries
+	res.BoundaryMsgs += o.msgsBoundary
+	res.SuppressedSnd += o.suppressed
+}
+
 // finishMetrics seals the telemetry sink's manifest with the run outcome.
 func finishMetrics(cfg *Config, res *Result, wallStart time.Time) {
 	if s := cfg.Metrics; s != nil {
@@ -532,9 +537,8 @@ func finishMetrics(cfg *Config, res *Result, wallStart time.Time) {
 	}
 }
 
-// outcomeOf is the manifest's record of how the run ended: every place that
-// writes an outcome (the sealed sink, a dist run directory's manifest.json)
-// gets it here.
+// outcomeOf is the manifest's record of how the run ended: every sink that
+// is sealed (a run's, a dist worker's) gets it here.
 func outcomeOf(cfg *Config, res *Result, wallStart time.Time) metrics.Outcome {
 	var traceDropped uint64
 	if cfg.Trace != nil {

@@ -178,14 +178,16 @@ func decTrajs(d *dtime.Dec) [][]float64 {
 
 // workerResult is one worker process's share of a distributed run: the
 // outcomes of its hosted node ranks, the detector outcome when the detector
-// rank lives on it, and the faults its injector actually fired. It crosses
-// the coordinator connection as the worker's opaque outcome blob.
+// rank lives on it, the faults its injector actually fired, and — when the
+// worker has a sink — its sealed telemetry as a JSONL export. It crosses the
+// coordinator connection as the worker's opaque outcome blob.
 type workerResult struct {
-	ranks    []int // node ranks, aligned with outcomes
-	outcomes []*nodeOutcome
-	hasDet   bool
-	detOut   detect.Outcome
-	stats    fault.Stats
+	ranks     []int // node ranks, aligned with outcomes
+	outcomes  []*nodeOutcome
+	hasDet    bool
+	detOut    detect.Outcome
+	stats     fault.Stats
+	telemetry []byte
 }
 
 func encodeWorkerResult(r *workerResult) []byte {
@@ -205,6 +207,7 @@ func encodeWorkerResult(r *workerResult) []byte {
 	e.U64(r.stats.Spiked)
 	e.U64(r.stats.Stalled)
 	e.U64(r.stats.Slowed)
+	e.Bytes(r.telemetry)
 	return e.B
 }
 
@@ -229,6 +232,7 @@ func decodeWorkerResult(b []byte) (*workerResult, error) {
 	r.stats.Spiked = d.U64()
 	r.stats.Stalled = d.U64()
 	r.stats.Slowed = d.U64()
+	r.telemetry = d.Bytes()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("engine: decode worker result: %w", err)
 	}

@@ -5,49 +5,12 @@ import (
 	"sort"
 )
 
-// FederateRuns reads per-worker telemetry exports (metrics.jsonl sidecars)
-// and merges them into one run view, validating that they form a coherent
-// worker set first: every path must exist and parse, every export must
-// carry a worker Dist section, all exports must agree on the run ID, and no
-// worker index may appear twice — a stale or copied sidecar is an error,
-// not silent double counting. The empty set is an error too: federating
-// nothing almost always means a glob matched nothing.
-func FederateRuns(paths []string) (*Run, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("metrics: federate: empty worker set")
-	}
-	runs := make([]*Run, 0, len(paths))
-	runID := ""
-	seenWorker := map[int]string{}
-	for _, p := range paths {
-		r, err := ReadRunFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("metrics: federate: %w", err)
-		}
-		d := r.Manifest.Dist
-		if d == nil {
-			return nil, fmt.Errorf("metrics: federate: %s has no dist manifest (not a worker export)", p)
-		}
-		if runID == "" {
-			runID = d.RunID
-		} else if d.RunID != runID {
-			return nil, fmt.Errorf("metrics: federate: %s belongs to run %q, expected %q", p, d.RunID, runID)
-		}
-		if prev, dup := seenWorker[d.Worker]; dup {
-			return nil, fmt.Errorf("metrics: federate: worker %d exported by both %s and %s", d.Worker, prev, p)
-		}
-		seenWorker[d.Worker] = p
-		runs = append(runs, r)
-	}
-	return MergeRuns(runs)
-}
-
-// MergeRuns federates per-worker telemetry exports of one distributed run
-// into a single run view for aiacreport: per-rank sample series are taken
-// from the worker that hosts the rank, events are merged in time order, and
-// the runtime aggregates are summed (QueueMax takes the maximum). The
-// manifest is the first run's, with its Dist section cleared — the caller
-// owns the federated manifest.
+// MergeRuns federates the per-worker telemetry of one distributed run into
+// a single run view: per-rank sample series are taken from the worker that
+// hosts the rank (a rank sampled by two workers is an error), events are
+// merged in time order, and the runtime aggregates are summed (QueueMax
+// takes the maximum). The manifest is the first run's, with its Dist section
+// cleared — the caller owns the federated manifest.
 func MergeRuns(runs []*Run) (*Run, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("metrics: nothing to merge")

@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
+	"bytes"
 	"testing"
 )
 
@@ -30,28 +28,9 @@ func workerRun(runID string, worker int, ranks []int, events []Event) *Run {
 	return r
 }
 
-func writeExport(t *testing.T, dir, name string, r *Run) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteJSONL(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 func TestMergeRunsEmptySet(t *testing.T) {
 	if _, err := MergeRuns(nil); err == nil {
 		t.Fatal("MergeRuns(nil) succeeded")
-	}
-	if _, err := FederateRuns(nil); err == nil {
-		t.Fatal("FederateRuns(nil) succeeded")
 	}
 }
 
@@ -107,66 +86,59 @@ func TestMergeRunsInterleavedEvents(t *testing.T) {
 	}
 }
 
-func TestFederateRunsHappyPath(t *testing.T) {
-	dir := t.TempDir()
-	p0 := writeExport(t, dir, "w0.jsonl", workerRun("r1", 0, []int{0}, []Event{{T: 0.3, Node: 0, Name: "conv"}}))
-	p1 := writeExport(t, dir, "w1.jsonl", workerRun("r1", 1, []int{1}, []Event{{T: 0.1, Node: 1, Name: "conv"}}))
-	merged, err := FederateRuns([]string{p0, p1})
+// TestSinkMergeTakesInWorkerRuns: two workers' exports, read back, merged and
+// taken in by a fresh sink, read like one run — samples with the fault counts
+// their own sinks sealed (FinishRun does not re-resolve them), events in
+// time order, the aggregates summed — and the sink refuses a run with more
+// ranks than it holds.
+func TestSinkMergeTakesInWorkerRuns(t *testing.T) {
+	var runs []*Run
+	for _, r := range []*Run{
+		workerRun("r1", 0, []int{0}, []Event{{T: 0.3, Node: 0, Name: "conv"}}),
+		workerRun("r1", 1, []int{1}, []Event{{T: 0.1, Node: 1, Name: "conv"}}),
+	} {
+		r.Samples[len(r.Samples)-1][0].Faults = 4
+		r.Faults = make([]uint64, len(r.Samples))
+		r.Faults[len(r.Samples)-1] = 5
+		var buf bytes.Buffer
+		if err := r.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadRun(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, back)
+	}
+	merged, err := MergeRuns(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged.Samples) != 2 || len(merged.Events) != 2 {
-		t.Fatalf("merged: %d ranks, %d events", len(merged.Samples), len(merged.Events))
+	s := &Sink{}
+	s.Start(2)
+	if err := s.Merge(merged); err != nil {
+		t.Fatal(err)
 	}
-	if merged.Events[0].T != 0.1 {
-		t.Fatalf("events not time-ordered: %+v", merged.Events)
+	s.FinishRun(Outcome{Converged: true})
+	got := s.Snapshot()
+	if len(got.Samples) != 2 || len(got.Events) != 2 || got.Events[0].T != 0.1 {
+		t.Fatalf("merged: %d ranks, events %+v", len(got.Samples), got.Events)
 	}
-}
+	for rank, row := range got.Samples {
+		if len(row) != 1 || row[0].Faults != 4 || got.Faults[rank] != 5 {
+			t.Fatalf("rank %d: samples %+v, runtime faults %d", rank, row, got.Faults[rank])
+		}
+	}
+	if got.Delivered != 20 || got.Control != 6 || got.QueueMax != 2 {
+		t.Fatalf("aggregates %d/%d/%g, want 20/6/2", got.Delivered, got.Control, got.QueueMax)
+	}
 
-func TestFederateRunsMissingSidecar(t *testing.T) {
-	dir := t.TempDir()
-	p0 := writeExport(t, dir, "w0.jsonl", workerRun("r1", 0, []int{0}, nil))
-	_, err := FederateRuns([]string{p0, filepath.Join(dir, "w1.jsonl")})
-	if err == nil {
-		t.Fatal("missing sidecar accepted")
+	small := &Sink{}
+	small.Start(1)
+	if err := small.Merge(merged); err == nil {
+		t.Fatal("a 2-rank run merged into a 1-rank sink")
 	}
-}
-
-// TestFederateRunsNoManifestLine: a sidecar whose manifest line is absent
-// (truncated write) fails cleanly.
-func TestFederateRunsNoManifestLine(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "w0.jsonl")
-	os.WriteFile(bad, []byte(`{"type":"sample","node":0,"t":1}`+"\n"), 0o644)
-	if _, err := FederateRuns([]string{bad}); err == nil || !strings.Contains(err.Error(), "manifest") {
-		t.Fatalf("truncated sidecar: err = %v", err)
-	}
-}
-
-func TestFederateRunsNonWorkerExport(t *testing.T) {
-	dir := t.TempDir()
-	r := workerRun("r1", 0, []int{0}, nil)
-	r.Manifest.Dist = nil // a plain single-process export
-	p := writeExport(t, dir, "solo.jsonl", r)
-	if _, err := FederateRuns([]string{p}); err == nil {
-		t.Fatal("non-worker export accepted")
-	}
-}
-
-func TestFederateRunsMixedRunIDs(t *testing.T) {
-	dir := t.TempDir()
-	p0 := writeExport(t, dir, "w0.jsonl", workerRun("r1", 0, []int{0}, nil))
-	p1 := writeExport(t, dir, "w1.jsonl", workerRun("r2", 1, []int{1}, nil))
-	if _, err := FederateRuns([]string{p0, p1}); err == nil {
-		t.Fatal("sidecars from different runs federated")
-	}
-}
-
-func TestFederateRunsDuplicateWorker(t *testing.T) {
-	dir := t.TempDir()
-	p0 := writeExport(t, dir, "w0.jsonl", workerRun("r1", 0, []int{0}, nil))
-	p0again := writeExport(t, dir, "w0-stale.jsonl", workerRun("r1", 0, []int{1}, nil))
-	if _, err := FederateRuns([]string{p0, p0again}); err == nil {
-		t.Fatal("duplicate worker sidecars federated")
+	if n := len(small.Samples(0)); n != 0 {
+		t.Fatalf("a refused merge left %d samples", n)
 	}
 }

@@ -1,10 +1,9 @@
 package metrics
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"aiac/internal/fault"
@@ -53,11 +52,11 @@ type Manifest struct {
 	// Deprecated: Sim is never set. It described the windowed virtual-time
 	// scheduler, which no longer exists; the field stays only because the
 	// frozen benchmark reads it (bench/tracing.go:241) and goes with the
-	// vt-table1-par workload (ROADMAP item 2).
+	// vt-table1-par workload (ROADMAP item 3(d)).
 	Sim *SimManifest `json:"sim,omitempty"`
 
 	// Dist records a distributed (multi-OS-process) run: the run identity
-	// and, in a worker's sidecar manifest, which worker wrote it.
+	// and, in a worker's manifest, which worker recorded it.
 	Dist *DistManifest `json:"dist,omitempty"`
 
 	// Outcome is sealed by FinishRun when the run completes.
@@ -73,9 +72,8 @@ type SimManifest struct {
 }
 
 // DistManifest describes one view of a distributed run. The coordinator's
-// federated manifest has Role "coordinator"; each worker process writes a
-// manifest.json sidecar into its state directory with Role "worker" and its
-// own identity filled in.
+// manifest — the one that heads the merged run — has Role "coordinator";
+// each worker's sink carries Role "worker" and the worker's own identity.
 type DistManifest struct {
 	RunID   string `json:"run_id"`
 	Workers int    `json:"workers"`
@@ -125,16 +123,6 @@ type Outcome struct {
 	Faults fault.Stats `json:"faults"`
 }
 
-// WriteFile writes the manifest to path as indented JSON: the manifest.json
-// sidecar of a distributed run's directory and of each worker's.
-func (m Manifest) WriteFile(path string) error {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
 // FillHost stamps the manifest with the execution environment: wall-clock
 // start, Go version, GOOS/GOARCH, and the VCS revision when the binary
 // carries build info. Already-set fields are kept (so tests can pin them).
@@ -162,7 +150,9 @@ func (m *Manifest) FillHost() {
 	}
 }
 
-func vcsRevision() string {
+// vcsRevision reads the binary's build info once: every run a service
+// builds stamps its manifest, and the build info does not change.
+var vcsRevision = sync.OnceValue(func() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return ""
@@ -176,4 +166,4 @@ func vcsRevision() string {
 		}
 	}
 	return ""
-}
+})

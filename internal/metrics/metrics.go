@@ -18,6 +18,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -147,13 +148,32 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[bucketOf(v)].Add(1)
 	h.count.Add(1)
+	h.sum.add(v)
+}
+
+// add adds v to the gauge's value.
+func (g *Gauge) add(v float64) {
 	for {
-		old := h.sum.bits.Load()
+		old := g.bits.Load()
 		next := math.Float64frombits(old) + v
-		if h.sum.bits.CompareAndSwap(old, math.Float64bits(next)) {
+		if g.bits.CompareAndSwap(old, math.Float64bits(next)) {
 			return
 		}
 	}
+}
+
+// merge adds a snapshot of another histogram, bucket by bucket: Snapshot
+// exports bucket i at index i.
+func (h *Histogram) merge(s HistSnapshot) error {
+	if len(s.Counts) > histBuckets {
+		return fmt.Errorf("metrics: latency histogram with %d buckets, want at most %d", len(s.Counts), histBuckets)
+	}
+	for i, n := range s.Counts {
+		h.counts[i].Add(n)
+	}
+	h.count.Add(s.Count)
+	h.sum.add(s.Sum)
+	return nil
 }
 
 // HistSnapshot is an immutable copy of a Histogram, as exported to JSONL.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -152,6 +153,15 @@ type liveNode struct {
 	queue    atomic.Int64
 }
 
+// offer makes sm the node's last-offered observation.
+func (lv *liveNode) offer(sm NodeSample) {
+	lv.residual.Set(sm.Residual)
+	lv.work.Set(sm.Work)
+	lv.iter.Store(int64(sm.Iter))
+	lv.count.Store(int64(sm.Count))
+	lv.queue.Store(int64(sm.Queue))
+}
+
 // Run phases, as reported by Phase.
 const (
 	PhaseIdle    = "idle"
@@ -236,12 +246,7 @@ func (s *Sink) Sample(rank int, sm NodeSample) {
 	if s == nil || rank < 0 || rank >= len(s.nodes) {
 		return
 	}
-	lv := &s.live[rank]
-	lv.residual.Set(sm.Residual)
-	lv.work.Set(sm.Work)
-	lv.iter.Store(int64(sm.Iter))
-	lv.count.Store(int64(sm.Count))
-	lv.queue.Store(int64(sm.Queue))
+	s.live[rank].offer(sm)
 	ns := &s.nodes[rank]
 	gap := s.Period
 	if ns.minGap > gap {
@@ -366,9 +371,59 @@ func (s *Sink) MsgDelivered(m runenv.Msg, depth int) {
 	s.Latency.Observe(m.RecvT - m.SendT)
 }
 
+// Merge takes in a run recorded by other sinks — the workers' of a
+// distributed run, merged by MergeRuns — as if this sink had recorded it:
+// its samples, events and runtime aggregates join the sink's own, and the
+// listener hears them. Merged samples keep the fault counts the recording
+// sink sealed into them. Call it between Start and FinishRun. A rank or an
+// emitter this sink does not hold is an error, and nothing is merged.
+func (s *Sink) Merge(r *Run) error {
+	if len(r.Samples) > len(s.nodes) || len(r.Faults) > len(s.faults) {
+		return fmt.Errorf("metrics: merge: run of %d ranks into a sink of %d", max(len(r.Samples), len(r.Faults)), len(s.nodes))
+	}
+	for _, ev := range r.Events {
+		if ev.Node < -1 || ev.Node >= len(s.nodes) {
+			return fmt.Errorf("metrics: merge: event of node %d in a sink of %d", ev.Node, len(s.nodes))
+		}
+	}
+	if err := s.Latency.merge(r.Latency); err != nil {
+		return err
+	}
+	for rank, row := range r.Samples {
+		s.nodes[rank].samples = append(s.nodes[rank].samples, row...)
+		for _, sm := range row {
+			s.live[rank].offer(sm)
+			if s.Listener != nil {
+				s.Listener.LiveSample(rank, sm)
+			}
+		}
+	}
+	for rank, n := range r.Faults {
+		s.faults[rank].Add(n)
+	}
+	s.mu.Lock()
+	for _, ev := range r.Events {
+		st := &s.evs[ev.Node+1]
+		st.events = append(st.events, ev)
+	}
+	s.evs[0].dropped += r.EventsDropped
+	s.mu.Unlock()
+	if s.Listener != nil {
+		for _, ev := range r.Events {
+			s.Listener.LiveEvent(ev)
+		}
+	}
+	s.Delivered.Add(r.Delivered)
+	s.Control.Add(r.Control)
+	s.QueueMax.Max(r.QueueMax)
+	return nil
+}
+
 // FinishRun seals the run's outcome into the manifest and resolves every
 // stored sample's Faults field: the count of this node's inbound faults
-// injected at or before the sample's time.
+// injected at or before the sample's time. A node this sink counted no
+// faults for keeps the counts its samples carry: zero as sampled, or what a
+// merged run was sealed with.
 func (s *Sink) FinishRun(out Outcome) {
 	if s == nil {
 		return
@@ -382,6 +437,9 @@ func (s *Sink) FinishRun(out Outcome) {
 	}
 	for r := range s.nodes {
 		times := s.faultT[r]
+		if len(times) == 0 {
+			continue
+		}
 		sort.Float64s(times)
 		row := s.nodes[r].samples
 		idx := 0

@@ -139,7 +139,7 @@ func newProblem[P interface{ Validate() error }, T iterative.Problem](params P, 
 
 // BuildConfig validates the spec and translates it into an engine
 // configuration that is ready to run: cfg.Metrics is a fresh sink whose
-// manifest names the run, and cfg.Trace a fresh (capped) log when the spec
+// manifest names the run and the host, and cfg.Trace a fresh (capped) log when the spec
 // asks for a trace. A caller that wants less detaches it. An error here is
 // everything engine.Run would refuse, so a front door can reject a bad spec
 // before it spends anything on it.
@@ -267,6 +267,7 @@ func (sp RunSpec) BuildConfig() (engine.Config, error) {
 	sink.Manifest.Problem = fmt.Sprintf("%s-%d", strings.ToLower(sp.Problem), sp.N)
 	sink.Manifest.Cluster = strings.ToLower(sp.Cluster)
 	sink.Manifest.FaultSpec = sp.Faults
+	sink.Manifest.FillHost()
 	cfg.Metrics = sink
 	if sp.Trace {
 		cfg.Trace = &trace.Log{}

@@ -46,10 +46,9 @@ type ProcTrace struct {
 const WireDeliverNote = "deliver"
 
 // Federate merges the worker traces and the optional coordinator wire trace
-// of one distributed run into a single global log. It validates the set the
-// same way metrics.FederateRuns does (no workers, missing worker, duplicate
-// worker, duplicate node, mixed run IDs — plus mixed Speedups, which metrics
-// never needed), normalizes every process onto one clock, and rewrites each
+// of one distributed run into a single global log. It validates the set (no
+// workers, missing worker, duplicate worker, duplicate node, mixed run IDs,
+// mixed Speedups), normalizes every process onto one clock, and rewrites each
 // cross-process send into a Wire event spanning the real send→delivery
 // interval:
 //

@@ -7,8 +7,10 @@
 #   - every ./path package argument of a go run/build/test/vet command,
 #   - every -flag that follows the name aiacrun or paperexp on its command
 #     line, and every code span starting with a -flag on a line naming them,
-# and checks them against `make -qp`, the file system and the commands' own
-# -h output. bench/README.md is left out: bench/ is frozen between benchmark
+#   - every code span pkg.Name or pkg.Name.Member where pkg is the name of a
+#     package of this module (commands aside) and Name is exported,
+# and checks them against `make -qp`, the file system, the commands' own
+# -h output and `go doc`. bench/README.md is left out: bench/ is frozen between benchmark
 # PRs (BENCHMARK.json).
 #
 # usage: scripts/doc-check.sh [docs-dir]   (run from the repository root;
@@ -25,6 +27,8 @@ flags_of() {
 }
 aiacrun_flags=$(flags_of aiacrun)
 paperexp_flags=$(flags_of paperexp)
+# "name import-path" of every package of the module but the commands
+packages=$("$GO" list -f '{{.Name}} {{.ImportPath}}' ./... | grep -v '^main ')
 
 # check prints one line per thing the document names that does not exist.
 check() {
@@ -47,6 +51,12 @@ check() {
 	for p in $(echo "$text" | grep -oE 'go (run|build|test|vet)[^|;&`]*' |
 		grep -oE '[[:space:]]\./[A-Za-z0-9_./-]*' | sed -e 's/^[[:space:]]*//' -e 's|/\.\.\.$||' | sort -u); do
 		[ -d "$p" ] || echo "$doc: $p: no such package directory"
+	done
+
+	# Go names: the package must be one of ours, the name must resolve
+	for ref in $(echo "$text" | grep -oE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?`' | tr -d '`' | sort -u); do
+		path=$(echo "$packages" | awk -v name="${ref%%.*}" '$1 == name {print $2}')
+		[ -z "$path" ] || "$GO" doc "$path" "${ref#*.}" >/dev/null 2>&1 || echo "$doc: $ref: no such Go name"
 	done
 
 	# every pipeline segment that names aiacrun or paperexp: its -flags must
