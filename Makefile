@@ -25,11 +25,14 @@ bench:
 
 # The control-plane acceptance suite under -race: run registry durability
 # and rescan, fair queuing and quotas, the HTTP API lifecycle, SSE replay
-# determinism, and aiacrun's signal-sealing contract (see DESIGN.md §12).
+# determinism, and aiacrun's signal-sealing contract (see DESIGN.md §12);
+# then the fuzzers of the bytes it serves: the SSE replay and reader, and
+# the telemetry export reader.
 test-svc:
 	$(GO) test -race -timeout 30m ./internal/obs/ ./internal/report/ ./cmd/aiacrun/
 	$(GO) test -race -run NONE -fuzz FuzzStream -fuzztime 10s ./internal/report/
 	$(GO) test -race -run NONE -fuzz FuzzReadSSE -fuzztime 10s ./internal/report/
+	$(GO) test -race -run NONE -fuzz FuzzReadRun -fuzztime 10s ./internal/metrics/
 
 # Everything must stay gofmt-clean; prints the offending files on failure.
 fmt-check:

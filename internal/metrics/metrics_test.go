@@ -308,8 +308,7 @@ func TestReadRunRejectsGarbage(t *testing.T) {
 }
 
 // TestReadRunBoundsSampleNodes: a sample line's node indexes Samples, so one
-// the manifest before it does not count is refused before anything is sized
-// by it.
+// the manifest before it, or the last manifest, does not count is refused.
 func TestReadRunBoundsSampleNodes(t *testing.T) {
 	manifest := string(ManifestLine(Manifest{P: 2})) + "\n"
 	for _, bad := range []string{
@@ -317,6 +316,8 @@ func TestReadRunBoundsSampleNodes(t *testing.T) {
 		// the test before the third allocates gigabytes.
 		manifest + `{"type":"sample","node":2,"t":1,"iter":0}` + "\n",
 		`{"type":"sample","node":0,"t":1,"iter":0}` + "\n" + manifest,
+		// the last manifest counts too: the export would not read back
+		string(ManifestLine(Manifest{P: 3})) + "\n" + strings.Repeat(`{"type":"sample","node":2,"t":1,"iter":0}`+"\n", 3) + manifest,
 		manifest + `{"type":"sample","node":1000000000,"t":1,"iter":0}` + "\n",
 	} {
 		var before, after runtime.MemStats
@@ -333,6 +334,40 @@ func TestReadRunBoundsSampleNodes(t *testing.T) {
 	r, err := ReadRun(strings.NewReader(manifest + `{"type":"sample","node":1,"t":1,"iter":0}` + "\n"))
 	if err != nil || len(r.Samples) != 2 || len(r.Samples[1]) != 1 {
 		t.Fatalf("a sample of the last rank: %v, %+v", err, r)
+	}
+}
+
+// TestReadRunMemoryFollowsItsInput: a manifest's p is one number, so a
+// forged one with a sample just below it sizes nothing; a sparse export that
+// accounts for its ranks in its runtime line, as a dist worker's does, still
+// reads.
+func TestReadRunMemoryFollowsItsInput(t *testing.T) {
+	forged := `{"type":"manifest","manifest":{"p":2000000}}` + "\n" +
+		string(SampleLine(1999999, NodeSample{T: 1, Iter: 1})) + "\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadRun(strings.NewReader(forged))
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+		t.Fatalf("a %d-byte export allocated %d bytes", len(forged), b)
+	}
+	if err == nil {
+		t.Fatal("want an error for a sample of rank 1999999 in a one-sample export")
+	}
+
+	worker := &Run{
+		Manifest: Manifest{P: 15},
+		Samples:  make([][]NodeSample, 15),
+		Faults:   make([]uint64, 15),
+	}
+	worker.Samples[14] = []NodeSample{{T: 1, Iter: 1}}
+	var buf bytes.Buffer
+	if err := worker.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ReadRun(&buf)
+	if err != nil || len(r.Samples) != 15 || len(r.Samples[14]) != 1 {
+		t.Fatalf("one sample of the last of 15 ranks: %v, %+v", err, r)
 	}
 }
 

@@ -16,7 +16,10 @@ import (
 //
 //	manifest.json   the RunRecord (spec, tenant, state, timestamps, outcome)
 //	metrics.jsonl   the run's telemetry export (written when the run ends)
-//	report.txt      the rendered dashboard (written when the run ends)
+//	trace.csv       the execution trace of a traced run (likewise)
+//
+// The dashboard is not stored: GET /runs/{id}/report renders it from
+// metrics.jsonl on request.
 //
 // The in-memory index is rebuilt from the manifest.json sidecars on open,
 // so a restarted service recovers every completed run; runs that were
@@ -64,10 +67,10 @@ type RunRecord struct {
 	// ends, so list responses answer "did it converge" without opening
 	// the JSONL export.
 	Outcome *metrics.Outcome `json:"outcome,omitempty"`
-	// Artifacts lists the sidecar files present in the run's directory
-	// (metrics.jsonl, trace.csv, report.txt). Rescan rebuilds it from disk,
-	// so a restarted service recovers a traced run's trace.csv exactly like
-	// its telemetry export.
+	// Artifacts lists the sidecar files in the run's directory
+	// (metrics.jsonl, trace.csv): the ones the run wrote when it ended.
+	// Rescan rebuilds it from disk, so a restarted service recovers a traced
+	// run's trace.csv exactly like its telemetry export.
 	Artifacts []string `json:"artifacts,omitempty"`
 }
 
@@ -198,7 +201,7 @@ func (r *Registry) List(tenant string, state RunState) []RunRecord {
 
 // artifactNames are the sidecar files a run directory can hold besides its
 // manifest, in the order Artifacts lists them.
-var artifactNames = []string{"metrics.jsonl", "trace.csv", "report.txt"}
+var artifactNames = []string{"metrics.jsonl", "trace.csv"}
 
 // ScanArtifacts lists which known sidecar files exist in a run directory.
 func ScanArtifacts(dir string) []string {

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -399,11 +398,11 @@ func (s *Scheduler) execute(j *job) {
 	if err == nil {
 		run := sink.Snapshot()
 		rec.Outcome = run.Manifest.Outcome
-		if werr := writeArtifacts(s.reg.Dir(j.id), run, j.cfg.Trace); werr != nil {
+		var werr error
+		if rec.Artifacts, werr = writeArtifacts(s.reg.Dir(j.id), run, j.cfg.Trace); werr != nil {
 			rec.State = StateFailed
 			rec.Error = werr.Error()
 		}
-		rec.Artifacts = ScanArtifacts(s.reg.Dir(j.id))
 		// Seal the live stream with the canonical tail so followers see
 		// the same closing frames a replay would. The manifest is re-sent
 		// because the opening copy (captured at Start) predates the sealed
@@ -416,19 +415,21 @@ func (s *Scheduler) execute(j *job) {
 	j.stream.close()
 }
 
-// writeArtifacts exports the run's telemetry, rendered dashboard and (when
-// traced) execution trace into its registry directory.
-func writeArtifacts(dir string, run *metrics.Run, tlog *trace.Log) error {
+// writeArtifacts exports the run's telemetry and (when traced) execution
+// trace into its registry directory, and returns the names of the files it
+// wrote. The dashboard is not one of them: GET /runs/{id}/report renders it
+// from metrics.jsonl when someone asks.
+func writeArtifacts(dir string, run *metrics.Run, tlog *trace.Log) ([]string, error) {
 	if err := run.WriteFile(filepath.Join(dir, "metrics.jsonl")); err != nil {
-		return err
+		return nil, err
 	}
-	if tlog != nil {
-		if err := tlog.WriteCSVFile(filepath.Join(dir, "trace.csv")); err != nil {
-			return err
-		}
+	if tlog == nil {
+		return []string{"metrics.jsonl"}, nil
 	}
-	return os.WriteFile(filepath.Join(dir, "report.txt"),
-		[]byte(report.Render(run, report.Options{})), 0o644)
+	if err := tlog.WriteCSVFile(filepath.Join(dir, "trace.csv")); err != nil {
+		return []string{"metrics.jsonl"}, err
+	}
+	return []string{"metrics.jsonl", "trace.csv"}, nil
 }
 
 // streamListener adapts metrics.Sink's live hooks to the live stream. The

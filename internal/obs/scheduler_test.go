@@ -186,7 +186,7 @@ func TestSchedulerRunsToDone(t *testing.T) {
 	if rec.StartedAt == "" || rec.FinishedAt == "" {
 		t.Fatalf("timestamps missing: %+v", rec)
 	}
-	for _, name := range []string{"manifest.json", "metrics.jsonl", "report.txt"} {
+	for _, name := range []string{"manifest.json", "metrics.jsonl"} {
 		if _, err := os.Stat(filepath.Join(reg.Dir(id), name)); err != nil {
 			t.Fatalf("artifact %s: %v", name, err)
 		}

@@ -1,15 +1,18 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
 
+	"aiac/internal/metrics"
 	"aiac/internal/report"
 )
 
@@ -21,7 +24,7 @@ import (
 //	GET    /runs/{id}        one run's record
 //	DELETE /runs/{id}        cancel a queued or running run
 //	GET    /runs/{id}/events live/replayed dashboard frames over SSE
-//	GET    /runs/{id}/report the rendered ASCII dashboard
+//	GET    /runs/{id}/report the ASCII dashboard, rendered from metrics.jsonl
 //	GET    /healthz          liveness: process is up
 //	GET    /readyz           readiness: registry scanned, scheduler accepting
 type Service struct {
@@ -160,13 +163,20 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such run")
 		return
 	}
-	b, err := os.ReadFile(filepath.Join(s.reg.Dir(id), "report.txt"))
-	if err != nil {
+	// Only a whole export is a run: one that is missing (the run has not
+	// ended), cut short or unreadable has no dashboard.
+	export, err := os.ReadFile(filepath.Join(s.reg.Dir(id), "metrics.jsonl"))
+	if _, whole := metrics.RuntimeTail(export); err != nil || !whole {
 		writeError(w, http.StatusNotFound, "no report for run in state %s", rec.State)
 		return
 	}
+	run, err := metrics.ReadRun(bytes.NewReader(export))
+	if err != nil {
+		writeError(w, http.StatusNotFound, "no report for run in state %s: %v", rec.State, err)
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(b)
+	io.WriteString(w, report.Render(run, report.Options{}))
 }
 
 // handleTrace serves a run's execution trace (the trace.csv sidecar — for

@@ -100,7 +100,7 @@ func TestRegistryArtifactsRecovered(t *testing.T) {
 	}
 	rec := waitState(t, reg, id, StateDone)
 	s.Close()
-	want := []string{"metrics.jsonl", "trace.csv", "report.txt"}
+	want := []string{"metrics.jsonl", "trace.csv"}
 	if got := strings.Join(rec.Artifacts, " "); got != strings.Join(want, " ") {
 		t.Fatalf("terminal record artifacts = %v, want %v", rec.Artifacts, want)
 	}

@@ -91,8 +91,10 @@ func RuntimeFrame(run *metrics.Run) Frame {
 //
 // An export must end with a newline-terminated runtime line, the last line
 // the writer produces; one cut short (a crash mid-write) is an error, as is a
-// line that is not shaped as the writer shapes it. Lines of an unknown type
-// are skipped.
+// line that is not shaped as the writer shapes it, or an export that
+// metrics.ReadRun refuses for the ranks its samples name (that check decodes
+// the runtime line only when the export has fewer lines than ranks). Lines
+// of an unknown type are skipped.
 func Stream(export []byte) ([]Frame, error) {
 	type item struct {
 		t    float64
@@ -105,10 +107,12 @@ func Stream(export []byte) ([]Frame, error) {
 		return nil, fmt.Errorf("report: export holds a carriage return")
 	}
 	items := make([]item, 0, bytes.Count(export, []byte("\n")))
-	var manifest, runtime []byte
+	var manifest []byte
+	maxNode := -1
 	// What Stream reads of the latest manifest: p bounds the sample lines
-	// after it (0 before the first manifest), as metrics.ReadRun bounds them
-	// for a follower, and the outcome says whether the run sealed.
+	// after it (0 before the first manifest) and, in the last manifest, all
+	// of them, as metrics.ReadRun bounds them for a follower; the outcome
+	// says whether the run sealed.
 	type manifestHead struct {
 		Manifest struct {
 			P       int             `json:"p"`
@@ -117,7 +121,7 @@ func Stream(export []byte) ([]Frame, error) {
 	}
 	var head manifestHead
 	for rest, lineNo := export, 1; len(rest) > 0; lineNo++ {
-		line, after, found := bytes.Cut(rest, []byte("\n"))
+		line, after, _ := bytes.Cut(rest, []byte("\n"))
 		rest = after
 		if len(line) == 0 {
 			continue
@@ -126,7 +130,6 @@ func Stream(export []byte) ([]Frame, error) {
 		if !ok {
 			return nil, fmt.Errorf("report: export line %d has no type", lineNo)
 		}
-		runtime = nil // only the last line counts
 		var err error
 		switch string(typ) {
 		case FrameManifest:
@@ -141,14 +144,11 @@ func Stream(export []byte) ([]Frame, error) {
 				return nil, fmt.Errorf("report: export line %d: sample node %d is not a rank of the manifest before it", lineNo, it.node)
 			}
 			items = append(items, it)
+			maxNode = max(maxNode, it.node)
 		case FrameEvent:
 			it := item{kind: 1, f: Frame{Event: FrameEvent, Data: line}}
 			it.t, err = metrics.EventTime(line)
 			items = append(items, it)
-		case FrameRuntime:
-			if found && bytes.HasPrefix(line, []byte(`{"type":"runtime",`)) && bytes.HasSuffix(line, []byte("}")) {
-				runtime = line
-			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("report: export line %d: %w", lineNo, err)
@@ -157,8 +157,22 @@ func Stream(export []byte) ([]Frame, error) {
 	if manifest == nil {
 		return nil, fmt.Errorf("report: export has no manifest line")
 	}
-	if runtime == nil {
+	runtime, ok := metrics.RuntimeTail(export)
+	if !ok {
 		return nil, fmt.Errorf("report: export does not end with a newline-terminated runtime line: it was cut short")
+	}
+	if maxNode >= head.Manifest.P {
+		return nil, fmt.Errorf("report: a sample names rank %d, but the last manifest has p = %d", maxNode, head.Manifest.P)
+	}
+	if parts := 1 + len(items); maxNode >= parts {
+		// metrics.ReadRun's other bound, which a follower meets: no rank
+		// above the run's parts, which also count the runtime line's faults.
+		var rt struct {
+			Faults []uint64 `json:"faults"`
+		}
+		if err := json.Unmarshal(runtime, &rt); err != nil || maxNode >= parts+len(rt.Faults) {
+			return nil, fmt.Errorf("report: a sample names rank %d of a run of fewer parts", maxNode)
+		}
 	}
 
 	// Stable: equal keys keep stored order, which is node-major for samples

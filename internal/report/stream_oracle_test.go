@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"aiac/internal/engine"
@@ -148,10 +149,13 @@ func TestStreamMatchesOracle(t *testing.T) {
 	})
 	t.Run("sample-outside-p", func(t *testing.T) {
 		// A follower's metrics.ReadRun refuses a sample of a rank the
-		// manifest before it does not count, so the replay must too.
+		// manifest before it or the last one does not count, or one above
+		// the run's parts (a forged p), so the replay must too.
 		for _, b := range [][]byte{
 			[]byte(`{"type":"manifest","manifest":{"p":2}}` + "\n" + `{"type":"sample","node":2,"t":1,"iter":0}` + "\n"),
 			[]byte(`{"type":"sample","node":0,"t":1,"iter":0}` + "\n" + `{"type":"manifest","manifest":{"p":2}}` + "\n"),
+			[]byte(`{"type":"manifest","manifest":{"p":3}}` + "\n" + strings.Repeat(`{"type":"sample","node":2,"t":1,"iter":0}`+"\n", 3) + `{"type":"manifest","manifest":{"p":2}}` + "\n"),
+			[]byte(`{"type":"manifest","manifest":{"p":2000000}}` + "\n" + `{"type":"sample","node":1999999,"t":1,"iter":0}` + "\n"),
 		} {
 			b = append(b, (&metrics.Run{}).RuntimeLine()...)
 			b = append(b, '\n')
