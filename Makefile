@@ -92,21 +92,26 @@ test-faults:
 # lifecycle suite (frame codec and reader with their fuzz seed corpora, crash,
 # heartbeat and stalled-reader supervision), the wire-level fault-conn pins,
 # and the engine's cross-backend equivalence + wire-invariant grid and wire
-# golden (see DESIGN.md §11). The last line runs without -race, which the
-# allocation pins of the data plane cannot be measured under.
+# golden (see DESIGN.md §11), then the fuzzer of a worker's outcome blob, the
+# only payload a worker sends home at the end of a run. The last line runs
+# without -race, which the allocation pins of the data plane cannot be
+# measured under.
 test-dist:
 	$(GO) test -race -timeout 30m ./internal/rtime/ ./internal/dtime/
 	$(GO) test -race -timeout 30m ./internal/fault/ -run 'TestConn'
 	$(GO) test -race -timeout 30m ./internal/engine/ -run 'TestDist'
+	$(GO) test -race -run NONE -fuzz FuzzWorkerResult -fuzztime 10s ./internal/engine/
 	$(GO) test ./internal/dtime/ ./internal/engine/ -run 'TestDistDataPlaneAllocs'
 
 # The federated-tracing acceptance suite under -race: federation validation,
 # clock-offset normalization, lost/duplicate wire rewrites, byte-determinism
 # of the merged exports, and the end-to-end dist critical path with
-# wire-transit blame (see DESIGN.md §13).
+# wire-transit blame (see DESIGN.md §13); then the fuzzer of the trace CSV
+# reader, through the critical-path analysis and report aiacreport runs on it.
 test-trace-dist:
 	$(GO) test -race -timeout 30m ./internal/trace/
 	$(GO) test -race -timeout 30m ./internal/engine/ -run 'TestDistTrace'
+	$(GO) test -race -run NONE -fuzz FuzzReadCSV -fuzztime 10s ./internal/trace/
 
 # ROADMAP item 0's real-time tests, each run FLAKE_RUNS times from one
 # prebuilt engine test binary: prints "name passes/runs" per test and fails

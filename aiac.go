@@ -126,9 +126,11 @@ func DefaultLBPolicy() loadbalance.Policy { return loadbalance.DefaultPolicy() }
 // Config.Detection instead of the central verification detector.
 const DetectRing = engine.DetectRing
 
-// History collects per-node per-iteration time series when assigned to
-// Config.History.
-type History = engine.History
+// MetricsSink collects a run's telemetry when assigned to Config.Metrics:
+// per-node samples (time, iteration, residual, owned components, work),
+// timeline events and the run manifest. Samples(rank) returns one node's
+// series; a Cap above the run's iteration count keeps every sweep.
+type MetricsSink = metrics.Sink
 
 // BrusselatorParams returns the paper's Brusselator configuration (§4) for
 // a grid of n cells and implicit-Euler step dt: α = 1/50, T = 10.

@@ -140,14 +140,14 @@ func TestPublicAPISurface(t *testing.T) {
 	if aiac.NewPoisson2D(aiac.Poisson2DParams{N: 8}).Components() != 8 {
 		t.Fatal("poisson2d")
 	}
-	// history + JSON export through the facade types
+	// telemetry samples + JSON export through the facade types
 	params := aiac.BrusselatorParams(8, 0.05)
 	params.T = 0.25
-	hist := &aiac.History{Stride: 5}
+	sink := &aiac.MetricsSink{}
 	res, err := aiac.Solve(aiac.Config{
 		Mode: aiac.AIAC, P: 2, Problem: aiac.NewBrusselator(params),
 		Cluster: aiac.Heterogeneous(2, 0.5, 3),
-		Tol:     1e-8, MaxIter: 100000, History: hist,
+		Tol:     1e-8, MaxIter: 100000, Metrics: sink,
 		Detection: aiac.DetectRing, Seed: 2,
 	})
 	if err != nil || !res.Converged {
@@ -157,8 +157,11 @@ func TestPublicAPISurface(t *testing.T) {
 	if err := res.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if len(hist.FinalCounts()) != 2 {
-		t.Fatal("history")
+	for r := 0; r < 2; r++ {
+		row := sink.Samples(r)
+		if len(row) == 0 || row[len(row)-1].Count != res.FinalCount[r] {
+			t.Fatalf("node %d: samples do not end at the final count %d", r, res.FinalCount[r])
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package aiac_test
 
 // BenchmarkDistTraceOverhead pins the cost of distributed tracing: the same
 // loopback dist solve with Config.Trace off and on. The trace=on op adds
-// per-event logging on every worker, the FrameTrace export at outcome time
-// and the coordinator-side federation. The gap between the pair's ns/op is
+// per-event logging on every worker, the trace's ride home in each outcome
+// blob and the coordinator-side federation. The gap between the pair's ns/op is
 // the tracing tax, which must stay under 5%:
 //
 //	go test -run NONE -bench DistTraceOverhead -benchtime 5x .

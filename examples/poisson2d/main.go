@@ -1,7 +1,7 @@
 // Poisson2d solves the 2-D Poisson equation −Δu = f on the unit square by
 // asynchronous Jacobi iteration with a row-block decomposition, using the
 // fully decentralized ring convergence detector (no coordinator process at
-// all) and the per-iteration history collector to show how components
+// all) and the telemetry sink's per-sweep samples to show how components
 // migrate between nodes under load balancing.
 package main
 
@@ -17,17 +17,18 @@ func main() {
 	pp := aiac.Poisson2DParams{N: 48}
 	prob := aiac.NewPoisson2D(pp)
 
-	hist := &aiac.History{Stride: 25}
+	const maxIter = 500000
+	sink := &aiac.MetricsSink{Cap: maxIter + 1} // above any sweep count: never thins
 	res, err := aiac.Solve(aiac.Config{
 		Mode:      aiac.AIAC,
 		P:         6,
 		Problem:   prob,
 		Cluster:   aiac.Heterogeneous(6, 0.3, 17),
 		Tol:       1e-9,
-		MaxIter:   500000,
+		MaxIter:   maxIter,
 		Detection: aiac.DetectRing, // decentralized Safra-style detection
 		LB:        aiac.DefaultLBPolicy(),
-		History:   hist,
+		Metrics:   sink,
 		Seed:      4,
 	})
 	if err != nil {
@@ -49,24 +50,32 @@ func main() {
 	fmt.Printf("max error vs exact solution: %.3g (O(h²) bound ≈ %.3g)\n",
 		worst, 2*math.Pi*math.Pi*h*h)
 
-	// show the row migration the balancer performed
+	// show the row migration the balancer performed: every 25th sweep
+	counts := make([][]int, sink.Nodes())
+	for r := range counts {
+		for _, sm := range sink.Samples(r) {
+			if sm.Iter%25 == 0 {
+				counts[r] = append(counts[r], sm.Count)
+			}
+		}
+	}
 	fmt.Println("\nrow ownership over time (sampled every 25 iterations):")
 	fmt.Printf("%8s", "node:")
-	for r := range hist.ByNode {
+	for r := range counts {
 		fmt.Printf("%6d", r)
 	}
 	fmt.Println()
 	maxLen := 0
-	for _, row := range hist.ByNode {
+	for _, row := range counts {
 		if len(row) > maxLen {
 			maxLen = len(row)
 		}
 	}
 	for s := 0; s < maxLen; s += max(1, maxLen/8) {
 		fmt.Printf("%7d ", s*25)
-		for _, row := range hist.ByNode {
+		for _, row := range counts {
 			if s < len(row) {
-				fmt.Printf("%6d", row[s].Count)
+				fmt.Printf("%6d", row[s])
 			} else {
 				fmt.Printf("%6s", "-")
 			}
@@ -78,11 +87,4 @@ func main() {
 		fmt.Printf("%6d", c)
 	}
 	fmt.Println()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

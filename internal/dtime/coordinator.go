@@ -88,8 +88,7 @@ type Options struct {
 	// model clock started at the welcome broadcast (origin reported as
 	// RunInfo.TraceStart): one Wire span per relayed frame (recv → forward,
 	// with byte size) and supervision marks (heartbeats, stop, outcomes).
-	// Worker traces shipped via FrameTrace are collected into
-	// RunInfo.WorkerTraces for federation by the caller.
+	// Each worker's own clock origin is reported as WorkerInfo.ClockStart.
 	Trace *trace.Log
 	// Speedup scales the coordinator's trace clock; it must match the
 	// workers' WorkerOptions.Speedup (default rtime.DefaultSpeedup). Only
@@ -104,6 +103,9 @@ type WorkerInfo struct {
 	Ranks    []int  `json:"ranks"`
 	StateDir string `json:"state_dir"`
 	ObsAddr  string `json:"obs_addr,omitempty"`
+	// ClockStart is the wall-clock origin (unix nanos) of the worker's model
+	// clock, reported with its outcome beside its final clock.
+	ClockStart int64 `json:"clock_start,omitempty"`
 }
 
 // RunInfo is the coordinator's record of a run.
@@ -120,9 +122,6 @@ type RunInfo struct {
 	// TraceStart is the wall-clock origin (unix nanos) of the coordinator's
 	// trace clock — set only when Options.Trace is non-nil.
 	TraceStart int64 `json:"trace_start,omitempty"`
-	// WorkerTraces holds the causal trace each worker shipped at outcome
-	// time (FrameTrace), in arrival order; see trace.Federate.
-	WorkerTraces []*trace.ProcTrace `json:"-"`
 }
 
 // WorkerError is the typed coordinator-side failure of one worker: a crash
@@ -619,6 +618,7 @@ func (c *coordinator) run(ln net.Listener) ([][]byte, *RunInfo, error) {
 			case ev.typ == FrameOutcome:
 				d := Dec{B: ev.payload}
 				end := d.F64()
+				origin := d.I64()
 				blob := d.Rest()
 				if err := d.Err(); err != nil {
 					return fail(&WorkerError{Worker: ev.worker, Err: fmt.Errorf("bad outcome frame: %w", err)})
@@ -627,18 +627,13 @@ func (c *coordinator) run(ln net.Listener) ([][]byte, *RunInfo, error) {
 					cw.hasResult = true
 					cw.endTime = end
 					cw.outcome = blob
+					info.Workers[ev.worker].ClockStart = origin
 					if end > info.EndTime {
 						info.EndTime = end
 					}
 					outcomes++
 					c.mark(fmt.Sprintf("outcome worker %d", ev.worker))
 				}
-			case ev.typ == FrameTrace:
-				pt, err := DecodeTraceBlob(ev.payload)
-				if err != nil {
-					return fail(&WorkerError{Worker: ev.worker, Err: err})
-				}
-				info.WorkerTraces = append(info.WorkerTraces, pt)
 			case ev.typ == FrameError:
 				c.mark(fmt.Sprintf("error worker %d", ev.worker))
 				return fail(&WorkerError{Worker: ev.worker, Err: errors.New(string(ev.payload))})

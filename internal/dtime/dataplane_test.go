@@ -108,10 +108,11 @@ func handshake(w WorkerEnv) (net.Conn, *FrameReader, error) {
 func TestControlPayloadOutlivesFrameBuffer(t *testing.T) {
 	const relayed = 1000
 	blob := bytes.Repeat([]byte("outcome!"), 32)
-	fill := bytes.Repeat([]byte{0xEE}, len(blob)-envelopeHeaderLen+4) // same frame size as the outcome
+	fill := bytes.Repeat([]byte{0xEE}, len(blob)-envelopeHeaderLen+12) // same frame size as the outcome
 	outcome := func(b []byte) []byte {
 		e := Enc{}
-		e.F64(1)
+		e.F64(1) // final clock
+		e.I64(1) // its wall origin
 		return append(e.B, b...)
 	}
 	opts := testOptions(t, 2, func(w WorkerEnv) error {

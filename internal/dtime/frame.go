@@ -50,7 +50,8 @@ const (
 	// workers (binary envelope, see appendEnvelope).
 	FrameMsg
 	// FrameOutcome carries a worker's final outcome blob plus its final
-	// local clock (binary: f64 endTime, then the blob).
+	// local clock and that clock's wall origin (binary: f64 endTime, i64
+	// origin in unix nanos, then the blob).
 	FrameOutcome
 	// FrameStop is the global stop: coordinator → workers when the run is
 	// complete (or must abort), worker → coordinator to request one
@@ -61,10 +62,6 @@ const (
 	// FrameError reports a fatal worker-side protocol error before the
 	// worker exits (body: UTF-8 message).
 	FrameError
-	// FrameTrace ships a worker's causal trace log to the coordinator just
-	// before its outcome (binary body, see EncodeTraceBlob). Optional: only
-	// sent when the worker runs with tracing enabled.
-	FrameTrace
 )
 
 // Frame layout: u32 big-endian length N, then N bytes: version byte, type

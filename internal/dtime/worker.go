@@ -12,7 +12,6 @@ import (
 
 	"aiac/internal/rtime"
 	"aiac/internal/runenv"
-	"aiac/internal/trace"
 )
 
 // WorkerOptions configures a worker's runtime.
@@ -36,12 +35,6 @@ type WorkerOptions struct {
 	Heartbeat time.Duration
 	Dial      time.Duration
 	MaxFrame  int
-	// Trace, when non-nil, is this worker's causal trace log, shipped whole
-	// to the coordinator (FrameTrace) just before the outcome. The caller
-	// hands the same log to RunRanks (runenv.Config.Trace): the world adds a
-	// Wire record per remote delivery to it, so compute and wire events
-	// share one stream.
-	Trace *trace.Log
 }
 
 // RunWorker joins the run described by wenv, executes run with a
@@ -105,23 +98,9 @@ func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRun
 		return runErr
 	}
 
-	if opts.Trace != nil {
-		pt := &trace.ProcTrace{
-			Proc:    wenv.Worker,
-			RunID:   welcome.RunID,
-			Ranks:   wenv.Ranks,
-			Start:   start.UnixNano(),
-			Speedup: opts.Speedup,
-			Dropped: opts.Trace.Dropped(),
-			Events:  opts.Trace.Events(),
-		}
-		if err := rt.writeFrame(FrameTrace, EncodeTraceBlob(pt)); err != nil {
-			return fmt.Errorf("dtime: report trace: %w", err)
-		}
-	}
-
 	e := Enc{}
 	e.F64(rt.finalTime())
+	e.I64(start.UnixNano())
 	e.B = append(e.B, blob...)
 	if err := rt.writeFrame(FrameOutcome, e.B); err != nil {
 		return fmt.Errorf("dtime: report outcome: %w", err)

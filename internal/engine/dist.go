@@ -96,6 +96,7 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 	var detOut detect.Outcome
 	var stats fault.Stats
 	var runs []*metrics.Run
+	var traces []trace.ProcTrace
 	sawDet := false
 	for w, blob := range blobs {
 		wr, err := decodeWorkerResult(blob)
@@ -108,6 +109,15 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 				return nil, info, fmt.Errorf("engine: worker %d telemetry: %w", w, err)
 			}
 			runs = append(runs, run)
+		}
+		if cfg.Trace != nil {
+			if wr.trace == nil {
+				return nil, info, fmt.Errorf("engine: worker %d sent no trace to a traced run", w)
+			}
+			pt := *wr.trace
+			pt.Proc, pt.RunID = w, info.RunID
+			pt.Ranks, pt.Start = info.Workers[w].Ranks, info.Workers[w].ClockStart
+			traces = append(traces, pt)
 		}
 		for i, rank := range wr.ranks {
 			if rank < 0 || rank >= cfg.P {
@@ -146,22 +156,18 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 	}
 	finishMetrics(&cfg, res, wallStart)
 	if cfg.Trace != nil {
-		if err := federateTrace(&cfg, opts, info, wireLog); err != nil {
+		if err := federateTrace(&cfg, opts, info, wireLog, traces); err != nil {
 			return res, info, fmt.Errorf("engine: federate trace: %w", err)
 		}
 	}
 	return res, info, nil
 }
 
-// federateTrace merges the worker traces shipped over FrameTrace with the
-// coordinator's wire log into cfg.Trace: the caller's log then reads as one
-// global causal stream, so every single-process export path (CSV, Chrome,
-// critical path) works on a distributed run unchanged.
-func federateTrace(cfg *Config, opts DistOptions, info *dtime.RunInfo, wireLog *trace.Log) error {
-	workers := make([]trace.ProcTrace, 0, len(info.WorkerTraces))
-	for _, pt := range info.WorkerTraces {
-		workers = append(workers, *pt)
-	}
+// federateTrace merges the worker traces that came back in the outcome blobs
+// with the coordinator's wire log into cfg.Trace: the caller's log then reads
+// as one global causal stream, so every single-process export path (CSV,
+// Chrome, critical path) works on a distributed run unchanged.
+func federateTrace(cfg *Config, opts DistOptions, info *dtime.RunInfo, wireLog *trace.Log, workers []trace.ProcTrace) error {
 	coord := &trace.ProcTrace{
 		Proc:    len(workers),
 		RunID:   info.RunID,
@@ -287,7 +293,6 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 		Speedup:  opts.Speedup,
 		WrapConn: opts.WrapConn,
 		ObsAddr:  opts.ObsAddr,
-		Trace:    cfg.Trace,
 	}, func(pr runenv.PartialRunner) ([]byte, error) {
 		bodies := make(map[int]runenv.Body, len(wenv.Ranks))
 		outs := make([]*nodeOutcome, len(wenv.Ranks))
@@ -338,6 +343,9 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 				return nil, err
 			}
 			wr.telemetry = buf.Bytes()
+		}
+		if tl := cfg.Trace; tl != nil {
+			wr.trace = &trace.ProcTrace{Speedup: rtime.Speedup(opts.Speedup), Dropped: tl.Dropped(), Events: tl.Events()}
 		}
 		return encodeWorkerResult(wr), nil
 	})

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -14,18 +15,23 @@ import (
 
 // distTraceRun executes a traced dist solve: the coordinator's cfg carries
 // the caller's log (federated in place by RunDist), every goroutine worker
-// gets its own private log exactly like a real worker process would.
-func distTraceRun(t *testing.T, cfg Config, workers int) (*Result, *dtime.RunInfo, *trace.Log) {
+// gets its own private log exactly like a real worker process would. The
+// last return holds those worker logs, by worker index.
+func distTraceRun(t *testing.T, cfg Config, workers int) (*Result, *dtime.RunInfo, *trace.Log, []*trace.Log) {
 	t.Helper()
 	tlog := &trace.Log{}
 	cfg.Trace = tlog
+	wlogs := make([]*trace.Log, workers)
+	for i := range wlogs {
+		wlogs[i] = &trace.Log{}
+	}
 	opts := DistOptions{
 		Workers: workers,
 		RunRoot: t.TempDir(),
 		Speedup: 200,
 		Spawn: dtime.GoroutineSpawner(func(w dtime.WorkerEnv) error {
 			wcfg := cfg
-			wcfg.Trace = &trace.Log{}
+			wcfg.Trace = wlogs[w.Worker]
 			return RunDistWorker(wcfg, w, DistWorkerOptions{Speedup: 200})
 		}),
 		HeartbeatTimeout: 10 * time.Second,
@@ -35,7 +41,7 @@ func distTraceRun(t *testing.T, cfg Config, workers int) (*Result, *dtime.RunInf
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, info, tlog
+	return res, info, tlog, wlogs
 }
 
 // TestDistTraceFederatedEndToEnd is the tentpole acceptance test: a traced
@@ -56,7 +62,7 @@ func TestDistTraceFederatedEndToEnd(t *testing.T) {
 	cfg.Mode = SISC
 	cfg.MaxTime = 5000
 	cfg.MaxIter = 500000
-	res, _, tlog := distTraceRun(t, cfg, 2)
+	res, _, tlog, _ := distTraceRun(t, cfg, 2)
 	if !res.Converged {
 		t.Fatalf("did not converge (residual %g)", res.MaxResidual)
 	}
@@ -131,11 +137,12 @@ func TestDistTraceFederatedEndToEnd(t *testing.T) {
 }
 
 // TestDistTraceDeterministicExports is the golden determinism pin on real
-// dist data: re-federating the run's captured per-process traces — in
-// either worker order — must reproduce the Chrome JSON, the CSV and the
-// critical-path report byte for byte. (Wall-clock timestamps differ across
-// live runs; the pinned property is that the federation→export pipeline is
-// a pure function of the captured inputs.)
+// dist data: re-federating the run's per-process traces — each worker's own
+// log placed on the clock origin RunInfo reports for it — in either worker
+// order must reproduce the Chrome JSON, the CSV and the critical-path report
+// byte for byte. (Wall-clock timestamps differ across live runs; the pinned
+// property is that the federation→export pipeline is a pure function of the
+// captured inputs.)
 func TestDistTraceDeterministicExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed loopback run")
@@ -144,15 +151,21 @@ func TestDistTraceDeterministicExports(t *testing.T) {
 	cfg := baseConfig(prob, 4)
 	cfg.MaxTime = 5000
 	cfg.MaxIter = 500000
-	_, info, _ := distTraceRun(t, cfg, 2)
-	if len(info.WorkerTraces) != 2 {
-		t.Fatalf("captured %d worker traces, want 2", len(info.WorkerTraces))
+	_, info, _, wlogs := distTraceRun(t, cfg, 2)
+	for i, w := range info.Workers {
+		if w.ClockStart == 0 || wlogs[i].Len() == 0 {
+			t.Fatalf("worker %d: clock origin %d, %d events", i, w.ClockStart, wlogs[i].Len())
+		}
 	}
 
 	render := func(order []int) (string, string, string) {
 		var workers []trace.ProcTrace
 		for _, i := range order {
-			workers = append(workers, *info.WorkerTraces[i])
+			workers = append(workers, trace.ProcTrace{
+				Proc: i, RunID: info.RunID, Ranks: info.Workers[i].Ranks,
+				Start: info.Workers[i].ClockStart, Speedup: 200,
+				Dropped: wlogs[i].Dropped(), Events: wlogs[i].Events(),
+			})
 		}
 		fed, err := trace.Federate(workers, nil)
 		if err != nil {
@@ -182,6 +195,41 @@ func TestDistTraceDeterministicExports(t *testing.T) {
 	}
 	if !strings.Contains(chrome1, `"proc 0"`) || !strings.Contains(chrome1, `"proc 1"`) {
 		t.Fatalf("multi-process Chrome export lacks process tracks")
+	}
+}
+
+// TestDistTraceUntracedWorkerFails: a traced coordinator cannot federate a
+// run one of whose workers traced nothing; it fails naming that worker
+// instead of returning a trace with a hole in it.
+func TestDistTraceUntracedWorkerFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed loopback run")
+	}
+	prob, _ := smallBruss()
+	cfg := baseConfig(prob, 4)
+	cfg.MaxTime = 5000
+	cfg.MaxIter = 500000
+	cfg.Trace = &trace.Log{}
+	for untraced := 0; untraced < 2; untraced++ {
+		opts := DistOptions{
+			Workers: 2,
+			RunRoot: t.TempDir(),
+			Speedup: 200,
+			Spawn: dtime.GoroutineSpawner(func(w dtime.WorkerEnv) error {
+				wcfg := cfg
+				wcfg.Trace = &trace.Log{}
+				if w.Worker == untraced {
+					wcfg.Trace = nil
+				}
+				return RunDistWorker(wcfg, w, DistWorkerOptions{Speedup: 200})
+			}),
+			HeartbeatTimeout: 10 * time.Second,
+			Wall:             2 * time.Minute,
+		}
+		want := fmt.Sprintf("engine: worker %d sent no trace to a traced run", untraced)
+		if _, _, err := RunDist(cfg, opts); err == nil || err.Error() != want {
+			t.Fatalf("RunDist with worker %d untraced = %v, want %q", untraced, err, want)
+		}
 	}
 }
 

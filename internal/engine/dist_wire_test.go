@@ -12,7 +12,9 @@ import (
 
 	"aiac/internal/detect"
 	"aiac/internal/dtime"
+	"aiac/internal/fault"
 	"aiac/internal/runenv"
+	"aiac/internal/trace"
 )
 
 // wireGolden holds one message of every kind the solvers send to a remote
@@ -190,4 +192,40 @@ func TestDistCodecMalformed(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("decoding %d bytes with a corrupted count allocated %d bytes", len(data), grew)
 	}
+}
+
+// FuzzWorkerResult: decoding any outcome blob never panics, and a blob it
+// accepts re-encodes to one that decodes equal. Equal is compared as the
+// encoder writes it, which holds every field bit for bit (NaNs included) and
+// tells no empty list from none.
+func FuzzWorkerResult(f *testing.F) {
+	out := &nodeOutcome{
+		positions: []int{3, 4}, trajs: [][]float64{{1, 2}, {3}}, provisional: []bool{false, true},
+		iters: 12, work: 3.5, residual: 1e-7, lbSent: 1, compsMoved: 2, msgsBoundary: 9, haltedOK: true,
+	}
+	f.Add(encodeWorkerResult(&workerResult{}))
+	f.Add(encodeWorkerResult(&workerResult{
+		ranks: []int{2}, outcomes: []*nodeOutcome{out}, hasDet: true,
+		detOut:    detect.Outcome{Halted: true, Rounds: 3},
+		stats:     fault.Stats{Dropped: 4},
+		telemetry: []byte(`{"type":"manifest","manifest":{}}` + "\n"),
+		trace: &trace.ProcTrace{Speedup: 200, Dropped: 1, Events: []trace.Event{
+			{T0: 0, T1: 1, Node: 2, To: -1, Kind: trace.Compute, Iter: 1, HaloL: -1, HaloR: 0},
+			{T0: 1, T1: 1.2, Node: 2, To: 3, Kind: trace.SendRight, Iter: 1, Note: "halo", Seq: 5},
+		}},
+	}))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		r, err := decodeWorkerResult(blob)
+		if err != nil {
+			return
+		}
+		re := encodeWorkerResult(r)
+		again, err := decodeWorkerResult(re)
+		if err != nil {
+			t.Fatalf("the re-encoding of an accepted blob is refused: %v", err)
+		}
+		if got := encodeWorkerResult(again); !bytes.Equal(got, re) {
+			t.Fatalf("the blob changed on its way through the codec:\n got %x\nwant %x", got, re)
+		}
+	})
 }

@@ -158,9 +158,6 @@ type Config struct {
 
 	Seed  int64
 	Trace *trace.Log // optional event collection
-	// History, when non-nil, collects per-node per-iteration time series
-	// (residual decay, component migration, cumulative work).
-	History *History
 	// Metrics, when non-nil, collects the run's telemetry: periodic
 	// per-node samples, convergence-timeline events, messaging aggregates
 	// and the run manifest (see internal/metrics). A nil sink costs the
@@ -364,9 +361,6 @@ func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 
 	p := cfg.P
-	if cfg.History != nil {
-		cfg.History.init(p)
-	}
 	var wallStart time.Time
 	if s := cfg.Metrics; s != nil {
 		wallStart = time.Now()

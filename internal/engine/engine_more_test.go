@@ -9,6 +9,7 @@ import (
 	"aiac/internal/heat"
 	"aiac/internal/iterative"
 	"aiac/internal/loadbalance"
+	"aiac/internal/metrics"
 	"aiac/internal/nldiffusion"
 	"aiac/internal/poisson"
 	"aiac/internal/stats"
@@ -338,14 +339,14 @@ func TestNLDiffusionOnEngine(t *testing.T) {
 	}
 }
 
-// TestResidualDecayIsGeometric fits the contraction factor from the history
-// of a run and checks the decay is clean (the theory behind the whole
+// TestResidualDecayIsGeometric fits the contraction factor from the
+// per-sweep telemetry samples of a run and checks the decay is clean (the theory behind the whole
 // method: the waveform iteration is a contraction).
 func TestResidualDecayIsGeometric(t *testing.T) {
 	prob, _ := smallBruss()
-	h := &History{}
 	cfg := baseConfig(prob, 2)
-	cfg.History = h
+	s := &metrics.Sink{Cap: cfg.MaxIter + 1}
+	cfg.Metrics = s
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +354,10 @@ func TestResidualDecayIsGeometric(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	_, rs := h.ResidualSeries(0)
+	var rs []float64
+	for _, sm := range s.Samples(0) {
+		rs = append(rs, sm.Residual)
+	}
 	// skip the transient head, fit the tail
 	if len(rs) < 20 {
 		t.Fatalf("history too short: %d", len(rs))

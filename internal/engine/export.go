@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -43,20 +42,4 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Summary())
-}
-
-// WriteCSV writes a History as CSV rows: node,iter,time,residual,count,work.
-func (h *History) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "node,iter,time,residual,count,work"); err != nil {
-		return err
-	}
-	for rank, row := range h.ByNode {
-		for _, pt := range row {
-			if _, err := fmt.Fprintf(w, "%d,%d,%.9f,%.6g,%d,%.3f\n",
-				rank, pt.Iter, pt.Time, pt.Residual, pt.Count, pt.Work); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -58,24 +58,3 @@ func TestResultWriteJSON(t *testing.T) {
 		}
 	}
 }
-
-func TestHistoryWriteCSV(t *testing.T) {
-	prob, _ := smallBruss()
-	h := &History{Stride: 10}
-	cfg := baseConfig(prob, 2)
-	cfg.History = h
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := h.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if lines[0] != "node,iter,time,residual,count,work" {
-		t.Fatalf("bad header %q", lines[0])
-	}
-	if len(lines) < 3 {
-		t.Fatalf("too few rows: %d", len(lines))
-	}
-}

@@ -121,6 +121,55 @@ func TestMetricsCollection(t *testing.T) {
 	}
 }
 
+// TestMetricsSamplesEverySweep holds the per-node trajectories the sink
+// records at Period 0 with a Cap above the run's iteration count: one sample
+// per sweep, time and work monotone, the last count the final one, and the
+// balancer's transfers visible as count changes.
+func TestMetricsSamplesEverySweep(t *testing.T) {
+	prob, _ := smallBruss()
+	cfg := baseConfig(prob, 4)
+	cfg.Cluster = grid.Heterogeneous(4, 0.3, 5)
+	cfg.LB = loadbalance.DefaultPolicy()
+	cfg.LB.Period = 5
+	cfg.LB.MinKeep = 2
+	s := &metrics.Sink{Cap: cfg.MaxIter + 1}
+	cfg.Metrics = s
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("did not converge")
+	}
+	changed := false
+	for r := 0; r < 4; r++ {
+		row := s.Samples(r)
+		if len(row) != res.NodeIters[r] {
+			t.Fatalf("node %d: %d samples for %d sweeps", r, len(row), res.NodeIters[r])
+		}
+		for i := 1; i < len(row); i++ {
+			if row[i].T < row[i-1].T || row[i].Work < row[i-1].Work {
+				t.Fatalf("node %d: non-monotone series at %d", r, i)
+			}
+			if row[i].Iter <= row[i-1].Iter {
+				t.Fatalf("node %d: iteration index not increasing at %d", r, i)
+			}
+			if row[i].Count != row[0].Count {
+				changed = true
+			}
+		}
+		if got := row[len(row)-1].Count; got != res.FinalCount[r] {
+			t.Fatalf("node %d: last sampled count %d vs final %d", r, got, res.FinalCount[r])
+		}
+	}
+	if res.LBTransfers == 0 {
+		t.Fatal("the heterogeneous platform moved no work")
+	}
+	if !changed {
+		t.Fatalf("%d transfers happened but no count change was sampled", res.LBTransfers)
+	}
+}
+
 func TestMetricsDeterministicUnderVtime(t *testing.T) {
 	prob, _ := smallBruss()
 	export := func() []byte {

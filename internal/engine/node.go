@@ -360,12 +360,6 @@ func (n *node) sweep(midSendLeft bool) {
 	n.iterTime = n.env.Now() - t0
 	n.busyTime += n.iterTime
 	n.updateLoadEst()
-	if h := cfg.History; h != nil {
-		h.record(n.rank, HistoryPoint{
-			Time: n.env.Now(), Iter: n.iter, Residual: res,
-			Count: n.endC - n.startC, Work: n.outc.work,
-		})
-	}
 	if s := cfg.Metrics; s != nil {
 		n.sampleMetrics(s, res)
 	}

@@ -8,6 +8,7 @@ import (
 	"aiac/internal/dtime"
 	"aiac/internal/fault"
 	"aiac/internal/runenv"
+	"aiac/internal/trace"
 )
 
 // Codec implements runenv.PayloadCodec for every message the solvers put on
@@ -179,8 +180,9 @@ func decTrajs(d *dtime.Dec) [][]float64 {
 // workerResult is one worker process's share of a distributed run: the
 // outcomes of its hosted node ranks, the detector outcome when the detector
 // rank lives on it, the faults its injector actually fired, and — when the
-// worker has a sink — its sealed telemetry as a JSONL export. It crosses the
-// coordinator connection as the worker's opaque outcome blob.
+// worker has a sink, a trace log — its sealed telemetry as a JSONL export and
+// its causal trace. It crosses the coordinator connection as the worker's
+// opaque outcome blob.
 type workerResult struct {
 	ranks     []int // node ranks, aligned with outcomes
 	outcomes  []*nodeOutcome
@@ -188,6 +190,9 @@ type workerResult struct {
 	detOut    detect.Outcome
 	stats     fault.Stats
 	telemetry []byte
+	// trace carries Speedup, Dropped and Events; the coordinator knows the
+	// rest of the worker's trace.ProcTrace (see RunDist).
+	trace *trace.ProcTrace
 }
 
 func encodeWorkerResult(r *workerResult) []byte {
@@ -208,8 +213,32 @@ func encodeWorkerResult(r *workerResult) []byte {
 	e.U64(r.stats.Stalled)
 	e.U64(r.stats.Slowed)
 	e.Bytes(r.telemetry)
+	e.Bool(r.trace != nil)
+	if pt := r.trace; pt != nil {
+		e.F64(pt.Speedup)
+		e.U64(pt.Dropped)
+		e.U32(uint32(len(pt.Events)))
+		for _, ev := range pt.Events {
+			e.F64(ev.T0)
+			e.F64(ev.T1)
+			e.I64(int64(ev.Node))
+			e.I64(int64(ev.To))
+			e.I64(int64(ev.Kind))
+			e.I64(int64(ev.Iter))
+			e.Bytes([]byte(ev.Note))
+			e.U64(ev.Seq)
+			e.I64(int64(ev.HaloL))
+			e.I64(int64(ev.HaloR))
+			e.U64(ev.Xfer)
+		}
+	}
 	return e.B
 }
+
+// traceEventLen is the fewest bytes one encoded trace event takes (an empty
+// note): the bound a declared event count is checked against before it
+// sizes anything.
+const traceEventLen = 8*2 + 8*4 + 4 + 8 + 8*2 + 8
 
 func decodeWorkerResult(b []byte) (*workerResult, error) {
 	d := &dtime.Dec{B: b}
@@ -233,6 +262,31 @@ func decodeWorkerResult(b []byte) (*workerResult, error) {
 	r.stats.Stalled = d.U64()
 	r.stats.Slowed = d.U64()
 	r.telemetry = d.Bytes()
+	if d.Bool() {
+		pt := &trace.ProcTrace{Speedup: d.F64(), Dropped: d.U64()}
+		n := int(d.U32())
+		if d.Err() == nil && n > len(d.Rest())/traceEventLen {
+			return nil, fmt.Errorf("engine: decode worker result: %d trace events in %d bytes", n, len(d.Rest()))
+		}
+		if d.Err() == nil && n > 0 {
+			pt.Events = make([]trace.Event, n)
+		}
+		for i := range pt.Events {
+			ev := &pt.Events[i]
+			ev.T0 = d.F64()
+			ev.T1 = d.F64()
+			ev.Node = int(d.I64())
+			ev.To = int(d.I64())
+			ev.Kind = trace.Kind(d.I64())
+			ev.Iter = int(d.I64())
+			ev.Note = string(d.Bytes())
+			ev.Seq = d.U64()
+			ev.HaloL = int(d.I64())
+			ev.HaloR = int(d.I64())
+			ev.Xfer = d.U64()
+		}
+		r.trace = pt
+	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("engine: decode worker result: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"aiac/internal/asciiplot"
 	"aiac/internal/engine"
 	"aiac/internal/grid"
+	"aiac/internal/metrics"
 	"aiac/internal/stats"
 )
 
@@ -21,13 +22,22 @@ func Diagnostics(scale Scale) Report {
 		bc = mkBruss(240, 1, 0.01, 1e-6)
 	}
 	cl := grid.HeteroGrid15(grid.HeteroGridConfig{Seed: 3, MultiUser: true})
-	hist := &engine.History{Stride: 10}
 	cfg := baseCfg(bc, engine.AIAC, 15, cl, 41)
 	cfg.LB = lbPolicy(20)
-	cfg.History = hist
+	sink := &metrics.Sink{Cap: cfg.MaxIter + 1} // above any sweep count: never thins
+	cfg.Metrics = sink
 	res := run(cfg)
 	if !res.Converged {
 		panic("experiments: diagnostics run did not converge")
+	}
+	// every 10th sweep of each node
+	rows := make([][]metrics.NodeSample, 15)
+	for r := range rows {
+		for _, sm := range sink.Samples(r) {
+			if sm.Iter%10 == 0 {
+				rows[r] = append(rows[r], sm)
+			}
+		}
 	}
 
 	var b strings.Builder
@@ -42,8 +52,8 @@ func Diagnostics(scale Scale) Report {
 			slow = i
 		}
 	}
-	tf, rf := filterPositive(hist.ResidualSeries(fast))
-	ts, rs := filterPositive(hist.ResidualSeries(slow))
+	tf, rf := filterPositive(residualSeries(rows[fast]))
+	ts, rs := filterPositive(residualSeries(rows[slow]))
 	b.WriteString(asciiplot.Plot(asciiplot.Config{
 		Width: 70, Height: 14, LogY: true,
 		Title:  "residual decay (log y)",
@@ -55,8 +65,8 @@ func Diagnostics(scale Scale) Report {
 
 	// contraction factors per node (DecayRate skips non-positive entries)
 	rates := make([]float64, 0, 15)
-	for r := range hist.ByNode {
-		_, series := hist.ResidualSeries(r)
+	for _, row := range rows {
+		_, series := residualSeries(row)
 		if rate, r2 := stats.DecayRate(series); rate > 0 && rate < 1 && r2 > 0.5 {
 			rates = append(rates, rate)
 		}
@@ -66,7 +76,7 @@ func Diagnostics(scale Scale) Report {
 	// migration of component counts over time (sampled rows)
 	tab := stats.NewTable(append([]string{"iter"}, nodeHeaders(15)...)...)
 	maxLen := 0
-	for _, row := range hist.ByNode {
+	for _, row := range rows {
 		if len(row) > maxLen {
 			maxLen = len(row)
 		}
@@ -78,7 +88,7 @@ func Diagnostics(scale Scale) Report {
 	for s := 0; s < maxLen; s += step {
 		cells := make([]any, 0, 16)
 		cells = append(cells, s*10)
-		for _, row := range hist.ByNode {
+		for _, row := range rows {
 			if s < len(row) {
 				cells = append(cells, row[s].Count)
 			} else {
@@ -106,6 +116,15 @@ func Diagnostics(scale Scale) Report {
 		Pass: len(rates) > 0 && rsum.Max < 1,
 		Text: b.String(),
 	}
+}
+
+// residualSeries returns (times, residuals) of one node's samples.
+func residualSeries(row []metrics.NodeSample) (ts, rs []float64) {
+	for _, sm := range row {
+		ts = append(ts, sm.T)
+		rs = append(rs, sm.Residual)
+	}
+	return ts, rs
 }
 
 // filterPositive drops points with non-positive y so they can go on a log

@@ -53,7 +53,7 @@ type Event struct {
 }
 
 // nodeSeries is one node's bounded snapshot buffer. Only that node's
-// process writes it, so no locking is needed (matching engine.History).
+// process writes it, so no locking is needed.
 type nodeSeries struct {
 	samples []NodeSample
 	// minGap is the node's effective sampling interval; it doubles every

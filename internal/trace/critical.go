@@ -155,7 +155,7 @@ func Analyze(evs []Event) *CriticalPath {
 		switch {
 		case isActivity(ev.Kind) && ev.Node >= 0:
 			acts[ev.Node] = append(acts[ev.Node], ev)
-		case isMessage(ev.Kind) && ev.To >= 0 && ev.To <= maxNode:
+		case isMessage(ev.Kind) && ev.Node >= 0 && ev.To >= 0:
 			arrs[ev.To] = append(arrs[ev.To], ev)
 		}
 		if ev.Kind == Mark && ev.Note == "halt" && ev.Node >= 0 {

@@ -288,7 +288,8 @@ func (l *Log) WriteCSVFile(path string) error {
 // ReadCSV parses a log previously written by WriteCSV. It accepts the
 // current 12-column schema, the pre-federation 11-column one and the
 // pre-causal 7-column one (absent fields default to zero), so old exports
-// stay loadable.
+// stay loadable. It refuses a node or destination id at or above the number
+// of events the file holds.
 func ReadCSV(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -351,6 +352,15 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	// Every rank of a real trace logs at least one event, so an id at or
+	// above the event count names a rank the file does not hold. Refusing it
+	// keeps what the ids size downstream (Analyze's per-node index) bounded
+	// by the input.
+	for _, ev := range out {
+		if ev.Node >= len(out) || ev.To >= len(out) {
+			return nil, fmt.Errorf("trace: event names node %d in a trace of %d events", max(ev.Node, ev.To), len(out))
+		}
 	}
 	return out, nil
 }
