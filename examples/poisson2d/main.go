@@ -88,3 +88,10 @@ func main() {
 	}
 	fmt.Println()
 }
+
+func max(a, b int) int {
+	if a > b {
+		return a
+	}
+	return b
+}

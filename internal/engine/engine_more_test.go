@@ -340,8 +340,8 @@ func TestNLDiffusionOnEngine(t *testing.T) {
 }
 
 // TestResidualDecayIsGeometric fits the contraction factor from the
-// per-sweep telemetry samples of a run and checks the decay is clean (the theory behind the whole
-// method: the waveform iteration is a contraction).
+// per-sweep telemetry samples of a run and checks the decay is clean (the
+// theory behind the whole method: the waveform iteration is a contraction).
 func TestResidualDecayIsGeometric(t *testing.T) {
 	prob, _ := smallBruss()
 	cfg := baseConfig(prob, 2)
