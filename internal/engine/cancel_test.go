@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,8 @@ import (
 
 	"aiac/internal/brusselator"
 	"aiac/internal/grid"
+	"aiac/internal/iterative"
+	"aiac/internal/loadbalance"
 	"aiac/internal/metrics"
 	"aiac/internal/rtime"
 )
@@ -143,5 +146,43 @@ func TestMaxTimeStopsRtimeRun(t *testing.T) {
 	}
 	if !strings.Contains(string(sealed), `"timed_out":true`) {
 		t.Fatalf("sealed outcome %s carries no timed_out", sealed)
+	}
+}
+
+// panickingProblem panics in its Update once it has been called after calls;
+// it hides the wrapped problem's optional extensions, so every sweep reaches
+// Update.
+type panickingProblem struct {
+	iterative.Problem
+	after int
+	calls int
+}
+
+func (p *panickingProblem) Update(j int, old []float64, get func(int) []float64, out []float64) float64 {
+	if p.calls++; p.calls > p.after {
+		panic("update failed")
+	}
+	return p.Problem.Update(j, old, get, out)
+}
+
+// TestPanickingUpdateIsRecoverable: a problem that panics mid-run on the
+// virtual-time backend hands the panic to Run's caller, as a service worker
+// that recovers around Run needs, and leaves none of the run's processes
+// behind.
+func TestPanickingUpdateIsRecoverable(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cfg := cancelCfg(4)
+	cfg.LB = loadbalance.DefaultPolicy()
+	cfg.Problem = &panickingProblem{Problem: cfg.Problem, after: 500}
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		Run(cfg)
+		return nil
+	}()
+	if got != "update failed" {
+		t.Fatalf("Run's caller recovered %v, want the Update panic", got)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the panicking run, %d before", n, base)
 	}
 }

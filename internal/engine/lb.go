@@ -49,43 +49,28 @@ func (n *node) tryLB(dir int) bool {
 	// keep holds everything needed to undo the transfer on a reject: the
 	// shipped components AND the old halo entries next to them, which a
 	// later ack-triggered prune would otherwise discard.
-	keep := make(map[int][]float64, count+n.halo)
-	comps := make([][]float64, 0, count+n.halo)
+	keep := &n.lbKeep[dir]
 	var pos int
 	if dir == dirLeft {
 		// ship our first `count` components + the next `halo` as deps
 		pos = n.startC
-		for i := 0; i < count; i++ {
-			j := n.startC + i
-			keep[j] = n.val.get(j)
-			comps = append(comps, cloneTraj(n.val.get(j)))
-		}
-		for i := 0; i < n.halo; i++ {
-			comps = append(comps, cloneTraj(n.val.get(n.startC+count+i)))
-		}
-		for j := n.startC - n.halo; j < n.startC; j++ {
-			if tr := n.val.get(j); tr != nil {
-				keep[j] = tr
-			}
-		}
-		n.dropOwnership(n.startC, n.startC+count)
-		n.startC += count
+		keep.lo = pos - n.halo
 	} else {
 		// deps first, then our last `count` components
 		pos = n.endC - count - n.halo
-		for i := 0; i < n.halo; i++ {
-			comps = append(comps, cloneTraj(n.val.get(pos+i)))
-		}
-		for i := 0; i < count; i++ {
-			j := n.endC - count + i
-			keep[j] = n.val.get(j)
-			comps = append(comps, cloneTraj(n.val.get(j)))
-		}
-		for j := n.endC; j < n.endC+n.halo; j++ {
-			if tr := n.val.get(j); tr != nil {
-				keep[j] = tr
-			}
-		}
+		keep.lo = pos + n.halo
+	}
+	comps := make([][]float64, 0, count+n.halo)
+	for j := pos; j < pos+count+n.halo; j++ {
+		comps = append(comps, cloneTraj(n.val.get(j)))
+	}
+	for j := keep.lo; j < keep.lo+count+n.halo; j++ {
+		keep.trs = append(keep.trs, n.val.get(j))
+	}
+	if dir == dirLeft {
+		n.dropOwnership(n.startC, n.startC+count)
+		n.startC += count
+	} else {
 		n.dropOwnership(n.endC-count, n.endC)
 		n.endC -= count
 	}
@@ -96,7 +81,6 @@ func (n *node) tryLB(dir int) bool {
 	n.lbPendingPos[dir] = pos
 	n.lbPendingCount[dir] = count
 	n.lbPendingSent[dir] = n.env.Now()
-	n.lbKeep[dir] = keep
 	n.lbXferID[dir] = id
 	n.lbPendingIter[dir] = n.iter
 	n.lbRetryAfter[dir] = lbRetryBase * n.cfg.LB.Period
@@ -314,7 +298,7 @@ func (n *node) recvLBAck(m runenv.Msg) {
 	lo, hi := n.pendingOwnRange(dir)
 	n.ownLog(fault.OwnFinalize, lo, hi, c.XferID)
 	n.lbPending[dir] = false
-	n.lbKeep[dir] = nil
+	n.lbKeep[dir].drop()
 	n.lbResendMsg[dir] = lbDataMsg{}
 	n.pruneVal()
 	n.lbFlightBackoff(dir)
@@ -373,7 +357,12 @@ func (n *node) restoreLB(dir int) {
 	if dir == dirRight {
 		ownLo, ownHi = pos+n.halo, pos+n.halo+count
 	}
-	for j, tr := range n.lbKeep[dir] {
+	keep := &n.lbKeep[dir]
+	for i, tr := range keep.trs {
+		if tr == nil {
+			continue // a halo position that held nothing
+		}
+		j := keep.lo + i
 		n.val.set(j, tr)
 		if j >= ownLo && j < ownHi {
 			n.buf.set(j, n.scratch())
@@ -385,6 +374,33 @@ func (n *node) restoreLB(dir int) {
 		n.endC += count
 	}
 	n.lbPending[dir] = false
-	n.lbKeep[dir] = nil
+	keep.drop()
 	n.lbResendMsg[dir] = lbDataMsg{}
+}
+
+// lbUndo is what an unresolved transfer keeps to undo itself: the shipped
+// trajectories and the halo entries beside them, by reference. They are one
+// contiguous range of positions, [lo, lo+len(trs)): [startC−halo,
+// startC+count) for a left transfer, [endC−count, endC+halo) for a right
+// one. An entry is nil where the halo held nothing. The backing array is
+// reused by the next transfer in the same direction.
+type lbUndo struct {
+	lo  int
+	trs [][]float64
+}
+
+// kept returns the trajectory the transfer in direction dir keeps for
+// position j, or nil.
+func (n *node) kept(dir, j int) []float64 {
+	k := &n.lbKeep[dir]
+	if i := j - k.lo; i >= 0 && i < len(k.trs) {
+		return k.trs[i]
+	}
+	return nil
+}
+
+// drop forgets the kept trajectories once the transfer is resolved.
+func (k *lbUndo) drop() {
+	clear(k.trs)
+	k.trs = k.trs[:0]
 }

@@ -100,7 +100,7 @@ type node struct {
 	lbPendingPos   [2]int
 	lbPendingCount [2]int
 	lbPendingSent  [2]float64 // send time, for flight-duration backoff
-	lbKeep         [2]map[int][]float64
+	lbKeep         [2]lbUndo
 	lbDone         bool
 	okToTry        int
 
@@ -206,8 +206,11 @@ func (n *node) run() *nodeOutcome {
 	restored := make(map[int]bool)
 	for dir := 0; dir < 2; dir++ {
 		if n.lbPending[dir] {
-			for j := range n.lbKeep[dir] {
-				restored[j] = true
+			keep := &n.lbKeep[dir]
+			for i, tr := range keep.trs {
+				if tr != nil {
+					restored[keep.lo+i] = true
+				}
 			}
 			lo, hi := n.pendingOwnRange(dir)
 			n.ownLog(fault.OwnHaltRestore, lo, hi, n.lbXferID[dir])
@@ -557,7 +560,7 @@ func (n *node) recvBoundary(m runenv.Msg) {
 		// unread.) Rule 3: until its answer arrives, a transfer's lbKeep holds
 		// the shipped originals and the halo entries beside them by reference
 		// for restoreLB, and the new halo range lies among them.
-		if !sameBuf(old, tr) && !sameBuf(old, n.lbKeep[dirLeft][j]) && !sameBuf(old, n.lbKeep[dirRight][j]) {
+		if !sameBuf(old, tr) && !sameBuf(old, n.kept(dirLeft, j)) && !sameBuf(old, n.kept(dirRight, j)) {
 			n.recycle(old)
 		}
 	}

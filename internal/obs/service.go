@@ -250,8 +250,9 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 	notify := ls.subscribe()
 	defer ls.unsubscribe(notify)
-	// One timer per stream: a time.After per wait would keep its timer alive
-	// until it fired (go.mod says go 1.22), long after the stream had ended.
+	// One timer per stream, reset only after it fired: a time.After per wait
+	// would make a timer every time a frame wakes this loop. (Since go 1.23 an
+	// unfired timer no longer outlives the stream, but the allocations stay.)
 	keepalive := time.NewTimer(sseKeepalive)
 	defer keepalive.Stop()
 

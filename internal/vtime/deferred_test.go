@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -126,12 +127,22 @@ func TestSweepMakesOneHandoff(t *testing.T) {
 }
 
 // BenchmarkSweep prices the runtime layer for an engine-shaped iteration: 15
-// processes in a chain, each iteration 8×Work, one Send and a mailbox drain,
-// on one OS thread. ns/Work is the wall cost per Work call including the
-// iteration's share of sends, deliveries and hand-offs; handoffs/op is the
-// number of scheduler hand-offs per run of the world.
+// processes in a chain, each iteration 8×Work, one Send and a mailbox drain.
+// It runs at GOMAXPROCS 1 and 2: a hand-off between coroutines does not go
+// through the Go scheduler, so the two rows should read alike. ns/Work is
+// the wall cost per Work call including the iteration's share of sends,
+// deliveries and hand-offs; handoffs/op is the number of scheduler hand-offs
+// per run of the world.
 func BenchmarkSweep(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("gomaxprocs=%d", threads), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
+			benchSweep(b)
+		})
+	}
+}
+
+func benchSweep(b *testing.B) {
 	const procs, k, iters = 15, 8, 200
 	cfg := runenv.Config{
 		Delay:        func(_, _, _ int, _ float64) float64 { return 2e-4 },

@@ -1,14 +1,15 @@
 // Package vtime is a deterministic discrete-event runtime for the process
 // model defined in internal/runenv.
 //
-// Each process runs in its own goroutine, but processes only execute when
-// the scheduler hands them control. Events are totally ordered by the key
-// (time, source process, per-source counter); the key of an event is fixed
-// at creation and independent of the order in which the scheduler happens to
-// execute processes, so a given configuration and seed always produces the
-// same execution, the same message interleavings and the same virtual
-// end-to-end times — which is what makes the paper's experiments
-// reproducible on any host.
+// Each process is a coroutine (iter.Pull): it executes only when the
+// scheduler resumes it and hands control straight back when it yields, with
+// no trip through the Go scheduler, whatever GOMAXPROCS is. Events are
+// totally ordered by the key (time, source process, per-source counter); the
+// key of an event is fixed at creation and independent of the order in which
+// the scheduler happens to execute processes, so a given configuration and
+// seed always produces the same execution, the same message interleavings
+// and the same virtual end-to-end times — which is what makes the paper's
+// experiments reproducible on any host.
 //
 // Deferred wakes: a process hands control back only where it can observe
 // or affect the world. Work and Sleep advance the caller's own clock and
@@ -31,6 +32,7 @@ package vtime
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 
 	"aiac/internal/runenv"
@@ -115,12 +117,14 @@ func (h *eventHeap) popEv() event {
 }
 
 type proc struct {
-	id     int
-	clock  float64
-	resume chan struct{}
-	// yielded is this process's private handoff back to whoever resumed it
-	// (the run loop or stopWorld).
-	yielded chan struct{}
+	id    int
+	clock float64
+	// next resumes the coroutine until it yields or its body returns, and
+	// yieldFn, called inside it, hands control back to whoever called next
+	// (the run loop or stopWorld). stop unwinds it (teardown).
+	next    func() (struct{}, bool)
+	stop    func()
+	yieldFn func(struct{}) bool
 	// mailbox[mboxHead:] holds the undelivered messages. Popping advances
 	// the head instead of reslicing from the front, so the backing array's
 	// capacity is reused (resetting to empty when drained) rather than
@@ -195,6 +199,7 @@ func (s *Scheduler) Run(bodies []runenv.Body) float64 {
 		return 0
 	}
 	s.setup(bodies)
+	defer s.teardown()
 	// Kick every process off at t=0, in rank order.
 	for _, p := range s.procs {
 		s.runProc(p)
@@ -236,21 +241,18 @@ func (s *Scheduler) setup(bodies []runenv.Body) {
 	for i := range bodies {
 		p := &proc{
 			id:      i,
-			resume:  make(chan struct{}),
-			yielded: make(chan struct{}),
 			mailbox: make([]runenv.Msg, 0, mboxCap),
 			sched:   s,
 		}
 		s.procs[i] = p
 		body := bodies[i]
-		go func() {
-			<-p.resume
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yieldFn = yield
 			body(&env{p: p})
 			p.sync() // finish at the clock the body reached, not before
 			p.finished = true
 			s.live--
-			p.yielded <- struct{}{}
-		}()
+		})
 	}
 	if h := s.cfg.EventCapHint; h > 0 {
 		s.events = make(eventHeap, 0, h)
@@ -314,6 +316,25 @@ func (s *Scheduler) stopWorld() {
 	}
 }
 
+// teardown unwinds every unfinished process when a panic in a body, which
+// reaches Run's caller through next, leaves Run early, so that no coroutine
+// stays parked. Each body resumes in a stopped world (proc.yield) and
+// returns; a panic on the way is dropped, so the caller gets the one that
+// ended the run. After a normal end it does nothing.
+func (s *Scheduler) teardown() {
+	s.stopped = true
+	for _, p := range s.procs {
+		if !p.finished {
+			p.unwind()
+		}
+	}
+}
+
+func (p *proc) unwind() {
+	defer func() { _ = recover() }()
+	p.stop()
+}
+
 func (s *Scheduler) anyWaiting() bool {
 	for _, p := range s.procs {
 		if !p.finished && p.waiting {
@@ -336,15 +357,16 @@ func (s *Scheduler) endTime() float64 {
 // runProc hands control to p until it yields back.
 func (s *Scheduler) runProc(p *proc) {
 	p.handoffs++
-	p.resume <- struct{}{}
-	<-p.yielded
+	p.next()
 }
 
-// yield returns control from the running process to its runner and blocks
-// until this process is resumed.
+// yield returns control from the running process to its runner until this
+// process is resumed. A false from the coroutine's yield means teardown
+// stopped it: the world has stopped, and every later yield returns at once.
 func (p *proc) yield() {
-	p.yielded <- struct{}{}
-	<-p.resume
+	if !p.yieldFn(struct{}{}) {
+		p.sched.stopped = true
+	}
 }
 
 // env adapts a proc to runenv.Env. All methods are called only while the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -430,5 +431,45 @@ func TestSendToInvalidProcPanics(t *testing.T) {
 	}})
 	if !recovered {
 		t.Fatal("expected panic on invalid destination")
+	}
+}
+
+// TestPanicReachesRunsCaller: a panic in one body reaches the caller of Run,
+// and the processes still parked (one on a wake, one waiting on a message)
+// are unwound on the way out instead of being left behind — also past one
+// that panics again while it unwinds.
+func TestPanicReachesRunsCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var unwound [3]bool
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		New(runenv.Config{}).Run([]runenv.Body{
+			func(env runenv.Env) {
+				for !env.Stopped() {
+					env.Work(1)
+				}
+				unwound[0] = true
+				panic("again")
+			},
+			func(env runenv.Env) {
+				env.Work(1)
+				env.Stopped()
+				panic("boom")
+			},
+			func(env runenv.Env) {
+				env.RecvWait()
+				unwound[2] = true
+			},
+		})
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("Run's caller recovered %v, want the panic that ended the run", got)
+	}
+	if !unwound[0] || !unwound[2] {
+		t.Fatalf("bodies that were parked unwound: %v, want both", unwound)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the panicking run, %d before", n, base)
 	}
 }
