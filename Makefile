@@ -139,15 +139,17 @@ flakes:
 	done; \
 	exit $$fail
 
-# Coverage gate: the trace layer (causal schema, Chrome export, critical-path
-# analysis) must stay >= 80% covered.
+# Coverage gate, part of check: the trace layer (causal schema, Chrome export,
+# critical-path analysis) must stay >= 80% covered. The profile goes to a
+# fresh temporary directory, removed on exit.
 COVER_MIN ?= 80
 cover:
-	$(GO) test -coverprofile=/tmp/aiac-cover.out ./internal/trace/
-	@pct=$$($(GO) tool cover -func=/tmp/aiac-cover.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
-	echo "internal/trace coverage: $$pct%"; \
-	awk -v p="$$pct" -v min="$(COVER_MIN)" 'BEGIN {exit !(p+0 < min+0)}' && \
-		{ echo "FAIL: internal/trace coverage $$pct% < $(COVER_MIN)%"; exit 1; } || true
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) test -coverprofile="$$dir/cover.out" ./internal/trace/ && \
+	pct=$$($(GO) tool cover -func="$$dir/cover.out" | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}') && \
+	echo "internal/trace coverage: $$pct%" && \
+	if awk -v p="$$pct" -v min="$(COVER_MIN)" 'BEGIN {exit !(p+0 < min+0)}'; then \
+		echo "FAIL: internal/trace coverage $$pct% < $(COVER_MIN)%"; exit 1; fi
 
 # Non-test Go lines, in total and outside bench/: the figure every PR reports
 # before and after (ROADMAP aim 2).
@@ -155,4 +157,4 @@ loc:
 	@printf 'non-test Go lines, total:          '; find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 	@printf 'non-test Go lines, outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
-check: build fmt-check doc-check dep-check vet test bench test-faults test-dist test-trace-dist test-svc race
+check: build fmt-check doc-check dep-check vet test cover bench test-faults test-dist test-trace-dist test-svc race

@@ -47,12 +47,10 @@ package aiac
 
 import (
 	"io"
-	"net"
 
 	"aiac/internal/brusselator"
 	"aiac/internal/dtime"
 	"aiac/internal/engine"
-	"aiac/internal/fault"
 	"aiac/internal/grid"
 	"aiac/internal/heat"
 	"aiac/internal/iterative"
@@ -252,14 +250,6 @@ func DecodeDistWorkerEnv(s string) (DistWorkerEnv, error) { return dtime.DecodeW
 // os.Args to re-exec the current binary.
 func DistSpawnCommand(argv []string) func(DistWorkerEnv) (dtime.Process, error) {
 	return dtime.SpawnCommand(argv)
-}
-
-// DistFaultConn builds the fault-injecting connection wrapper for a worker
-// of a faulted distributed run (nil, nil when cfg.Faults is empty): assign
-// the returns to DistWorkerOptions.WrapConn and WireFaults. speedup must
-// match DistWorkerOptions.Speedup.
-func DistFaultConn(cfg Config, speedup float64) (func(net.Conn) net.Conn, *fault.Injector) {
-	return engine.DistFaultConn(cfg, speedup)
 }
 
 // ObsServer is the live observability HTTP server: /metrics (Prometheus

@@ -86,7 +86,7 @@ func TestPublicAPITrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := aiac.Gantt(log, aiac.GanttConfig{Width: 60, Arrows: true})
+	out := aiac.Gantt(log, aiac.GanttConfig{Width: 60})
 	if !strings.Contains(out, "#") {
 		t.Fatalf("Gantt missing compute blocks:\n%s", out)
 	}

@@ -268,7 +268,7 @@ func main() {
 	}
 	if log != nil && *showTrace {
 		fmt.Println()
-		fmt.Print(aiac.Gantt(log, aiac.GanttConfig{Width: 110, Arrows: true}))
+		fmt.Print(aiac.Gantt(log, aiac.GanttConfig{Width: 110}))
 	}
 	if *critPath {
 		fmt.Println()
@@ -301,7 +301,6 @@ func runDistWorker(env string, cfg aiac.Config, speedup float64, serveObs bool) 
 		fatalf("%v", err)
 	}
 	opts := aiac.DistWorkerOptions{Speedup: speedup}
-	opts.WrapConn, opts.WireFaults = aiac.DistFaultConn(cfg, speedup)
 	if serveObs {
 		// Each worker serves its own observability plane on an ephemeral
 		// loopback port and reports the address to the coordinator, which

@@ -47,7 +47,7 @@ func main() {
 			panic(err)
 		}
 		fmt.Println(f.title)
-		fmt.Print(aiac.Gantt(log, aiac.GanttConfig{Width: 110, Arrows: true}))
+		fmt.Print(aiac.Gantt(log, aiac.GanttConfig{Width: 110}))
 		fmt.Println()
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"strings"
 )
 
-// Series is one named line on a plot.
+// Series is one named line on a plot. A plot draws its series with the
+// markers '*', 'o', '+', 'x', '#', '@', in order.
 type Series struct {
-	Name   string
-	X, Y   []float64
-	Marker byte // defaults to '*', 'o', '+', 'x' in order
+	Name string
+	X, Y []float64
 }
 
 // Config controls rendering.
@@ -25,7 +25,7 @@ type Config struct {
 	YLabel        string
 }
 
-var defaultMarkers = []byte{'*', 'o', '+', 'x', '#', '@'}
+var markers = []byte{'*', 'o', '+', 'x', '#', '@'}
 
 // Plot renders the series into a text block.
 func Plot(cfg Config, series ...Series) string {
@@ -63,10 +63,7 @@ func Plot(cfg Config, series ...Series) string {
 		cells[i] = []byte(strings.Repeat(" ", cfg.Width))
 	}
 	for si, s := range series {
-		marker := s.Marker
-		if marker == 0 {
-			marker = defaultMarkers[si%len(defaultMarkers)]
-		}
+		marker := markers[si%len(markers)]
 		for i := range s.X {
 			cx := int(math.Round(float64(cfg.Width-1) * (tx(s.X[i]) - xmin) / (xmax - xmin)))
 			cy := int(math.Round(float64(cfg.Height-1) * (ty(s.Y[i]) - ymin) / (ymax - ymin)))
@@ -101,11 +98,7 @@ func Plot(cfg Config, series ...Series) string {
 		fmt.Fprintf(&b, "%10s  x: %s   y: %s%s\n", "", cfg.XLabel, cfg.YLabel, axes)
 	}
 	for si, s := range series {
-		marker := s.Marker
-		if marker == 0 {
-			marker = defaultMarkers[si%len(defaultMarkers)]
-		}
-		fmt.Fprintf(&b, "%10s  %c %s\n", "", marker, s.Name)
+		fmt.Fprintf(&b, "%10s  %c %s\n", "", markers[si%len(markers)], s.Name)
 	}
 	return b.String()
 }

@@ -82,8 +82,6 @@ type Options struct {
 	HeartbeatTimeout time.Duration
 	Connect          time.Duration
 	Wall             time.Duration
-	// MaxFrame bounds accepted frame sizes (default MaxFrame).
-	MaxFrame int
 	// Trace, when non-nil, receives the coordinator's own wire events on a
 	// model clock started at the welcome broadcast (origin reported as
 	// RunInfo.TraceStart): one Wire span per relayed frame (recv → forward,
@@ -421,7 +419,7 @@ func (c *coordinator) accept(ln net.Listener) error {
 			}
 			go func(conn net.Conn) {
 				conn.SetReadDeadline(deadline)
-				frames := NewFrameReader(conn, c.opts.MaxFrame)
+				frames := NewFrameReader(conn, MaxFrame)
 				typ, payload, _, err := frames.Next()
 				if err == nil && typ != FrameHello {
 					err = fmt.Errorf("dtime: expected hello, got frame type %d", typ)
@@ -662,7 +660,7 @@ func (c *coordinator) run(ln net.Listener) ([][]byte, *RunInfo, error) {
 	}
 
 	// All outcomes are in: release the workers and give them a moment to
-	// write their state-directory sidecars and exit cleanly.
+	// exit cleanly.
 	c.mark("stop")
 	c.broadcastStop(false)
 	deadline := time.After(c.opts.HeartbeatTimeout)

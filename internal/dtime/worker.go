@@ -29,13 +29,14 @@ type WorkerOptions struct {
 	// ObsAddr is this worker's observability listen address, reported to
 	// the coordinator in the hello frame.
 	ObsAddr string
-	// Heartbeat is the liveness beacon period (default 500ms); Dial bounds
-	// the connect + handshake phase (default 10s); MaxFrame bounds accepted
-	// frames (default MaxFrame).
-	Heartbeat time.Duration
-	Dial      time.Duration
-	MaxFrame  int
 }
+
+// A worker beats its liveness heartbeat every workerHeartbeat and gives the
+// connect + handshake phase workerDial.
+const (
+	workerHeartbeat = 500 * time.Millisecond
+	workerDial      = 10 * time.Second
+)
 
 // RunWorker joins the run described by wenv, executes run with a
 // runenv.PartialRunner covering this worker's ranks, reports the returned
@@ -44,14 +45,8 @@ type WorkerOptions struct {
 // coordinator half is Run.
 func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRunner) ([]byte, error)) error {
 	opts.Speedup = rtime.Speedup(opts.Speedup)
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 500 * time.Millisecond
-	}
-	if opts.Dial <= 0 {
-		opts.Dial = 10 * time.Second
-	}
 
-	raw, err := net.DialTimeout("tcp", wenv.Addr, opts.Dial)
+	raw, err := net.DialTimeout("tcp", wenv.Addr, workerDial)
 	if err != nil {
 		return fmt.Errorf("dtime: dial coordinator: %w", err)
 	}
@@ -61,14 +56,14 @@ func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRun
 	}
 	defer conn.Close()
 
-	rt := &wrt{opts: opts, conn: conn, frames: NewFrameReader(conn, opts.MaxFrame), stopCh: make(chan struct{})}
+	rt := &wrt{opts: opts, conn: conn, frames: NewFrameReader(conn, MaxFrame), stopCh: make(chan struct{})}
 	hello := marshalJSONFrame(helloBody{
 		Worker: wenv.Worker, Pid: os.Getpid(), Ranks: wenv.Ranks, ObsAddr: opts.ObsAddr,
 	})
 	if err := rt.writeFrame(FrameHello, hello); err != nil {
 		return fmt.Errorf("dtime: hello: %w", err)
 	}
-	raw.SetReadDeadline(time.Now().Add(opts.Dial))
+	raw.SetReadDeadline(time.Now().Add(workerDial))
 	typ, wpayload, _, err := rt.frames.Next()
 	if err != nil {
 		return fmt.Errorf("dtime: welcome: %w", err)
@@ -244,7 +239,7 @@ func (rt *wrt) reader() {
 }
 
 func (rt *wrt) heartbeat() {
-	t := time.NewTicker(rt.opts.Heartbeat)
+	t := time.NewTicker(workerHeartbeat)
 	defer t.Stop()
 	for {
 		select {

@@ -95,7 +95,6 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 	outcomes := make([]*nodeOutcome, cfg.P)
 	var detOut detect.Outcome
 	var stats fault.Stats
-	var runs []*metrics.Run
 	var traces []trace.ProcTrace
 	sawDet := false
 	for w, blob := range blobs {
@@ -105,10 +104,12 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 		}
 		if cfg.Metrics != nil && len(wr.telemetry) > 0 {
 			run, err := metrics.ReadRun(bytes.NewReader(wr.telemetry))
+			if err == nil {
+				err = cfg.Metrics.Merge(run)
+			}
 			if err != nil {
 				return nil, info, fmt.Errorf("engine: worker %d telemetry: %w", w, err)
 			}
-			runs = append(runs, run)
 		}
 		if cfg.Trace != nil {
 			if wr.trace == nil {
@@ -144,15 +145,6 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 	res, err := assembleResult(&cfg, outcomes, detOut, info.EndTime, timedOut, stats)
 	if err != nil {
 		return res, info, err
-	}
-	if len(runs) > 0 {
-		merged, err := metrics.MergeRuns(runs)
-		if err == nil {
-			err = cfg.Metrics.Merge(merged)
-		}
-		if err != nil {
-			return res, info, fmt.Errorf("engine: merge worker telemetry: %w", err)
-		}
 	}
 	finishMetrics(&cfg, res, wallStart)
 	if cfg.Trace != nil {
@@ -190,39 +182,44 @@ type DistWorkerOptions struct {
 	// Speedup scales model time to wall time on this worker (default
 	// rtime.DefaultSpeedup), matching rtime.Runner.Speedup.
 	Speedup float64
-	// WrapConn, when non-nil, wraps the coordinator connection — the seam
-	// for the fault-injecting wrapper (fault.NewConn).
+	// WrapConn, when non-nil, wraps the coordinator connection. A faulted
+	// run's wire faults sit outside it: what the worker writes meets the
+	// fault plan first, then WrapConn.
 	WrapConn func(net.Conn) net.Conn
 	// ObsAddr is this worker's /metrics listen address, reported to the
 	// coordinator (empty = no observability plane).
 	ObsAddr string
-	// WireFaults is the injector behind WrapConn (second return of
-	// DistFaultConn); its counters are folded into the reported outcome so
-	// wire faults show up in the coordinator's Result.FaultStats.
-	WireFaults *fault.Injector
 }
 
-// DistFaultConn returns the WrapConn for a worker of a faulted run: the
-// frames it writes to the coordinator face cfg.Faults as real packet loss,
-// duplication, and delay on the wire, scoped exactly like the in-process
-// hook (data plane only, unless the plan names kinds). Each directed
-// remote link is faulted only here — the worker's rtime.World skips FaultHook
-// for remote sends — so the per-link decision streams stay disjoint from
-// the local ones. speedup must match DistWorkerOptions.Speedup (0 = the
-// worker default). The returned injector carries the wire-fault counters;
-// pass it as DistWorkerOptions.WireFaults so they reach the coordinator's
-// Result. Both returns are nil when no faults are active.
-func DistFaultConn(cfg Config, speedup float64) (func(net.Conn) net.Conn, *fault.Injector) {
+// faultable reports whether the run's fault plan may act on a message of
+// the given kind. A plan that names no Kinds covers the data plane only:
+// convergence detection and the SISC barrier ride a reliable control
+// channel. A plan that names Kinds leaves the choice to its injector. The
+// in-process hook and the wire wrapper both ask it, so a message kind is
+// faulted alike on either side of the process boundary.
+func (c *Config) faultable(kind int) bool {
+	return c.Faults.Kinds != nil || kind < runenv.ControlKindBase
+}
+
+// wireFaults wraps a worker's coordinator connection for a faulted run: the
+// frames it writes face cfg.Faults as real packet loss, duplication and
+// delay on the wire, scoped by faultable like the in-process hook. Each
+// directed remote link is faulted only here — the worker's rtime.World skips
+// FaultHook for remote sends — so the per-link decision streams stay
+// disjoint from the local ones. The fault layer goes outside wrap. The
+// returned injector carries the wire-fault counters; with no faults active
+// it is nil and wrap comes back as it was.
+func wireFaults(cfg *Config, speedup float64, wrap func(net.Conn) net.Conn) (func(net.Conn) net.Conn, *fault.Injector) {
 	if cfg.Faults == nil || cfg.Faults.Zero() {
-		return nil, nil
+		return wrap, nil
 	}
-	cfg = cfg.withDefaults()
-	speedup = rtime.Speedup(speedup)
 	inj := cfg.Faults.MustCompile(cfg.P + 1)
-	dataOnly := cfg.Faults.Kinds == nil
 	ser := grid.NewSerializer(cfg.Cluster)
 	var serMu sync.Mutex
-	wrap := func(inner net.Conn) net.Conn {
+	return func(inner net.Conn) net.Conn {
+		if wrap != nil {
+			inner = wrap(inner)
+		}
 		// The wrapper has no model clock; injection marks are stamped on a
 		// wall clock anchored at wrap time (the dial, moments before the
 		// worker's own clock origin), close enough for zero-duration
@@ -248,7 +245,7 @@ func DistFaultConn(cfg Config, speedup float64) (func(net.Conn) net.Conn, *fault
 					return 0, 0, 0, 0, false
 				}
 				from, to, kind, bytes, _, _, ok = dtime.EnvelopeInfo(payload)
-				if !ok || (dataOnly && kind >= runenv.ControlKindBase) {
+				if !ok || !cfg.faultable(kind) {
 					return 0, 0, 0, 0, false
 				}
 				return from, to, kind, bytes, true
@@ -264,8 +261,7 @@ func DistFaultConn(cfg Config, speedup float64) (func(net.Conn) net.Conn, *fault
 			WallScale: 1 / speedup,
 			OnFault:   onFault,
 		})
-	}
-	return wrap, inj
+	}, inj
 }
 
 // RunDistWorker executes this process's share of a distributed run: it
@@ -288,10 +284,12 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 		fillManifest(&s.Manifest, &cfg) // before Start opens the live stream with it
 		s.Start(cfg.P)
 	}
+	speedup := rtime.Speedup(opts.Speedup)
+	wrap, wireInj := wireFaults(&cfg, speedup, opts.WrapConn)
 	return dtime.RunWorker(wenv, dtime.WorkerOptions{
 		Codec:    Codec{},
-		Speedup:  opts.Speedup,
-		WrapConn: opts.WrapConn,
+		Speedup:  speedup,
+		WrapConn: wrap,
 		ObsAddr:  opts.ObsAddr,
 	}, func(pr runenv.PartialRunner) ([]byte, error) {
 		bodies := make(map[int]runenv.Body, len(wenv.Ranks))
@@ -326,8 +324,8 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 		if inj != nil {
 			wr.stats = inj.Stats()
 		}
-		if wi := opts.WireFaults; wi != nil {
-			wr.stats.Add(wi.Stats())
+		if wireInj != nil {
+			wr.stats.Add(wireInj.Stats())
 		}
 		if s := cfg.Metrics; s != nil {
 			// This worker's share of the outcome: its ranks' totals, and the
@@ -345,7 +343,7 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 			wr.telemetry = buf.Bytes()
 		}
 		if tl := cfg.Trace; tl != nil {
-			wr.trace = &trace.ProcTrace{Speedup: rtime.Speedup(opts.Speedup), Dropped: tl.Dropped(), Events: tl.Events()}
+			wr.trace = &trace.ProcTrace{Speedup: speedup, Dropped: tl.Dropped(), Events: tl.Events()}
 		}
 		return encodeWorkerResult(wr), nil
 	})

@@ -6,18 +6,22 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
+	"net"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"aiac/internal/brusselator"
+	"aiac/internal/detect"
 	"aiac/internal/dtime"
 	"aiac/internal/fault"
 	"aiac/internal/grid"
 	"aiac/internal/loadbalance"
 	"aiac/internal/metrics"
 	"aiac/internal/rtime"
+	"aiac/internal/runenv"
 )
 
 // distRun executes cfg over the given number of in-process loopback workers
@@ -371,10 +375,7 @@ func TestDistWireInvariants(t *testing.T) {
 				Workers: 2,
 				RunRoot: t.TempDir(),
 				Spawn: dtime.GoroutineSpawner(func(w dtime.WorkerEnv) error {
-					wrap, inj := DistFaultConn(cfg, 200)
-					return RunDistWorker(cfg, w, DistWorkerOptions{
-						Speedup: 200, WrapConn: wrap, WireFaults: inj,
-					})
+					return RunDistWorker(cfg, w, DistWorkerOptions{Speedup: 200})
 				}),
 				HeartbeatTimeout: 10 * time.Second,
 				Wall:             2 * time.Minute,
@@ -419,6 +420,87 @@ func TestDistWireInvariants(t *testing.T) {
 			t.Logf("time %.3fs retries %d faults %+v", res.Time, res.LBRetries, res.FaultStats)
 		})
 	}
+}
+
+// TestDistWireFaultsWithoutWrapConn: a worker builds its fault wire itself.
+// With no WrapConn, a plan restricted to boundary halos on the one directed
+// link between the two workers (rank 1 on worker 0 to rank 2 on worker 1)
+// can fire only on the wire, since the in-process hook skips remote sends;
+// it must still drop messages, and the drops must reach the Result.
+func TestDistWireFaultsWithoutWrapConn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed loopback run")
+	}
+	prob, _ := smallBruss()
+	cfg := baseConfig(prob, 4)
+	cfg.MaxTime = 5000
+	cfg.MaxIter = 500000
+	cfg.Faults = &fault.Plan{
+		Seed: 21, Msg: fault.Rates{Drop: 0.2}, Kinds: FaultKindsBoundary(), Links: [][2]int{{1, 2}},
+	}
+	res, _, err := distRun(t, cfg, 2, DistWorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("did not converge: residual %g, faults %+v", res.MaxResidual, res.FaultStats)
+	}
+	if res.FaultStats.Dropped == 0 {
+		t.Fatalf("no halo dropped on the cross-worker link: %+v", res.FaultStats)
+	}
+}
+
+// TestFaultScopeSameInProcessAndOnWire: the in-process hook and the wire
+// wrapper fault the same message kinds — every data-plane kind and every
+// detection kind, under the default scope and under a plan that names its
+// Kinds.
+func TestFaultScopeSameInProcessAndOnWire(t *testing.T) {
+	prob, _ := smallBruss()
+	detectKinds := []int{
+		detect.KindState, detect.KindVerify, detect.KindConfirm, detect.KindHalt, detect.KindAbort,
+		detect.KindBarrierArrive, detect.KindBarrierGo, detect.KindToken, detect.KindRingHalt,
+	}
+	kinds := append(FaultKindsData(), detectKinds...)
+	for _, named := range [][]int{nil, {kindLBData, detect.KindHalt, detect.KindToken}} {
+		cfg := baseConfig(prob, 4)
+		cfg.Faults = &fault.Plan{Seed: 3, Msg: fault.Rates{Drop: 1}, Kinds: named}
+		hook := scopedFaultHook(&cfg, cfg.Faults.MustCompile(cfg.P+1))
+		wrap, _ := wireFaults(&cfg, 200, nil)
+		for _, kind := range kinds {
+			want := kind < runenv.ControlKindBase
+			if named != nil {
+				want = slices.Contains(named, kind)
+			}
+			inProcess := hook(1, 2, kind, 64, 0, 0).Drop
+			var sink countingConn
+			env := dtime.Enc{}
+			env.U32(1)
+			env.U32(2)
+			env.U32(uint32(kind))
+			env.U32(64)
+			env.F64(0)
+			env.U64(1)
+			env.U32(0)
+			if _, err := wrap(&sink).Write(dtime.AppendFrame(nil, dtime.FrameMsg, env.B)); err != nil {
+				t.Fatal(err)
+			}
+			onWire := sink.n == 0
+			if inProcess != want || onWire != want {
+				t.Errorf("Kinds %v, kind %d: dropped in process %t, on the wire %t, want %t", named, kind, inProcess, onWire, want)
+			}
+		}
+	}
+}
+
+// countingConn counts the bytes written to it and takes no other call.
+type countingConn struct {
+	net.Conn
+	n int
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.n += len(p)
+	return len(p), nil
 }
 
 // TestDistWorkerFailureTyped covers the engine-level lifecycle contract: a

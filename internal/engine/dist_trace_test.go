@@ -253,10 +253,7 @@ func TestDistTraceFaultMarks(t *testing.T) {
 		Spawn: dtime.GoroutineSpawner(func(w dtime.WorkerEnv) error {
 			wcfg := cfg
 			wcfg.Trace = &trace.Log{}
-			wrap, inj := DistFaultConn(wcfg, 200)
-			return RunDistWorker(wcfg, w, DistWorkerOptions{
-				Speedup: 200, WrapConn: wrap, WireFaults: inj,
-			})
+			return RunDistWorker(wcfg, w, DistWorkerOptions{Speedup: 200})
 		}),
 		HeartbeatTimeout: 10 * time.Second,
 		Wall:             2 * time.Minute,

@@ -121,20 +121,13 @@ type Config struct {
 	// fewer sweeps but is inherently sequential — locally that
 	// sequentiality is free, so this is a pure win knob.
 	GaussSeidelLocal bool
-	// ConvStreak is how many consecutive converged iterations a node
-	// needs before reporting convergence (default 2; SISC ignores it).
-	ConvStreak int
 	// LBWarmup is how many iterations to wait before the first balancing
 	// attempt (default: LB.Period).
 	LBWarmup int
 
 	// WorkScale converts problem work units into platform work units
-	// (default 1). CompOverhead is charged per component update and
-	// IterOverhead once per iteration, modeling loop and messaging
-	// overheads (defaults 2 and 100).
-	WorkScale    float64
-	CompOverhead float64
-	IterOverhead float64
+	// (default 1).
+	WorkScale float64
 
 	// Mapping assigns chain ranks to cluster nodes: rank i runs on
 	// cluster node Mapping[i]. Nil means the identity. The paper chose an
@@ -194,18 +187,19 @@ type Config struct {
 	skipTally *skipTally
 }
 
+// A node reports convergence after convStreak consecutive converged
+// iterations (SISC ignores it). Every component update is charged
+// compOverhead platform work units on top of its own work and every
+// iteration iterOverhead, modeling loop and messaging overheads.
+const (
+	convStreak   = 2
+	compOverhead = 2
+	iterOverhead = 100
+)
+
 func (c Config) withDefaults() Config {
-	if c.ConvStreak == 0 {
-		c.ConvStreak = 2
-	}
 	if c.WorkScale == 0 {
 		c.WorkScale = 1
-	}
-	if c.CompOverhead == 0 {
-		c.CompOverhead = 2
-	}
-	if c.IterOverhead == 0 {
-		c.IterOverhead = 100
 	}
 	if c.LBWarmup == 0 {
 		c.LBWarmup = c.LB.Period
@@ -250,11 +244,8 @@ func (c Config) Validate() error {
 		v    float64
 	}{
 		{"MaxTime", c.MaxTime},
-		{"ConvStreak", float64(c.ConvStreak)},
 		{"LBWarmup", float64(c.LBWarmup)},
 		{"WorkScale", c.WorkScale},
-		{"CompOverhead", c.CompOverhead},
-		{"IterOverhead", c.IterOverhead},
 		{"TraceIters", float64(c.TraceIters)},
 	} {
 		if !(f.v >= 0) {
@@ -630,10 +621,6 @@ func buildRunenvConfig(cfg *Config, procs int) (runenv.Config, *fault.Injector) 
 		Trace:    cfg.Trace,
 		MaxTime:  cfg.MaxTime,
 		Canceled: cfg.Cancel,
-		// Pre-size the scheduler's event containers: a handful of in-
-		// flight events per process is typical (halo sends, LB handshake,
-		// detection control).
-		EventCapHint: 8 * procs,
 		ComputeTime: func(node int, start, units float64) float64 {
 			return cfg.Cluster.ComputeTime(mapRank(node), start, units)
 		},
@@ -657,20 +644,14 @@ func buildRunenvConfig(cfg *Config, procs int) (runenv.Config, *fault.Injector) 
 	return rcfg, inj
 }
 
-// scopedFaultHook wraps an injector's message hook with the engine's
-// default kind scoping and per-node metrics attribution.
+// scopedFaultHook wraps an injector's message hook with the engine's kind
+// scoping (Config.faultable) and per-node metrics attribution.
 func scopedFaultHook(cfg *Config, inj *fault.Injector) func(from, to, kind, bytes int, now, delay float64) runenv.MsgFault {
-	hook := inj.MsgFault
-	if cfg.Faults.Kinds == nil {
-		// Default scope: data plane only. Convergence detection and
-		// the SISC barrier ride a reliable control channel unless the
-		// plan names their kinds explicitly.
-		hook = func(from, to, kind, bytes int, now, delay float64) runenv.MsgFault {
-			if kind >= runenv.ControlKindBase {
-				return runenv.MsgFault{}
-			}
-			return inj.MsgFault(from, to, kind, bytes, now, delay)
+	hook := func(from, to, kind, bytes int, now, delay float64) runenv.MsgFault {
+		if !cfg.faultable(kind) {
+			return runenv.MsgFault{}
 		}
+		return inj.MsgFault(from, to, kind, bytes, now, delay)
 	}
 	if s := cfg.Metrics; s != nil {
 		// Per-node fault attribution: any non-default fate counts
@@ -692,7 +673,7 @@ func (w *world) run(bodies []runenv.Body) float64 {
 	rcfg, inj := buildRunenvConfig(&w.cfg, len(bodies))
 	w.inj = inj
 	if _, isVT := w.cfg.Runner.(vtime.Runner); isVT {
-		// instantiate directly so we can read Deadlocked/TimedOut
+		// instantiate directly so we can read TimedOut and Canceled
 		w.vtsch = vtime.New(rcfg)
 		return w.vtsch.Run(bodies)
 	}

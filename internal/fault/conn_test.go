@@ -11,7 +11,7 @@ import (
 )
 
 // connOptions wires the dtime protocol into the transport-agnostic wrapper
-// the way engine.DistFaultConn does, minus the engine's kind scoping.
+// the way engine.RunDistWorker does, minus the engine's kind scoping.
 func connOptions() fault.ConnOptions {
 	return fault.ConnOptions{
 		FrameLen: func(buf []byte) (int, error) { return dtime.FrameLen(buf, dtime.MaxFrame) },

@@ -49,10 +49,11 @@ type Cluster struct {
 	Inter map[[2]int]Link
 	// DefaultInter is used for site pairs absent from Inter.
 	DefaultInter Link
-	// LocalLatency is the delay for a node messaging itself (co-located
-	// control processes); it defaults to 1 microsecond.
-	LocalLatency float64
 }
+
+// localLatency is the delay for a node messaging itself (co-located
+// control processes).
+const localLatency = 1e-6
 
 // P returns the number of nodes.
 func (c *Cluster) P() int { return len(c.Nodes) }
@@ -60,11 +61,7 @@ func (c *Cluster) P() int { return len(c.Nodes) }
 // Link returns the link used between two nodes.
 func (c *Cluster) Link(from, to int) Link {
 	if from == to {
-		lat := c.LocalLatency
-		if lat <= 0 {
-			lat = 1e-6
-		}
-		return Link{Latency: lat}
+		return Link{Latency: localLatency}
 	}
 	a, b := c.Nodes[from].Site, c.Nodes[to].Site
 	if a == b {

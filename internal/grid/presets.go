@@ -38,9 +38,10 @@ type HeteroGridConfig struct {
 	// MultiUser enables background load traces (the paper's machines were
 	// "subject to a multi-users utilization").
 	MultiUser bool
-	// Horizon is how far in time the load traces are generated.
-	Horizon float64
 }
+
+// loadHorizon is how far in time HeteroGrid15's load traces are generated.
+const loadHorizon = 3600
 
 // HeteroGrid15 builds the paper's second platform (Table 1): fifteen
 // machines spread over three sites in France — Belfort, Montbeliard and
@@ -52,9 +53,6 @@ type HeteroGridConfig struct {
 // cross site boundaries — the paper chose an irregular organization "to get
 // a grid computing context not favorable to load balancing".
 func HeteroGrid15(cfg HeteroGridConfig) *Cluster {
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 3600
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	const (
 		belfort = iota
@@ -95,7 +93,7 @@ func HeteroGrid15(cfg HeteroGridConfig) *Cluster {
 		if cfg.MultiUser {
 			// Mean 40 s of other-user activity at 35% effective speed,
 			// alternating with mean 60 s of idle machine.
-			n.Load = MultiUserTrace(rng, cfg.Horizon, 60, 40, 0.35)
+			n.Load = MultiUserTrace(rng, loadHorizon, 60, 40, 0.35)
 		}
 		c.Nodes = append(c.Nodes, n)
 	}

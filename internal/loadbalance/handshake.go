@@ -74,15 +74,3 @@ func (l *RecvLedger) Classify(id uint64, attachOK bool) (d Disposition, fresh bo
 	l.integrated[id] = struct{}{}
 	return Integrate, true
 }
-
-// Integrated reports whether the given transfer id has been integrated.
-func (l *RecvLedger) Integrated(id uint64) bool {
-	_, ok := l.integrated[id]
-	return ok
-}
-
-// Rejected reports whether the given transfer id has been rejected.
-func (l *RecvLedger) Rejected(id uint64) bool {
-	_, ok := l.rejected[id]
-	return ok
-}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -28,22 +29,30 @@ func workerRun(runID string, worker int, ranks []int, events []Event) *Run {
 	return r
 }
 
-func TestMergeRunsEmptySet(t *testing.T) {
-	if _, err := MergeRuns(nil); err == nil {
-		t.Fatal("MergeRuns(nil) succeeded")
-	}
-}
-
+// TestMergeRunsDuplicateRank: a rank two workers both sampled is refused on
+// the second merge, and nothing of the refused run is merged.
 func TestMergeRunsDuplicateRank(t *testing.T) {
-	a := workerRun("r1", 0, []int{0, 1}, nil)
-	b := workerRun("r1", 1, []int{1}, nil) // rank 1 sampled twice
-	if _, err := MergeRuns([]*Run{a, b}); err == nil {
+	a := workerRun("r1", 0, []int{0, 1}, []Event{{T: 0.1, Node: 0, Name: "conv"}})
+	b := workerRun("r1", 1, []int{1}, []Event{{T: 0.2, Node: 1, Name: "conv"}}) // rank 1 sampled twice
+	s := &Sink{}
+	s.Start(2)
+	if err := s.Merge(a); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Snapshot()
+	if err := s.Merge(b); err == nil {
 		t.Fatal("duplicate rank accepted")
 	}
+	after := s.Snapshot()
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused merge changed the sink:\nbefore %+v\nafter  %+v", before, after)
+	}
 }
 
-// TestMergeRunsInterleavedEvents: events from different workers interleave
-// by timestamp, and equal-timestamp events keep worker order (stable).
+// TestMergeRunsInterleavedEvents: two workers' runs merged one after the
+// other come out of Sink.Events interleaved by timestamp, equal timestamps
+// in emitter order (worker 0's node before worker 1's), with the runtime
+// aggregates and the latency histogram's counts summed.
 func TestMergeRunsInterleavedEvents(t *testing.T) {
 	a := workerRun("r1", 0, []int{0}, []Event{
 		{T: 0.1, Node: 0, Name: "conv"},
@@ -55,39 +64,59 @@ func TestMergeRunsInterleavedEvents(t *testing.T) {
 		{T: 0.5, Node: 1, Name: "conv"},
 		{T: 0.8, Node: 1, Name: "relapse"},
 	})
-	merged, err := MergeRuns([]*Run{a, b})
-	if err != nil {
-		t.Fatal(err)
+	var ha, hb Histogram
+	ha.Observe(1e-3)
+	ha.Observe(1e-3)
+	hb.Observe(1e-3)
+	hb.Observe(5e-2)
+	a.Latency, b.Latency = ha.Snapshot(), hb.Snapshot()
+	s := &Sink{}
+	s.Start(2)
+	for _, r := range []*Run{a, b} {
+		if err := s.Merge(r); err != nil {
+			t.Fatal(err)
+		}
 	}
+	events, _ := s.Events()
 	var got []float64
 	var nodes []int
-	for _, ev := range merged.Events {
+	for _, ev := range events {
 		got = append(got, ev.T)
 		nodes = append(nodes, ev.Node)
 	}
 	want := []float64{0.1, 0.2, 0.5, 0.5, 0.8, 0.9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event times = %v, want %v", got, want)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("event times = %v, want %v", got, want)
 	}
-	// tie at T=0.5: worker 0's event first (stable input order)
 	if nodes[2] != 0 || nodes[3] != 1 {
 		t.Fatalf("tie order = %v, want worker 0 before worker 1", nodes)
 	}
-	if merged.Delivered != 20 || merged.Control != 6 {
-		t.Fatalf("aggregates = %d/%d, want 20/6", merged.Delivered, merged.Control)
+	if s.Delivered.Value() != 20 || s.Control.Value() != 6 {
+		t.Fatalf("aggregates = %d/%d, want 20/6", s.Delivered.Value(), s.Control.Value())
 	}
-	if merged.QueueMax != 2 {
-		t.Fatalf("QueueMax = %g, want max(1,2)=2", merged.QueueMax)
+	if s.QueueMax.Value() != 2 {
+		t.Fatalf("QueueMax = %g, want max(1,2)=2", s.QueueMax.Value())
 	}
-	if merged.Manifest.Dist != nil {
-		t.Fatal("federated manifest kept a worker Dist section")
+	lat := s.Latency.Snapshot()
+	if lat.Count != 4 {
+		t.Fatalf("latency count = %d, want 4", lat.Count)
+	}
+	for i, n := range lat.Counts {
+		var wa, wb uint64
+		if i < len(a.Latency.Counts) {
+			wa = a.Latency.Counts[i]
+		}
+		if i < len(b.Latency.Counts) {
+			wb = b.Latency.Counts[i]
+		}
+		if n != wa+wb {
+			t.Fatalf("latency bucket %d = %d, want %d+%d", i, n, wa, wb)
+		}
 	}
 }
 
-// TestSinkMergeTakesInWorkerRuns: two workers' exports, read back, merged and
-// taken in by a fresh sink, read like one run — samples with the fault counts
+// TestSinkMergeTakesInWorkerRuns: two workers' exports, read back and taken
+// in by a fresh sink one after the other, read like one run — samples with the fault counts
 // their own sinks sealed (FinishRun does not re-resolve them), events in
 // time order, the aggregates summed — and the sink refuses a run with more
 // ranks than it holds.
@@ -110,14 +139,12 @@ func TestSinkMergeTakesInWorkerRuns(t *testing.T) {
 		}
 		runs = append(runs, back)
 	}
-	merged, err := MergeRuns(runs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := &Sink{}
 	s.Start(2)
-	if err := s.Merge(merged); err != nil {
-		t.Fatal(err)
+	for _, r := range runs {
+		if err := s.Merge(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.FinishRun(Outcome{Converged: true})
 	got := s.Snapshot()
@@ -135,7 +162,7 @@ func TestSinkMergeTakesInWorkerRuns(t *testing.T) {
 
 	small := &Sink{}
 	small.Start(1)
-	if err := small.Merge(merged); err == nil {
+	if err := small.Merge(runs[1]); err == nil {
 		t.Fatal("a 2-rank run merged into a 1-rank sink")
 	}
 	if n := len(small.Samples(0)); n != 0 {

@@ -78,7 +78,7 @@ type DistManifest struct {
 	RunID   string `json:"run_id"`
 	Workers int    `json:"workers"`
 	Role    string `json:"role"`
-	// Worker, Ranks and Pid identify a worker sidecar (Role "worker").
+	// Worker, Ranks and Pid identify a worker's export (Role "worker").
 	Worker int   `json:"worker,omitempty"`
 	Ranks  []int `json:"ranks,omitempty"`
 	Pid    int   `json:"pid,omitempty"`

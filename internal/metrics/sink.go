@@ -371,15 +371,22 @@ func (s *Sink) MsgDelivered(m runenv.Msg, depth int) {
 	s.Latency.Observe(m.RecvT - m.SendT)
 }
 
-// Merge takes in a run recorded by other sinks — the workers' of a
-// distributed run, merged by MergeRuns — as if this sink had recorded it:
-// its samples, events and runtime aggregates join the sink's own, and the
-// listener hears them. Merged samples keep the fault counts the recording
-// sink sealed into them. Call it between Start and FinishRun. A rank or an
-// emitter this sink does not hold is an error, and nothing is merged.
+// Merge takes in a run recorded by another sink — one worker's of a
+// distributed run, called once per worker — as if this sink had recorded
+// it: its samples, events and runtime aggregates join the sink's own, and
+// the listener hears them. Merged samples keep the fault counts the
+// recording sink sealed into them. Call it between Start and FinishRun. A
+// rank or an emitter this sink does not hold is an error, and so is a rank
+// this sink already holds samples of (two workers sampled it); either way
+// nothing is merged.
 func (s *Sink) Merge(r *Run) error {
 	if len(r.Samples) > len(s.nodes) || len(r.Faults) > len(s.faults) {
 		return fmt.Errorf("metrics: merge: run of %d ranks into a sink of %d", max(len(r.Samples), len(r.Faults)), len(s.nodes))
+	}
+	for rank, row := range r.Samples {
+		if len(row) > 0 && len(s.nodes[rank].samples) > 0 {
+			return fmt.Errorf("metrics: merge: rank %d sampled twice", rank)
+		}
 	}
 	for _, ev := range r.Events {
 		if ev.Node < -1 || ev.Node >= len(s.nodes) {

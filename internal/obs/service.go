@@ -179,9 +179,8 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, report.Render(run, report.Options{}))
 }
 
-// handleTrace serves a run's execution trace (the trace.csv sidecar — for
-// dist runs, the federated cross-process stream). 404s distinguish an
-// unknown run from an untraced or unfinished one.
+// handleTrace serves a run's execution trace (the trace.csv sidecar). 404s
+// distinguish an unknown run from an untraced or unfinished one.
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rec, ok := s.reg.Get(id)

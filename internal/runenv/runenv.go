@@ -156,10 +156,6 @@ type Config struct {
 	// outside the modeled world, the stop point of a canceled run is not
 	// deterministic; everything up to the stop still is.
 	Canceled func() bool
-	// EventCapHint, when > 0, pre-sizes the scheduler's event containers
-	// (event heap capacity, and per-process mailboxes at EventCapHint /
-	// Procs) to avoid growth reallocations on the hot path.
-	EventCapHint int
 }
 
 // MsgFault is the injected fate of one message send; the zero value means

@@ -7,17 +7,14 @@ import (
 
 // GanttConfig controls ASCII Gantt rendering.
 type GanttConfig struct {
-	Width     int     // number of character columns for the time axis (default 100)
-	MaxTime   float64 // right edge of the chart; 0 means "end of log"
-	MinTime   float64 // left edge of the chart
-	Arrows    bool    // render message departure/arrival markers
-	ShowIters bool    // label iteration numbers inside compute blocks when room allows
+	Width int // number of character columns for the time axis (default 100)
 }
 
-// Gantt renders the log as an ASCII Gantt chart in the style of Figures 1-4
-// of the paper: one row per node, '#' for computation, '.' for idle time,
-// 'v'/'^' departure markers for sends towards higher/lower ranks, 'B' for
-// load-balancing transfers, and a time ruler at the bottom.
+// Gantt renders the whole log as an ASCII Gantt chart in the style of
+// Figures 1-4 of the paper: one row per node, '#' for computation, '.' for
+// idle time, 'v'/'^' departure and '>'/'<' arrival markers for sends towards
+// higher/lower ranks, 'B'/'b' for load-balancing transfers, '|' for marks,
+// and a time ruler at the bottom.
 //
 // The rendering is intentionally coarse: its purpose is to make the
 // qualitative structure (idle gaps under SISC/SIAC, their absence under
@@ -32,12 +29,6 @@ func Gantt(l *Log, cfg GanttConfig) string {
 		return "(empty trace)\n"
 	}
 	t0, t1 := l.Span()
-	if cfg.MinTime > 0 {
-		t0 = cfg.MinTime
-	}
-	if cfg.MaxTime > 0 {
-		t1 = cfg.MaxTime
-	}
 	if t1 <= t0 {
 		t1 = t0 + 1
 	}
@@ -85,21 +76,19 @@ func Gantt(l *Log, cfg GanttConfig) string {
 			// idle is the background; leave as '.'
 		}
 	}
-	if cfg.Arrows {
-		for _, ev := range evs {
-			switch ev.Kind {
-			case SendLeft:
-				set(rows, ev.Node, col(ev.T0), '^')
-				set(rows, ev.To, col(ev.T1), '<')
-			case SendRight:
-				set(rows, ev.Node, col(ev.T0), 'v')
-				set(rows, ev.To, col(ev.T1), '>')
-			case SendLB:
-				set(rows, ev.Node, col(ev.T0), 'B')
-				set(rows, ev.To, col(ev.T1), 'b')
-			case Mark:
-				set(rows, ev.Node, col(ev.T0), '|')
-			}
+	for _, ev := range evs {
+		switch ev.Kind {
+		case SendLeft:
+			set(rows, ev.Node, col(ev.T0), '^')
+			set(rows, ev.To, col(ev.T1), '<')
+		case SendRight:
+			set(rows, ev.Node, col(ev.T0), 'v')
+			set(rows, ev.To, col(ev.T1), '>')
+		case SendLB:
+			set(rows, ev.Node, col(ev.T0), 'B')
+			set(rows, ev.To, col(ev.T1), 'b')
+		case Mark:
+			set(rows, ev.Node, col(ev.T0), '|')
 		}
 	}
 
@@ -162,39 +151,6 @@ func IdleFractionWithin(l *Log) []float64 {
 			continue
 		}
 		f := 1 - busy[i]/span
-		if f < 0 {
-			f = 0
-		}
-		out[i] = f
-	}
-	return out
-}
-
-// IdleFraction computes, per node, the fraction of [t0, t1] (the log span)
-// not covered by Compute or Balance spans. It is the quantitative counterpart
-// of the white space in Figures 1-3.
-func IdleFraction(l *Log) []float64 {
-	evs := l.Events()
-	t0, t1 := l.Span()
-	total := t1 - t0
-	if total <= 0 {
-		return nil
-	}
-	nodes := 0
-	for _, ev := range evs {
-		if ev.Node+1 > nodes {
-			nodes = ev.Node + 1
-		}
-	}
-	busy := make([]float64, nodes)
-	for _, ev := range evs {
-		if ev.Kind == Compute || ev.Kind == Balance {
-			busy[ev.Node] += ev.T1 - ev.T0
-		}
-	}
-	out := make([]float64, nodes)
-	for i := range out {
-		f := 1 - busy[i]/total
 		if f < 0 {
 			f = 0
 		}

@@ -60,7 +60,7 @@ func TestGanttRendering(t *testing.T) {
 	l.Add(Event{T0: 0, T1: 4, Node: 0, To: -1, Kind: Compute, Iter: 0})
 	l.Add(Event{T0: 0, T1: 2, Node: 1, To: -1, Kind: Compute, Iter: 0})
 	l.Add(Event{T0: 4, T1: 4.5, Node: 0, To: 1, Kind: SendRight, Iter: 0})
-	out := Gantt(&l, GanttConfig{Width: 40, Arrows: true})
+	out := Gantt(&l, GanttConfig{Width: 40})
 	if !strings.Contains(out, "P0 ") || !strings.Contains(out, "P1 ") {
 		t.Fatalf("missing node rows:\n%s", out)
 	}
@@ -85,22 +85,6 @@ func TestGanttEmpty(t *testing.T) {
 	var l Log
 	if out := Gantt(&l, GanttConfig{}); !strings.Contains(out, "empty") {
 		t.Fatalf("empty log rendering: %q", out)
-	}
-}
-
-func TestIdleFraction(t *testing.T) {
-	var l Log
-	l.Add(Event{T0: 0, T1: 10, Node: 0, Kind: Compute})
-	l.Add(Event{T0: 0, T1: 5, Node: 1, Kind: Compute})
-	fr := IdleFraction(&l)
-	if len(fr) != 2 {
-		t.Fatalf("len = %d", len(fr))
-	}
-	if fr[0] > 1e-9 {
-		t.Fatalf("node 0 should be fully busy, idle=%g", fr[0])
-	}
-	if fr[1] < 0.49 || fr[1] > 0.51 {
-		t.Fatalf("node 1 idle = %g, want 0.5", fr[1])
 	}
 }
 

@@ -145,8 +145,7 @@ func BenchmarkSweep(b *testing.B) {
 func benchSweep(b *testing.B) {
 	const procs, k, iters = 15, 8, 200
 	cfg := runenv.Config{
-		Delay:        func(_, _, _ int, _ float64) float64 { return 2e-4 },
-		EventCapHint: 4 * procs,
+		Delay: func(_, _, _ int, _ float64) float64 { return 2e-4 },
 	}
 	bodies := make([]runenv.Body, procs)
 	for i := range bodies {

@@ -228,20 +228,21 @@ func (s *Scheduler) Run(bodies []runenv.Body) float64 {
 	return s.endTime()
 }
 
+// eventsPerProc pre-sizes the event heap and each mailbox: a handful of
+// in-flight events per process is typical (halo sends, LB handshake,
+// detection control), so the hot path does not grow them.
+const eventsPerProc = 8
+
 // setup builds the process set, the event heap and the per-pair FIFO table.
 func (s *Scheduler) setup(bodies []runenv.Body) {
 	n := len(bodies)
-	mboxCap := 4
-	if h := s.cfg.EventCapHint; h > 0 && h/n > mboxCap {
-		mboxCap = h / n
-	}
 	s.procs = make([]*proc, n)
 	s.fifo = make([]float64, n*n)
 	s.live = n
 	for i := range bodies {
 		p := &proc{
 			id:      i,
-			mailbox: make([]runenv.Msg, 0, mboxCap),
+			mailbox: make([]runenv.Msg, 0, eventsPerProc),
 			sched:   s,
 		}
 		s.procs[i] = p
@@ -254,9 +255,7 @@ func (s *Scheduler) setup(bodies []runenv.Body) {
 			s.live--
 		})
 	}
-	if h := s.cfg.EventCapHint; h > 0 {
-		s.events = make(eventHeap, 0, h)
-	}
+	s.events = make(eventHeap, 0, eventsPerProc*n)
 }
 
 // exec processes one event popped from the heap.
