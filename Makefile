@@ -4,7 +4,7 @@ GO ?= go
 # every target with an error instead of downloading a newer one.
 export GOTOOLCHAIN := local
 
-.PHONY: build test vet race loc bench check test-faults test-dist test-svc test-trace-dist fmt-check doc-check dep-check report critpath cover flakes
+.PHONY: build test vet race loc bench check test-faults test-dist test-svc test-trace-dist fmt-check doc-check dep-check report critpath cover flakes quick-golden
 
 build:
 	$(GO) build ./...
@@ -150,6 +150,12 @@ cover:
 	echo "internal/trace coverage: $$pct%" && \
 	if awk -v p="$$pct" -v min="$(COVER_MIN)" 'BEGIN {exit !(p+0 < min+0)}'; then \
 		echo "FAIL: internal/trace coverage $$pct% < $(COVER_MIN)%"; exit 1; fi
+
+# Rewrite the quick-scale experiment reports that TestAllQuick compares byte
+# for byte (internal/experiments/testdata/quick/<id>.txt). Only for a change
+# meant to move a number: the diff of the rewritten files is its record.
+quick-golden:
+	$(GO) test -count=1 -run '^TestAllQuick$$' ./internal/experiments/ -update
 
 # Non-test Go lines, in total and outside bench/: the figure every PR reports
 # before and after (ROADMAP aim 2).

@@ -29,7 +29,9 @@ import (
 
 func main() {
 	var (
-		expName = flag.String("exp", "all", "experiment id: all, fig1-4, fig5, table1, x1...x9")
+		expName = flag.String("exp", "all", "experiment id: all; flow (or figs, fig1, fig2, fig3, fig4); fig5; table1;\n"+
+			"x1 (modes), x2 (frequency), x3 (accuracy), x4 (estimator), x5 (famine), x6 (families),\n"+
+			"x7 (fullhorizon), x8 (mapping), x9 (faults, robustness), x10 (telemetry); diag (diagnostics)")
 		scaleN  = flag.String("scale", "full", "scale: quick, full")
 		outDir  = flag.String("o", "", "directory to write per-experiment text files")
 		workers = flag.Int("workers", 0, "concurrent engine runs (0 = GOMAXPROCS, 1 = serial); outputs are identical at any setting")

@@ -16,7 +16,7 @@ func TestDistDataPlaneAllocs(t *testing.T) {
 		kind    int
 		payload any
 	}{
-		{"boundary", kindBoundary, boundaryMsg{Iter: 7, Pos: 30, Comps: comps, Load: 0.5}},
+		{"boundary", kindBoundary, &boundaryMsg{Iter: 7, Pos: 30, Comps: comps, Load: 0.5}},
 		{"lb-data", kindLBData, lbDataMsg{XferID: 1, Pos: 30, Count: 1, Comps: comps, Load: 0.5}},
 	} {
 		data, err := Codec{}.EncodePayload(tc.kind, tc.payload)

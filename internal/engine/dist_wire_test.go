@@ -30,9 +30,9 @@ var wireGolden = []struct {
 	bytes   int
 	frame   string
 }{
-	{"boundary", kindBoundary, boundaryMsg{Iter: 42, Pos: 63, Comps: [][]float64{{1, 0.5, -0.25}, {3, 1e-9, 2.5e300}}, Load: 0.125}, trajBytes(2, 3),
+	{"boundary", kindBoundary, &boundaryMsg{Iter: 42, Pos: 63, Comps: [][]float64{{1, 0.5, -0.25}, {3, 1e-9, 2.5e300}}, Load: 0.125}, trajBytes(2, 3),
 		"0000007a0103000000000000000100000001000000503fe0000000000000000000000000000100000054000000000000002a000000000000003f00000002000000033ff00000000000003fe0000000000000bfd00000000000000000000340080000000000003e112e0be826d6957e4ddd4baa0093033fc0000000000000"},
-	{"boundary-empty", kindBoundary, boundaryMsg{Iter: -1}, trajBytes(0, 0),
+	{"boundary-empty", kindBoundary, &boundaryMsg{Iter: -1}, trajBytes(0, 0),
 		"000000420103000000000000000100000001000000203fe000000000000000000000000000020000001cffffffffffffffff0000000000000000000000000000000000000000"},
 	{"lb-data", kindLBData, lbDataMsg{XferID: 0xfeedface, Pos: 60, Count: 2, Comps: [][]float64{{1, 2}, {3, 4}, {}}, Load: 7.75}, trajBytes(3, 2),
 		"000000760103000000000000000100000002000000503fe000000000000000000000000000030000005000000000feedface000000000000003c000000000000000200000003000000023ff00000000000004000000000000000000000024008000000000000401000000000000000000000401f000000000000"},

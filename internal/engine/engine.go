@@ -178,8 +178,10 @@ type Config struct {
 	// and goes with the vt-table1-par workload (ROADMAP item 3(d)).
 	SimWorkers int
 
-	// poisonFree fills every buffer entering a node's free list with NaN, so
-	// that a read through a stale alias shows in the result. Tests only.
+	// poisonFree fills every buffer entering a node's free list with NaN, and
+	// every boundary message it keeps with an impossible position and tag and
+	// a NaN load, so that a read through a stale alias shows in the result.
+	// Tests only.
 	poisonFree bool
 	// skipTally, when non-nil, receives every node's count of trajectory
 	// entries promised frozen and produced, so that sweeps which silently

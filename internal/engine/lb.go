@@ -60,9 +60,12 @@ func (n *node) tryLB(dir int) bool {
 		pos = n.endC - count - n.halo
 		keep.lo = pos + n.halo
 	}
+	// The shipped copies come from the free list and are the receiver's:
+	// lbResendMsg shares them across retransmissions, and nothing here reads
+	// or recycles them again.
 	comps := make([][]float64, 0, count+n.halo)
 	for j := pos; j < pos+count+n.halo; j++ {
-		comps = append(comps, cloneTraj(n.val.get(j)))
+		comps = append(comps, append(n.reuse()[:0], n.val.get(j)...))
 	}
 	for j := keep.lo; j < keep.lo+count+n.halo; j++ {
 		keep.trs = append(keep.trs, n.val.get(j))
@@ -161,9 +164,34 @@ func (n *node) dropOwnership(lo, hi int) {
 	// pruning of val happens lazily in pruneVal after the range moves
 }
 
-// pruneVal discards val entries outside [startC-halo, endC+halo).
-func (n *node) pruneVal() {
-	n.val.prune(n.startC-n.halo, n.endC+n.halo)
+// pruneVal discards val entries outside [startC-halo, endC+halo) and
+// recycles them, save those a pending transfer keeps (rule 3). Entries in
+// [ownLo, ownHi) are trajectories this node computed, which no message
+// carried; the rest are halos a message may have brought, recycled only where
+// no second copy of it can exist.
+func (n *node) pruneVal(ownLo, ownHi int) {
+	lo, hi := n.startC-n.halo, n.endC+n.halo
+	wlo, whi := n.val.window()
+	for j := wlo; j < whi; j++ {
+		if j >= lo && j < hi || !n.unique && (j < ownLo || j >= ownHi) {
+			continue
+		}
+		if tr := n.val.get(j); n.unkept(j, tr) {
+			n.recycle(tr)
+		}
+	}
+	n.val.prune(lo, hi)
+}
+
+// adopt stores at position j of val a trajectory a transfer brought. Attach
+// lands beside the owned range, so what it displaces is a halo entry, evicted
+// only where no second copy of the message that brought it can exist.
+func (n *node) adopt(j int, tr []float64) {
+	old := n.val.get(j)
+	n.val.set(j, tr)
+	if n.unique {
+		n.evict(j, old, tr)
+	}
 }
 
 // recvLBData handles an incoming transfer (Algorithm 6 plus the ack/reject
@@ -221,22 +249,22 @@ func (n *node) recvLBData(m runenv.Msg) {
 	t0 := n.env.Now()
 	if dir == dirLeft {
 		for i := 0; i < n.halo; i++ {
-			n.val.set(d.Pos+i, d.Comps[i]) // new left halo (dependencies)
+			n.adopt(d.Pos+i, d.Comps[i]) // new left halo (dependencies)
 		}
 		for i := 0; i < d.Count; i++ {
 			j := d.Pos + n.halo + i
-			n.val.set(j, d.Comps[n.halo+i])
+			n.adopt(j, d.Comps[n.halo+i])
 			n.buf.set(j, n.scratch())
 		}
 		n.startC = d.Pos + n.halo
 	} else {
 		for i := 0; i < d.Count; i++ {
 			j := d.Pos + i
-			n.val.set(j, d.Comps[i])
+			n.adopt(j, d.Comps[i])
 			n.buf.set(j, n.scratch())
 		}
 		for i := 0; i < n.halo; i++ {
-			n.val.set(d.Pos+d.Count+i, d.Comps[d.Count+i]) // new right halo
+			n.adopt(d.Pos+d.Count+i, d.Comps[d.Count+i]) // new right halo
 		}
 		n.endC = d.Pos + d.Count
 	}
@@ -245,7 +273,7 @@ func (n *node) recvLBData(m runenv.Msg) {
 	} else {
 		n.ownLog(fault.OwnAdopt, d.Pos, d.Pos+d.Count, d.XferID)
 	}
-	n.pruneVal()
+	n.pruneVal(0, 0) // every entry beyond the new range is a halo or kept
 	n.sendLBCtrl(m.From, kindLBAck, d, "lb-ack")
 	n.lbDone = true
 	// Receiver cooldown (a refinement over the paper, see DESIGN.md): a
@@ -300,7 +328,7 @@ func (n *node) recvLBAck(m runenv.Msg) {
 	n.lbPending[dir] = false
 	n.lbKeep[dir].drop()
 	n.lbResendMsg[dir] = lbDataMsg{}
-	n.pruneVal()
+	n.pruneVal(lo, hi)
 	n.lbFlightBackoff(dir)
 }
 

@@ -77,6 +77,12 @@ type node struct {
 	// free holds up to maxFree trajectory buffers nothing else references;
 	// see recycle.
 	free [][]float64
+	// msgs holds up to maxFree boundary messages nothing else references,
+	// for sendBoundary's payloads; see keepMsg.
+	msgs []*boundaryMsg
+	// unique says no message of the run reaches its receiver twice: the
+	// fault plan, if any, duplicates nothing. See recycle.
+	unique bool
 
 	residual    float64 // last completed iteration's residual
 	iterTime    float64 // duration of the last compute sweep
@@ -144,6 +150,7 @@ func newNode(env runenv.Env, cfg *Config, rank int) *node {
 		nbIter:     [2]int{-1, -1},
 		nbHaloIter: [2]int{-1, -1},
 		okToTry:    cfg.LBWarmup,
+		unique:     cfg.Faults == nil || cfg.Faults.Msg.Dup == 0,
 	}
 	n.getFn = n.get
 	n.det = &detect.Node{
@@ -416,18 +423,18 @@ func (n *node) sendBoundary(dir int, load float64, iterTag int) {
 	if dir == dirRight {
 		pos = n.endC - n.halo
 	}
-	comps := make([][]float64, n.halo)
-	for i := range comps {
+	msg := n.newMsg()
+	for i := 0; i < n.halo; i++ {
 		// mid-iteration sends happen before the buf→val swap (freshest
 		// values in buf), end-of-iteration sends after it (freshest in
 		// val); newest() picks the right one.
-		comps[i] = append(n.reuse()[:0], n.newest(pos+i)...)
+		msg.Comps = append(msg.Comps, append(n.reuse()[:0], n.newest(pos+i)...))
 	}
+	msg.Iter, msg.Pos, msg.Load = iterTag, pos, load
 	kindEv := trace.SendLeft
 	if dir == dirRight {
 		kindEv = trace.SendRight
 	}
-	msg := boundaryMsg{Iter: iterTag, Pos: pos, Comps: comps, Load: load}
 	// Every send-describing trace event reads its T0 before the send: on the
 	// real-time runtimes Send may block on a socket write, and a clock read
 	// after it can land past the receiver's delivery stamp.
@@ -519,7 +526,7 @@ func (n *node) handleData(m runenv.Msg) {
 // attached load estimate and iteration tag are always recorded
 // (Algorithm 7).
 func (n *node) recvBoundary(m runenv.Msg) {
-	b := m.Payload.(boundaryMsg)
+	b := m.Payload.(*boundaryMsg)
 	dir, ok := n.dirOf(m.From)
 	if !ok {
 		return
@@ -533,14 +540,11 @@ func (n *node) recvBoundary(m runenv.Msg) {
 	if dir == dirRight {
 		expect = n.endC
 	}
-	// Recycling rule 1: the buffers of a message dropped here are never
-	// recycled. On vtime and rtime a duplicated copy carries the same slices,
-	// so they may sit in val already, or be about to.
-	if b.Pos != expect || len(b.Comps) != n.halo {
-		return // the ranges are shifting under load balancing: drop
-	}
-	if b.Iter < n.nbHaloIter[dir] {
-		return // reordered or duplicated stale halo: fresher data already integrated
+	// Drop a halo whose ranges are shifting under load balancing, and a
+	// reordered or duplicated stale one: fresher data is already integrated.
+	if b.Pos != expect || len(b.Comps) != n.halo || b.Iter < n.nbHaloIter[dir] {
+		n.dropMsg(b)
+		return
 	}
 	n.nbHaloIter[dir] = b.Iter
 	n.lastHaloT[dir] = n.env.Now()
@@ -560,10 +564,51 @@ func (n *node) recvBoundary(m runenv.Msg) {
 		// unread.) Rule 3: until its answer arrives, a transfer's lbKeep holds
 		// the shipped originals and the halo entries beside them by reference
 		// for restoreLB, and the new halo range lies among them.
-		if !sameBuf(old, tr) && !sameBuf(old, n.kept(dirLeft, j)) && !sameBuf(old, n.kept(dirRight, j)) {
-			n.recycle(old)
-		}
+		n.evict(j, old, tr)
 	}
+	n.keepMsg(b)
+}
+
+// dropMsg is done with a boundary message recvBoundary did not integrate.
+// Recycling rule 1: its buffers are recycled only where no second copy of it
+// can exist. On vtime and rtime a duplicated copy carries the same slices, so
+// under a duplicating plan they may sit in val already, or be about to.
+func (n *node) dropMsg(b *boundaryMsg) {
+	if !n.unique {
+		return
+	}
+	for _, tr := range b.Comps {
+		n.recycle(tr)
+	}
+	n.keepMsg(b)
+}
+
+// keepMsg keeps a boundary message this node has read to the end for its own
+// next send, when no second copy of it can arrive: a duplicated copy is the
+// same *boundaryMsg, and would be read after the next send rewrote it. The
+// trajectories it carried are the caller's: in val, or recycled.
+func (n *node) keepMsg(b *boundaryMsg) {
+	if !n.unique || len(n.msgs) >= maxFree {
+		return
+	}
+	clear(b.Comps)
+	*b = boundaryMsg{Comps: b.Comps[:0]}
+	if n.cfg.poisonFree {
+		b.Iter, b.Pos, b.Load = math.MinInt, math.MinInt, math.NaN()
+	}
+	n.msgs = append(n.msgs, b)
+}
+
+// newMsg returns a boundary message with no trajectories: a kept one if there
+// is any, else a fresh one.
+func (n *node) newMsg() *boundaryMsg {
+	k := len(n.msgs) - 1
+	if k < 0 {
+		return &boundaryMsg{Comps: make([][]float64, 0, n.halo)}
+	}
+	b := n.msgs[k]
+	n.msgs = n.msgs[:k]
+	return b
 }
 
 // dirOf maps a sender rank to a chain direction.
@@ -668,10 +713,18 @@ func (n *node) traceOn() bool {
 	return n.cfg.TraceIters == 0 || n.iter < n.cfg.TraceIters
 }
 
-func cloneTraj(tr []float64) []float64 {
-	out := make([]float64, len(tr))
-	copy(out, tr)
-	return out
+// evict recycles old, which tr has just replaced at position j of val, unless
+// it is tr itself (recycling rule 2) or a pending transfer keeps it (rule 3).
+func (n *node) evict(j int, old, tr []float64) {
+	if !sameBuf(old, tr) && n.unkept(j, old) {
+		n.recycle(old)
+	}
+}
+
+// unkept reports whether tr, leaving val at position j, is not what a pending
+// transfer keeps there by reference for its undo (recycling rule 3).
+func (n *node) unkept(j int, tr []float64) bool {
+	return !sameBuf(tr, n.kept(dirLeft, j)) && !sameBuf(tr, n.kept(dirRight, j))
 }
 
 // sameBuf reports whether a and b are one buffer (trajectories are whole
@@ -689,13 +742,18 @@ const maxFree = 32
 // recycle keeps tr for this node's next send or scratch buffer. A trajectory
 // buffer has one owner at a time — Env.Send hands a message's buffers to the
 // receiver, which adopts them by reference — so the caller must know that
-// nothing but this node can still reach tr: see recvBoundary's three rules
-// and dropOwnership. The list needs no lock (a node is one goroutine on every
-// runtime) and is no sync.Pool (the GC empties those, and the allocation
-// count of a virtual-time run would stop repeating). Out of scope: tryLB
-// still clones what it ships (lbResendMsg shares the clones across
-// retransmissions), a send still allocates its comps header and payload box,
-// and a dist receiver what Dec.F64s decodes — those slices are the new halos.
+// nothing but this node can still reach tr: see recvBoundary's three rules,
+// dropOwnership, pruneVal and adopt. Under a plan that duplicates messages a
+// halo that arrived in one may have a second copy in flight, so only a
+// fresher halo may then evict it (rule 2); where n.unique holds, a halo is
+// this node's alone once integrated, and so are the buffers of a message it
+// drops. The list needs no lock (a node is one goroutine on every runtime)
+// and is no sync.Pool (the GC empties those, and the allocation count of a
+// virtual-time run would stop repeating). Out of scope: the halo entries
+// restoreLB displaces, and the trajectories of a transfer that is rejected
+// or acked again (the shipper's lbResendMsg may still send them), go to the
+// GC; a dist receiver allocates what Dec.F64s decodes and the message that
+// holds it — those slices are the new halos.
 func (n *node) recycle(tr []float64) {
 	// The length check also turns away the nil of an absent position.
 	if len(tr) != n.trajLen || len(n.free) >= maxFree {

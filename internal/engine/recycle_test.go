@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"aiac/internal/fault"
@@ -27,9 +28,25 @@ func recycleCell(seed int64, drop float64) fault.Plan {
 	}
 }
 
+// recycleCellNoDup is a cell no copy of a message can reach twice: drops,
+// reorders and delay spikes, but no duplicates. There a node also recycles
+// the halos it drops and the halos it prunes, and keeps the message structs
+// it is done with, so these cells read every recycling path the duplicating
+// ones leave unused.
+func recycleCellNoDup(seed int64, drop float64) fault.Plan {
+	return fault.Plan{
+		Seed:         seed,
+		Msg:          fault.Rates{Drop: drop, Reorder: 0.15, Spike: 0.1},
+		JitterFactor: 10,
+		Kinds:        FaultKindsData(),
+	}
+}
+
 // recycleGolden holds digest("%+v", Result) of every grid cell, computed on
 // the last commit whose exchange path cloned every halo and had no free list
-// (34a67bb). Never regenerate them from the code under test: the poison shows
+// (34a67bb); the nodup/ cells on the last commit that dropped unread halos,
+// pruned trajectories, shipped clones and spent messages to the GC
+// (0f522bc). Never regenerate them from the code under test: the poison shows
 // a read through a stale alias, only this record shows a buffer handed out
 // twice.
 var recycleGolden = map[string]string{
@@ -48,6 +65,22 @@ var recycleGolden = map[string]string{
 	"drop=0.05/seed=5": "ea3d49536d92877bda5e1b10f8dd64a3efe298f0825bf021e7f7ac0a944c5b00",
 	"drop=0.15/seed=5": "8a6e39753739c1c4b36acb5071413deb2c07dafce7ccaa9757835aec05bd5fc2",
 	"drop=0.30/seed=5": "29408f236e0d01dd3686170f6d5674559118380c1daa4c80cb47cee57ea4125f",
+
+	"nodup/drop=0.05/seed=1": "0bde81dc8fc07c8a90ab8430d08d2d02b20729bfc2568409ee968b4f411e78d5",
+	"nodup/drop=0.15/seed=1": "26c15f3d7a721ee77a15332c15d5a4509b08b680bfc39bf14876362c94f4be30",
+	"nodup/drop=0.30/seed=1": "eb4526515bd96205761c8cd681f8d007c3f300c290eb3de0b1f698b1cfff2985",
+	"nodup/drop=0.05/seed=2": "be69ded656594be406834a16aa8ae543af585282e6eee964787c9f7a7751aa94",
+	"nodup/drop=0.15/seed=2": "31cb08fd813c025e7824a543dab7898fa22d64cc448d2d80bacdddb8d3f81a6c",
+	"nodup/drop=0.30/seed=2": "f5a31ff17f0ff783ca70c87f48f8b715bb81aebec949fef35e7c48dc44fae2fe",
+	"nodup/drop=0.05/seed=3": "e367fbca7cfadea8e8f933e3dcb42d2634508a0bca77506e5a7db6c177f05ca8",
+	"nodup/drop=0.15/seed=3": "0b924b44955518fd0113f4760765aca36450ce20ed47665ca712b796183bd459",
+	"nodup/drop=0.30/seed=3": "3801d8c8ff5d6f18cf2fddfbda88179476fde8b454f41165253e19ad29584de7",
+	"nodup/drop=0.05/seed=4": "4fb17c32652258875328b6e14b17fbc4080792aae307762479b91fac004d8ee0",
+	"nodup/drop=0.15/seed=4": "12e04d36d0299a23c09c243a350c0f6b5d57fd61bc7f2297352f76a4cec27393",
+	"nodup/drop=0.30/seed=4": "70b67c6c457298472eea6cd89abe54cdc71d8ca91ef2f3a9a89c19d3cf658066",
+	"nodup/drop=0.05/seed=5": "27ea7d529a223429e25926e8a1a4d1b922e1e998ef56a8b546c42f3f549ba88e",
+	"nodup/drop=0.15/seed=5": "107f8d7f6c190e1bbe6dfa2a2da05062061a87f522ffa0e9022809c4f9b44e1f",
+	"nodup/drop=0.30/seed=5": "64ead3f35ec665a58dcfe685b8c94d21fd0e09edd42f0f4ba60f51729ce96935",
 }
 
 func hasNaN(state [][]float64) bool {
@@ -86,24 +119,30 @@ func TestFaultRecycledBufferNeverRead(t *testing.T) {
 		}
 		return res
 	}
-	for seed := int64(1); seed <= 5; seed++ {
-		for _, drop := range []float64{0.05, 0.15, 0.30} {
-			name := fmt.Sprintf("drop=%.2f/seed=%d", drop, seed)
-			plan := recycleCell(seed, drop)
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				clean, poisoned := run(t, plan, false, nil), run(t, plan, true, nil)
-				if !reflect.DeepEqual(clean, poisoned) {
-					t.Errorf("poisoning the free lists changed the run:\nclean    %+v\npoisoned %+v", clean, poisoned)
-				}
-				if clean.FaultStats.Duplicated == 0 || clean.LBTransfers == 0 {
-					t.Errorf("vacuous cell: %d transfers, faults %+v", clean.LBTransfers, clean.FaultStats)
-				}
-				if got := digest("%+v", *clean); got != recycleGolden[name] {
-					t.Errorf("result digest %s, want %s (time %v, iters %d, boundary msgs %d)",
-						got, recycleGolden[name], clean.Time, clean.TotalIters, clean.BoundaryMsgs)
-				}
-			})
+	for _, grid := range []struct {
+		prefix string
+		cell   func(seed int64, drop float64) fault.Plan
+	}{{"", recycleCell}, {"nodup/", recycleCellNoDup}} {
+		for seed := int64(1); seed <= 5; seed++ {
+			for _, drop := range []float64{0.05, 0.15, 0.30} {
+				name := fmt.Sprintf("%sdrop=%.2f/seed=%d", grid.prefix, drop, seed)
+				plan := grid.cell(seed, drop)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					clean, poisoned := run(t, plan, false, nil), run(t, plan, true, nil)
+					if !reflect.DeepEqual(clean, poisoned) {
+						t.Errorf("poisoning the free lists changed the run:\nclean    %+v\npoisoned %+v", clean, poisoned)
+					}
+					fs := clean.FaultStats
+					if (fs.Duplicated == 0) != (plan.Msg.Dup == 0) || fs.Dropped == 0 || clean.LBTransfers == 0 {
+						t.Errorf("vacuous cell: %d transfers, faults %+v", clean.LBTransfers, fs)
+					}
+					if got := digest("%+v", *clean); got != recycleGolden[name] {
+						t.Errorf("result digest %s, want %s (time %v, iters %d, boundary msgs %d)",
+							got, recycleGolden[name], clean.Time, clean.TotalIters, clean.BoundaryMsgs)
+					}
+				})
+			}
 		}
 	}
 	// The schedule no Result shows: a transfer whose receiver integrated it
@@ -119,14 +158,14 @@ func TestFaultRecycledBufferNeverRead(t *testing.T) {
 		lo, hi := n.startC, n.endC
 		var want [][]float64
 		for j := lo; j < hi; j++ {
-			want = append(want, cloneTraj(n.val.get(j)))
+			want = append(want, slices.Clone(n.val.get(j)))
 		}
 		n.loadEst, n.nbLoad[dirLeft], n.nbLoadValid[dirLeft] = 1, 1e-3, true
 		if !n.tryLB(dirLeft) {
 			t.Fatal("no transfer initiated")
 		}
 		n.recvBoundary(runenv.Msg{From: 0, Kind: kindBoundary,
-			Payload: boundaryMsg{Pos: n.startC - n.halo, Comps: freshTrajs(n.halo, n.trajLen)}})
+			Payload: &boundaryMsg{Pos: n.startC - n.halo, Comps: freshTrajs(n.halo, n.trajLen)}})
 		n.restoreLB(dirLeft) // what run does with a transfer still pending at halt
 		for j := lo; j < hi; j++ {
 			if got := n.val.get(j); !reflect.DeepEqual(got, want[j-lo]) {
@@ -134,18 +173,78 @@ func TestFaultRecycledBufferNeverRead(t *testing.T) {
 			}
 		}
 	})
-	// Real goroutines, same plan: under -race a buffer two nodes hold at once
-	// is a reported race. A real-time answer is only checked for poison — how
-	// close it lands is the false-halt question of ROADMAP item 0.
-	t.Run("rtime", func(t *testing.T) {
-		t.Parallel()
-		res := run(t, recycleCell(1, 0.15), true, rtime.Runner{Speedup: 200})
-		if len(res.State) != prob.Components() {
-			t.Fatalf("gathered %d components, want %d", len(res.State), prob.Components())
+	// The schedules a duplicating plan allows and the grid is too short to
+	// meet: a halo's late copy arrives after a transfer has taken the range
+	// away from where the halo attaches and back. The copy's tag is still the
+	// newest, so it is integrated, and it must find the halo it carried: a
+	// halo that arrived in a message and left val other than by a fresher
+	// halo — pruned after a round trip, or displaced by an attach — may be
+	// recycled only where no second copy of the message can exist.
+	lateCopy := func(t *testing.T, awayAndBack func(n *node, start int)) {
+		cfg := lbConfig(prob).withDefaults()
+		dup := recycleCell(1, 0)
+		cfg.Faults = &dup
+		cfg.poisonFree = true
+		n := newNode(clockEnv{}, &cfg, 1)
+		start := n.startC
+		carried := slices.Repeat([]float64{0.25}, n.trajLen)
+		halo := make([][]float64, n.halo)
+		for i := range halo {
+			halo[i] = slices.Clone(carried)
 		}
-		t.Logf("converged %v after %d iterations, %d transfers, faults %+v",
-			res.Converged, res.TotalIters, res.LBTransfers, res.FaultStats)
+		m := runenv.Msg{From: 0, Kind: kindBoundary,
+			Payload: &boundaryMsg{Iter: 5, Pos: start - n.halo, Comps: halo}}
+		n.recvBoundary(m)
+		awayAndBack(n, start)
+		if n.startC != start {
+			t.Fatalf("range starts at %d, want %d", n.startC, start)
+		}
+		n.recvBoundary(m) // the late copy
+		for i := range n.halo {
+			if got := n.val.get(start - n.halo + i); !slices.Equal(got, carried) {
+				t.Fatalf("halo %d reads %v after the late copy, want the 0.25s it carried", start-n.halo+i, got)
+			}
+		}
+	}
+	t.Run("late-copy-after-round-trip", func(t *testing.T) {
+		lateCopy(t, func(n *node, start int) {
+			n.loadEst, n.nbLoad[dirLeft], n.nbLoadValid[dirLeft] = 1, 1e-3, true
+			if !n.tryLB(dirLeft) {
+				t.Fatal("no transfer initiated")
+			}
+			count := n.lbPendingCount[dirLeft]
+			n.recvLBAck(runenv.Msg{From: 0, Kind: kindLBAck, Payload: lbCtrlMsg{XferID: n.lbXferID[dirLeft]}})
+			n.recvLBData(runenv.Msg{From: 0, Kind: kindLBData, Payload: lbDataMsg{
+				XferID: 1, Pos: start - n.halo, Count: count, Comps: freshTrajs(n.halo+count, n.trajLen)}})
+		})
 	})
+	t.Run("late-copy-after-attach", func(t *testing.T) {
+		lateCopy(t, func(n *node, start int) {
+			const count = 2
+			n.recvLBData(runenv.Msg{From: 0, Kind: kindLBData, Payload: lbDataMsg{
+				XferID: 1, Pos: start - n.halo - count, Count: count,
+				Comps: freshTrajs(n.halo+count, n.trajLen), Load: 1e-3}})
+			n.cfg.LB.MinKeep = n.endC - n.startC - count // ship back what arrived
+			n.loadEst = 1
+			if !n.tryLB(dirLeft) {
+				t.Fatal("no transfer initiated")
+			}
+		})
+	})
+	// Real goroutines, same plans: under -race a buffer or a message two nodes
+	// hold at once is a reported race. A real-time answer is only checked for
+	// poison — how close it lands is the false-halt question of ROADMAP item 0.
+	for name, plan := range map[string]fault.Plan{"rtime": recycleCell(1, 0.15), "rtime/nodup": recycleCellNoDup(1, 0.15)} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			res := run(t, plan, true, rtime.Runner{Speedup: 200})
+			if len(res.State) != prob.Components() {
+				t.Fatalf("gathered %d components, want %d", len(res.State), prob.Components())
+			}
+			t.Logf("converged %v after %d iterations, %d transfers, faults %+v",
+				res.Converged, res.TotalIters, res.LBTransfers, res.FaultStats)
+		})
+	}
 }
 
 // clockEnv is the part of runenv.Env a node needs to integrate a halo and to
@@ -173,7 +272,7 @@ func TestFreeListBounded(t *testing.T) {
 	n := newNode(clockEnv{}, &cfg, 0)
 	for it := 0; it < 10*maxFree; it++ {
 		n.recvBoundary(runenv.Msg{From: 1, Kind: kindBoundary,
-			Payload: boundaryMsg{Iter: it, Pos: n.endC, Comps: freshTrajs(n.halo, n.trajLen)}})
+			Payload: &boundaryMsg{Iter: it, Pos: n.endC, Comps: freshTrajs(n.halo, n.trajLen)}})
 		if len(n.free) > maxFree {
 			t.Fatalf("after %d halos the free list holds %d buffers, cap %d", it+1, len(n.free), maxFree)
 		}

@@ -70,6 +70,12 @@ func (s *compStore) set(j int, tr []float64) {
 	s.slots[i] = compSlot{traj: tr}
 }
 
+// window returns the positions [lo, hi) the store has slots for; every
+// present position lies inside it.
+func (s *compStore) window() (lo, hi int) {
+	return s.base, s.base + len(s.slots)
+}
+
 // sameAt returns the same count at global position j, 0 when absent.
 func (s *compStore) sameAt(j int) int {
 	i := j - s.base

@@ -32,7 +32,7 @@ func (Codec) AppendPayload(dst []byte, kind int, payload any) ([]byte, error) {
 	e := &dtime.Enc{B: dst}
 	switch kind {
 	case kindBoundary:
-		b := payload.(boundaryMsg)
+		b := payload.(*boundaryMsg)
 		e.B = slices.Grow(e.B, 8+8+trajsLen(b.Comps)+8)
 		e.I64(int64(b.Iter))
 		e.I64(int64(b.Pos))
@@ -92,7 +92,7 @@ func (Codec) DecodePayload(kind int, data []byte) (any, error) {
 	var payload any
 	switch kind {
 	case kindBoundary:
-		var b boundaryMsg
+		b := &boundaryMsg{}
 		b.Iter = int(d.I64())
 		b.Pos = int(d.I64())
 		b.Comps = decTrajs(d)
