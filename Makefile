@@ -96,8 +96,10 @@ test-faults:
 # lifecycle suite (frame codec and reader with their fuzz seed corpora, crash,
 # heartbeat and stalled-reader supervision), the wire-level fault-conn pins,
 # and the engine's cross-backend equivalence + wire-invariant grid and wire
-# golden (see DESIGN.md §11), then the fuzzer of a worker's outcome blob, the
-# only payload a worker sends home at the end of a run. The last line runs
+# golden (see DESIGN.md §11), then the fuzzers of a worker's outcome blob, the
+# only payload a worker sends home at the end of a run, and of the payload
+# codec, which decodes every message from another worker into the buffers
+# the worker recycles. The last line runs
 # without -race, which the allocation pins of the data plane cannot be
 # measured under.
 test-dist:
@@ -105,6 +107,7 @@ test-dist:
 	$(GO) test -race -timeout 30m ./internal/fault/ -run 'TestConn'
 	$(GO) test -race -timeout 30m ./internal/engine/ -run 'TestDist'
 	$(GO) test -race -run NONE -fuzz FuzzWorkerResult -fuzztime 10s ./internal/engine/
+	$(GO) test -race -run NONE -fuzz FuzzPayloadCodec -fuzztime 10s ./internal/engine/
 	$(GO) test ./internal/dtime/ ./internal/engine/ -run 'TestDistDataPlaneAllocs'
 
 # The federated-tracing acceptance suite under -race: federation validation,

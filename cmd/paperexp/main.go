@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		expName = flag.String("exp", "all", "experiment id: all; flow (or figs, fig1, fig2, fig3, fig4); fig5; table1;\n"+
+		expName = flag.String("exp", "all", "experiment id: all; flow (or figs: Figures 1-4); fig1, fig2, fig3, fig4 (one figure each); fig5; table1;\n"+
 			"x1 (modes), x2 (frequency), x3 (accuracy), x4 (estimator), x5 (famine), x6 (families),\n"+
 			"x7 (fullhorizon), x8 (mapping), x9 (faults, robustness), x10 (telemetry); diag (diagnostics)")
 		scaleN  = flag.String("scale", "full", "scale: quick, full")
@@ -49,41 +49,11 @@ func main() {
 		fatalf("unknown scale %q", *scaleN)
 	}
 
-	var reports []experiments.Report
-	switch strings.ToLower(*expName) {
-	case "all":
-		reports = experiments.All(scale)
-	case "fig1", "fig2", "fig3", "fig4", "figs", "flow":
-		reports = experiments.FlowFigures(scale)
-	case "fig5":
-		reports = []experiments.Report{experiments.Fig5(scale)}
-	case "table1":
-		reports = []experiments.Report{experiments.Table1(scale)}
-	case "x1", "modes":
-		reports = []experiments.Report{experiments.ModeMatrix(scale)}
-	case "x2", "frequency":
-		reports = []experiments.Report{experiments.LBFrequency(scale)}
-	case "x3", "accuracy":
-		reports = []experiments.Report{experiments.LBAccuracy(scale)}
-	case "x4", "estimator":
-		reports = []experiments.Report{experiments.LBEstimator(scale)}
-	case "x5", "famine":
-		reports = []experiments.Report{experiments.FamineGuard(scale)}
-	case "x6", "families":
-		reports = []experiments.Report{experiments.LBFamilies()}
-	case "x7", "fullhorizon":
-		reports = []experiments.Report{experiments.FullHorizon(scale)}
-	case "x8", "mapping":
-		reports = []experiments.Report{experiments.Mapping(scale)}
-	case "x9", "faults", "robustness":
-		reports = []experiments.Report{experiments.Robustness(scale)}
-	case "x10", "telemetry":
-		reports = []experiments.Report{experiments.LoadTelemetry(scale)}
-	case "diag", "diagnostics":
-		reports = []experiments.Report{experiments.Diagnostics(scale)}
-	default:
+	run, known := experiment(strings.ToLower(*expName))
+	if !known {
 		fatalf("unknown experiment %q", *expName)
 	}
+	reports := run(scale)
 
 	ok, total := 0, 0
 	for _, r := range reports {
@@ -106,6 +76,59 @@ func main() {
 		}
 	}
 	fmt.Printf("shape checks: %d/%d OK\n", ok, total)
+}
+
+// experiment returns what `-exp id` runs, or false for an id it does not
+// know. fig1…fig4 print the one figure they name, picked out of the flow
+// experiment by its report id; flow and figs print all four.
+func experiment(id string) (func(experiments.Scale) []experiments.Report, bool) {
+	switch id {
+	case "all":
+		return experiments.All, true
+	case "flow", "figs":
+		return experiments.FlowFigures, true
+	case "fig1", "fig2", "fig3", "fig4":
+		return func(s experiments.Scale) []experiments.Report {
+			for _, r := range experiments.FlowFigures(s) {
+				if r.ID == id {
+					return []experiments.Report{r}
+				}
+			}
+			panic("paperexp: the flow experiment has no report " + id)
+		}, true
+	case "fig5":
+		return one(experiments.Fig5), true
+	case "table1":
+		return one(experiments.Table1), true
+	case "x1", "modes":
+		return one(experiments.ModeMatrix), true
+	case "x2", "frequency":
+		return one(experiments.LBFrequency), true
+	case "x3", "accuracy":
+		return one(experiments.LBAccuracy), true
+	case "x4", "estimator":
+		return one(experiments.LBEstimator), true
+	case "x5", "famine":
+		return one(experiments.FamineGuard), true
+	case "x6", "families":
+		return one(func(experiments.Scale) experiments.Report { return experiments.LBFamilies() }), true
+	case "x7", "fullhorizon":
+		return one(experiments.FullHorizon), true
+	case "x8", "mapping":
+		return one(experiments.Mapping), true
+	case "x9", "faults", "robustness":
+		return one(experiments.Robustness), true
+	case "x10", "telemetry":
+		return one(experiments.LoadTelemetry), true
+	case "diag", "diagnostics":
+		return one(experiments.Diagnostics), true
+	}
+	return nil, false
+}
+
+// one lists the report of an experiment that makes one.
+func one(f func(experiments.Scale) experiments.Report) func(experiments.Scale) []experiments.Report {
+	return func(s experiments.Scale) []experiments.Report { return []experiments.Report{f(s)} }
 }
 
 // expManifest is the sidecar written next to each <id>.txt under -o: what

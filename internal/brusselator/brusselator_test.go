@@ -228,3 +228,29 @@ func TestCAndSteps(t *testing.T) {
 		t.Fatalf("Steps = %d", p.Steps())
 	}
 }
+
+func TestMaxTrajDiffSeesNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ref := [][]float64{{1, 2}, {3, 4}}
+	for _, tc := range []struct {
+		name string
+		a    [][]float64
+		want float64
+	}{
+		{"equal", [][]float64{{1, 2}, {3, 4}}, 0},
+		{"off", [][]float64{{1, 2.5}, {3, 3}}, 1},
+		{"one NaN", [][]float64{{1, 2}, {nan, 4}}, inf},
+		{"all NaN", [][]float64{{nan, nan}, {nan, nan}}, inf},
+		{"Inf", [][]float64{{1, 2}, {3, -inf}}, inf},
+	} {
+		for _, swap := range []bool{false, true} {
+			a, b := tc.a, ref
+			if swap {
+				a, b = b, a
+			}
+			if got := MaxTrajDiff(a, b); got != tc.want {
+				t.Errorf("%s (swapped %v): %v, want %v", tc.name, swap, got, tc.want)
+			}
+		}
+	}
+}

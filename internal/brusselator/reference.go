@@ -1,6 +1,8 @@
 package brusselator
 
 import (
+	"math"
+
 	"aiac/internal/linalg"
 	"aiac/internal/ode"
 )
@@ -116,15 +118,24 @@ func Reference(p Params) (traj [][]float64, newtonIters int, err error) {
 }
 
 // MaxTrajDiff returns the largest pointwise difference between two
-// component-major trajectory sets of identical shape.
+// component-major trajectory sets of identical shape, or +Inf as soon as a
+// difference is NaN: a NaN in either set is no answer, and +Inf fails every
+// comparison against a bound, however it is written.
 func MaxTrajDiff(a, b [][]float64) float64 {
 	if len(a) != len(b) {
 		panic("brusselator: trajectory sets differ in component count")
 	}
 	m := 0.0
 	for j := range a {
-		if d := linalg.MaxAbsDiff(a[j], b[j]); d > m {
-			m = d
+		if len(a[j]) != len(b[j]) {
+			panic("brusselator: trajectories differ in length")
+		}
+		for i, v := range a[j] {
+			d := math.Abs(v - b[j][i])
+			if math.IsNaN(d) {
+				return math.Inf(1)
+			}
+			m = max(m, d)
 		}
 	}
 	return m

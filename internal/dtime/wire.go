@@ -95,8 +95,23 @@ func (d *Dec) U8() byte {
 	return p[0]
 }
 
-// Bool reads a flag byte.
-func (d *Dec) Bool() bool { return d.U8() != 0 }
+// ErrBadBool reports a flag byte other than the 0 and 1 Enc.Bool writes.
+var ErrBadBool = errors.New("dtime: flag byte is neither 0 nor 1")
+
+// Bool reads a flag byte. Any byte but 0 and 1 is an error, so that every
+// value has one encoding.
+func (d *Dec) Bool() bool {
+	switch d.U8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	if d.err == nil {
+		d.err = ErrBadBool
+	}
+	return false
+}
 
 // U32 reads a big-endian uint32.
 func (d *Dec) U32() uint32 {
@@ -129,8 +144,14 @@ func (d *Dec) Bytes() []byte {
 	return d.take(n)
 }
 
-// F64s reads a u32-count-prefixed float64 slice.
-func (d *Dec) F64s() []float64 {
+// F64s reads a u32-count-prefixed float64 slice into a new slice.
+func (d *Dec) F64s() []float64 { return d.F64sInto(nil) }
+
+// F64sInto reads a u32-count-prefixed float64 slice into dst's backing array
+// when dst is non-nil and has room for the count, and into a new slice of
+// exactly the count otherwise. On error it returns nil, and what dst holds is
+// undefined.
+func (d *Dec) F64sInto(dst []float64) []float64 {
 	n := int(d.U32())
 	if d.err != nil || n < 0 {
 		return nil
@@ -141,12 +162,14 @@ func (d *Dec) F64s() []float64 {
 		d.err = ErrTruncated
 		return nil
 	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = d.F64()
+	vs := dst
+	if dst == nil || cap(dst) < n {
+		vs = make([]float64, n)
 	}
-	if d.err != nil {
-		return nil
+	vs = vs[:n]
+	p := d.take(8 * n)
+	for i := range vs {
+		vs[i] = math.Float64frombits(binary.BigEndian.Uint64(p[8*i:]))
 	}
 	return vs
 }

@@ -93,11 +93,7 @@ func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRun
 		return runErr
 	}
 
-	e := Enc{}
-	e.F64(rt.finalTime())
-	e.I64(start.UnixNano())
-	e.B = append(e.B, blob...)
-	if err := rt.writeFrame(FrameOutcome, e.B); err != nil {
+	if err := rt.writeOutcome(rt.finalTime(), start, blob); err != nil {
 		return fmt.Errorf("dtime: report outcome: %w", err)
 	}
 	// Hold the process open until the coordinator releases everyone: other
@@ -145,6 +141,20 @@ func (rt *wrt) writeFrame(typ byte, payload []byte) error {
 	rt.sendMu.Lock()
 	defer rt.sendMu.Unlock()
 	rt.wbuf = AppendFrame(rt.wbuf[:0], typ, payload)
+	return rt.flush()
+}
+
+// writeOutcome sends the outcome frame — the end time, the clock origin,
+// then blob — built straight in wbuf.
+func (rt *wrt) writeOutcome(end float64, start time.Time, blob []byte) error {
+	rt.sendMu.Lock()
+	defer rt.sendMu.Unlock()
+	e := Enc{B: beginFrame(rt.wbuf[:0], FrameOutcome)}
+	e.F64(end)
+	e.I64(start.UnixNano())
+	e.B = append(e.B, blob...)
+	endFrame(e.B, 0)
+	rt.wbuf = e.B
 	return rt.flush()
 }
 

@@ -286,8 +286,9 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 	}
 	speedup := rtime.Speedup(opts.Speedup)
 	wrap, wireInj := wireFaults(&cfg, speedup, opts.WrapConn)
+	cfg.wire = &wireFree{trajLen: cfg.Problem.TrajLen(), poison: cfg.poisonFree}
 	return dtime.RunWorker(wenv, dtime.WorkerOptions{
-		Codec:    Codec{},
+		Codec:    Codec{free: cfg.wire},
 		Speedup:  speedup,
 		WrapConn: wrap,
 		ObsAddr:  opts.ObsAddr,

@@ -3,9 +3,11 @@ package engine
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -154,8 +156,17 @@ func TestDistWireGolden(t *testing.T) {
 // TestDistCodecMalformed pins the decoder's totality on the golden payloads:
 // every truncation is an error, never a panic or a shorter message, and a
 // trajectory count corrupted to 2^32-1 is an error that costs no more
-// memory than the bytes present could bear out.
+// memory than the bytes present could bear out. A value has one encoding:
+// a flag byte other than 0 and 1, and bytes past the payload, are errors.
 func TestDistCodecMalformed(t *testing.T) {
+	for _, bad := range []struct {
+		kind int
+		data []byte
+	}{{detect.KindState, []byte{2}}, {detect.KindState, []byte{1, 0}}, {detect.KindAbort, []byte{0}}} {
+		if v, err := (Codec{}).DecodePayload(bad.kind, bad.data); err == nil {
+			t.Errorf("kind %d payload %x decoded to %#v without error", bad.kind, bad.data, v)
+		}
+	}
 	for _, g := range wireGolden {
 		frame, err := hex.DecodeString(g.frame)
 		if err != nil {
@@ -194,17 +205,14 @@ func TestDistCodecMalformed(t *testing.T) {
 	}
 }
 
-// FuzzWorkerResult: decoding any outcome blob never panics, and a blob it
-// accepts re-encodes to one that decodes equal. Equal is compared as the
-// encoder writes it, which holds every field bit for bit (NaNs included) and
-// tells no empty list from none.
-func FuzzWorkerResult(f *testing.F) {
+// sampleWorkerResult fills every field of a worker's outcome, a trace note
+// longer than a stack buffer among them.
+func sampleWorkerResult() *workerResult {
 	out := &nodeOutcome{
 		positions: []int{3, 4}, trajs: [][]float64{{1, 2}, {3}}, provisional: []bool{false, true},
 		iters: 12, work: 3.5, residual: 1e-7, lbSent: 1, compsMoved: 2, msgsBoundary: 9, haltedOK: true,
 	}
-	f.Add(encodeWorkerResult(&workerResult{}))
-	f.Add(encodeWorkerResult(&workerResult{
+	return &workerResult{
 		ranks: []int{2}, outcomes: []*nodeOutcome{out}, hasDet: true,
 		detOut:    detect.Outcome{Halted: true, Rounds: 3},
 		stats:     fault.Stats{Dropped: 4},
@@ -212,20 +220,100 @@ func FuzzWorkerResult(f *testing.F) {
 		trace: &trace.ProcTrace{Speedup: 200, Dropped: 1, Events: []trace.Event{
 			{T0: 0, T1: 1, Node: 2, To: -1, Kind: trace.Compute, Iter: 1, HaloL: -1, HaloR: 0},
 			{T0: 1, T1: 1.2, Node: 2, To: 3, Kind: trace.SendRight, Iter: 1, Note: "halo", Seq: 5},
+			{T0: 1.2, T1: 1.2, Node: 2, To: -1, Kind: trace.Mark, Iter: -1, Note: "wire-fault 2→3 drop=true dup=0 delay=0"},
 		}},
-	}))
+	}
+}
+
+// FuzzWorkerResult: decoding any outcome blob never panics, and a blob it
+// accepts re-encodes to one that decodes equal, into a buffer sized exactly.
+// Equal is compared as the encoder writes it, which holds every field bit for
+// bit (NaNs included) and tells no empty list from none.
+func FuzzWorkerResult(f *testing.F) {
+	f.Add(encodeWorkerResult(&workerResult{}))
+	f.Add(encodeWorkerResult(sampleWorkerResult()))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		r, err := decodeWorkerResult(blob)
 		if err != nil {
 			return
 		}
 		re := encodeWorkerResult(r)
+		if len(re) != cap(re) {
+			t.Fatalf("the outcome blob has %d bytes in a buffer of %d", len(re), cap(re))
+		}
 		again, err := decodeWorkerResult(re)
 		if err != nil {
 			t.Fatalf("the re-encoding of an accepted blob is refused: %v", err)
 		}
 		if got := encodeWorkerResult(again); !bytes.Equal(got, re) {
 			t.Fatalf("the blob changed on its way through the codec:\n got %x\nwant %x", got, re)
+		}
+	})
+}
+
+// payloadKinds is every kind the codec knows, and one it does not.
+var payloadKinds = []int{
+	kindBoundary, kindLBData, kindLBAck, kindLBReject,
+	detect.KindState, detect.KindVerify, detect.KindConfirm, detect.KindHalt, detect.KindAbort,
+	detect.KindBarrierArrive, detect.KindBarrierGo, detect.KindToken, detect.KindRingHalt,
+	0,
+}
+
+// FuzzPayloadCodec: for any payload bytes of any kind, a dist worker's codec
+// — whose list already holds messages and buffers of other contents — and
+// the zero codec agree, either both on an error or both on the value, and a
+// value they accept re-encodes to the very bytes it was decoded from. After
+// that decode, failed or not, and after the value has gone back to the list
+// as a sent message would, the worker's codec still decodes the golden
+// boundary message to exactly what was sent: nothing stale shows through.
+func FuzzPayloadCodec(f *testing.F) {
+	for _, g := range wireGolden {
+		data, err := Codec{}.EncodePayload(g.kind, g.payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(slices.Index(payloadKinds, g.kind)), data)
+	}
+	golden := wireGolden[0].payload.(*boundaryMsg)
+	goldenData, err := Codec{}.EncodePayload(kindBoundary, golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
+		kind := payloadKinds[int(k)%len(payloadKinds)]
+		free := &wireFree{trajLen: 3, poison: true}
+		free.putMsg(&boundaryMsg{Comps: [][]float64{{7, 7, 7}, {7, 7, 7}, {7, 7, 7}}})
+		free.putTraj([]float64{9, 9, 9})
+		pooled := Codec{free: free}
+
+		want, wantErr := Codec{}.DecodePayload(kind, data)
+		got, gotErr := pooled.DecodePayload(kind, data)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("kind %d: zero codec error %v, worker codec error %v", kind, wantErr, gotErr)
+		}
+		if wantErr == nil {
+			for _, v := range []any{want, got} {
+				re, err := Codec{}.EncodePayload(kind, v)
+				if err != nil {
+					t.Fatalf("kind %d: the decoded %T does not encode: %v", kind, v, err)
+				}
+				if !bytes.Equal(re, data) {
+					t.Fatalf("kind %d: %T re-encodes to\n%x\nnot\n%x", kind, v, re, data)
+				}
+			}
+			if fmt.Sprintf("%T", want) != fmt.Sprintf("%T", got) {
+				t.Fatalf("kind %d: zero codec decodes a %T, worker codec a %T", kind, want, got)
+			}
+			if _, err := pooled.EncodePayload(kind, got); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := pooled.DecodePayload(kindBoundary, goldenData)
+		if err != nil {
+			t.Fatalf("the golden boundary message after kind %d: %v", kind, err)
+		}
+		if !reflect.DeepEqual(v, golden) {
+			t.Fatalf("the golden boundary message after kind %d decodes to %+v, want %+v", kind, v, golden)
 		}
 	})
 }

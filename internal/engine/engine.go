@@ -121,6 +121,13 @@ type Config struct {
 	// fewer sweeps but is inherently sequential — locally that
 	// sequentiality is free, so this is a pure win knob.
 	GaussSeidelLocal bool
+	// poisonFree fills every buffer entering a node's or a dist worker's free
+	// list with NaN, and every boundary message kept with an impossible
+	// position and tag and a NaN load, so that a read through a stale alias
+	// shows in the result. Tests only. (It sits beside GaussSeidelLocal so
+	// that the two flags share a word: a larger Config is a larger engine
+	// world, one size class up.)
+	poisonFree bool
 	// LBWarmup is how many iterations to wait before the first balancing
 	// attempt (default: LB.Period).
 	LBWarmup int
@@ -178,11 +185,10 @@ type Config struct {
 	// and goes with the vt-table1-par workload (ROADMAP item 3(d)).
 	SimWorkers int
 
-	// poisonFree fills every buffer entering a node's free list with NaN, and
-	// every boundary message it keeps with an impossible position and tag and
-	// a NaN load, so that a read through a stale alias shows in the result.
-	// Tests only.
-	poisonFree bool
+	// wire is a dist worker's list of boundary messages and trajectory
+	// buffers, shared by its codec and its hosted nodes; RunDistWorker sets
+	// it, and it is nil on every other backend.
+	wire *wireFree
 	// skipTally, when non-nil, receives every node's count of trajectory
 	// entries promised frozen and produced, so that sweeps which silently
 	// stop skipping fail a test, not a benchmark. Tests only.

@@ -31,6 +31,8 @@ func baseConfig(prob iterative.Problem, p int) Config {
 	}
 }
 
+// maxDiffVsRef is the largest pointwise distance of state from ref, or +Inf
+// as soon as one is NaN, so that a state of NaNs fails every `d > tol`.
 func maxDiffVsRef(t *testing.T, state [][]float64, ref [][]float64) float64 {
 	t.Helper()
 	if len(state) != len(ref) {
@@ -39,12 +41,33 @@ func maxDiffVsRef(t *testing.T, state [][]float64, ref [][]float64) float64 {
 	worst := 0.0
 	for j := range state {
 		for i := range state[j] {
-			if d := math.Abs(state[j][i] - ref[j][i]); d > worst {
-				worst = d
+			d := math.Abs(state[j][i] - ref[j][i])
+			if math.IsNaN(d) {
+				return math.Inf(1)
 			}
+			worst = max(worst, d)
 		}
 	}
 	return worst
+}
+
+func TestMaxDiffVsRefSeesNaN(t *testing.T) {
+	ref := [][]float64{{1, 2}, {3, 4}}
+	for _, tc := range []struct {
+		name  string
+		state [][]float64
+		want  float64
+	}{
+		{"equal", [][]float64{{1, 2}, {3, 4}}, 0},
+		{"off", [][]float64{{1, 2.5}, {3, 3}}, 1},
+		{"one NaN", [][]float64{{1, 2}, {math.NaN(), 4}}, math.Inf(1)},
+		{"all NaN", [][]float64{{math.NaN(), math.NaN()}, {math.NaN(), math.NaN()}}, math.Inf(1)},
+		{"Inf", [][]float64{{1, 2}, {3, math.Inf(-1)}}, math.Inf(1)},
+	} {
+		if got := maxDiffVsRef(t, tc.state, ref); got != tc.want {
+			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestAllModesSolveBrusselator(t *testing.T) {

@@ -587,12 +587,17 @@ func (n *node) dropMsg(b *boundaryMsg) {
 // next send, when no second copy of it can arrive: a duplicated copy is the
 // same *boundaryMsg, and would be read after the next send rewrote it. The
 // trajectories it carried are the caller's: in val, or recycled.
+// On a dist worker a message the list has no room for goes to the worker's.
 func (n *node) keepMsg(b *boundaryMsg) {
-	if !n.unique || len(n.msgs) >= maxFree {
+	if !n.unique {
 		return
 	}
 	clear(b.Comps)
 	*b = boundaryMsg{Comps: b.Comps[:0]}
+	if len(n.msgs) >= maxFree {
+		n.cfg.wire.putMsg(b)
+		return
+	}
 	if n.cfg.poisonFree {
 		b.Iter, b.Pos, b.Load = math.MinInt, math.MinInt, math.NaN()
 	}
@@ -600,11 +605,20 @@ func (n *node) keepMsg(b *boundaryMsg) {
 }
 
 // newMsg returns a boundary message with no trajectories: a kept one if there
-// is any, else a fresh one.
+// is any, else one from the worker's list on a dist worker, whose buffers it
+// recycles, else a fresh one.
 func (n *node) newMsg() *boundaryMsg {
 	k := len(n.msgs) - 1
 	if k < 0 {
-		return &boundaryMsg{Comps: make([][]float64, 0, n.halo)}
+		b := n.cfg.wire.getMsg()
+		for _, tr := range b.Comps {
+			n.recycle(tr)
+		}
+		clear(b.Comps)
+		if b.Comps = b.Comps[:0]; b.Comps == nil {
+			b.Comps = make([][]float64, 0, n.halo)
+		}
+		return b
 	}
 	b := n.msgs[k]
 	n.msgs = n.msgs[:k]
@@ -749,29 +763,35 @@ const maxFree = 32
 // this node's alone once integrated, and so are the buffers of a message it
 // drops. The list needs no lock (a node is one goroutine on every runtime)
 // and is no sync.Pool (the GC empties those, and the allocation count of a
-// virtual-time run would stop repeating). Out of scope: the halo entries
-// restoreLB displaces, and the trajectories of a transfer that is rejected
-// or acked again (the shipper's lbResendMsg may still send them), go to the
-// GC; a dist receiver allocates what Dec.F64s decodes and the message that
-// holds it — those slices are the new halos.
+// virtual-time run would stop repeating). On a dist worker what it has no
+// room for goes to the worker's list (wireFree), which the codec decodes
+// arriving halos into. Out of scope: the halo entries restoreLB displaces,
+// and the trajectories of a transfer that is rejected or acked again (the
+// shipper's lbResendMsg may still send them), go to the GC.
 func (n *node) recycle(tr []float64) {
 	// The length check also turns away the nil of an absent position.
-	if len(tr) != n.trajLen || len(n.free) >= maxFree {
+	if len(tr) != n.trajLen {
+		return
+	}
+	if len(n.free) >= maxFree {
+		n.cfg.wire.putTraj(tr)
 		return
 	}
 	if n.cfg.poisonFree {
-		for i := range tr {
-			tr[i] = math.NaN()
-		}
+		poisonTraj(tr)
 	}
 	n.free = append(n.free, tr)
 }
 
 // reuse returns a trajLen buffer of arbitrary contents: a recycled one if
-// there is any, else a fresh one.
+// there is any, else one from the worker's list on a dist worker, else a
+// fresh one.
 func (n *node) reuse() []float64 {
 	k := len(n.free) - 1
 	if k < 0 {
+		if tr := n.cfg.wire.getTraj(); tr != nil {
+			return tr
+		}
 		return make([]float64, n.trajLen)
 	}
 	tr := n.free[k]

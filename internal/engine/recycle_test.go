@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"aiac/internal/brusselator"
 	"aiac/internal/fault"
 	"aiac/internal/rtime"
 	"aiac/internal/runenv"
@@ -287,5 +288,56 @@ func TestFreeListBounded(t *testing.T) {
 	}
 	if len(n.free) != 0 {
 		t.Fatalf("%d buffers left after %d sends", len(n.free), maxFree)
+	}
+}
+
+// TestDistRecycledBufferNeverRead is the poison row of the dist backend: on
+// two loopback workers every buffer and message entering a node's list or a
+// worker's wireFree is filled with NaN, while the wire drops, reorders and
+// (in the first cell) duplicates frames of every data-plane kind. Lost and
+// late LB frames make lbResendMsg send its trajectories again, so a
+// kindLBData payload that entered the worker's list after its first
+// encoding would go out again as NaN; an arriving halo decoded into a buffer
+// something still reads would show the same way. As in the real-time cells
+// of TestFaultRecycledBufferNeverRead, the answer is only checked for
+// poison: how close a faulted real-time run lands is the false-halt
+// question of ROADMAP item 0 (in 100 runs of each cell, with or without the
+// worker list, a few land farther than faultTol from the reference).
+func TestDistRecycledBufferNeverRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed loopback run")
+	}
+	prob, params := smallBruss()
+	ref, _, err := brusselator.Reference(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		plan fault.Plan
+	}{
+		{"dup", fault.Plan{Seed: 31, Msg: fault.Rates{Drop: 0.1, Dup: 0.1, Reorder: 0.1}, Kinds: FaultKindsData()}},
+		{"nodup", fault.Plan{Seed: 32, Msg: fault.Rates{Drop: 0.1, Reorder: 0.1, Spike: 0.05}, Kinds: FaultKindsData()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := lbConfig(prob)
+			plan := tc.plan
+			cfg.Faults = &plan
+			cfg.poisonFree = true
+			cfg.MaxTime = 5000
+			cfg.MaxIter = 500000
+			res, _, err := distRun(t, cfg, 2, DistWorkerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hasNaN(res.State) {
+				t.Fatalf("NaN in the solution: %d retries, faults %+v", res.LBRetries, res.FaultStats)
+			}
+			if res.FaultStats.Dropped == 0 || res.LBTransfers == 0 || res.LBRetries == 0 {
+				t.Fatalf("vacuous cell: %d transfers, %d retries, faults %+v", res.LBTransfers, res.LBRetries, res.FaultStats)
+			}
+			t.Logf("converged %v, off the reference by %g, %d transfers, %d retries, faults %+v",
+				res.Converged, maxDiffVsRef(t, res.State, ref), res.LBTransfers, res.LBRetries, res.FaultStats)
+		})
 	}
 }

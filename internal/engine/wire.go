@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"sync"
 
 	"aiac/internal/detect"
 	"aiac/internal/dtime"
@@ -17,7 +19,12 @@ import (
 // The distributed backend carries these payloads between worker processes;
 // decoding is total — malformed bytes produce an error, never a panic — and
 // returns the exact value types the solver and protocol code assert on.
-type Codec struct{}
+//
+// The zero Codec allocates every value it decodes. The one RunDistWorker
+// builds holds the worker's wireFree list: AppendPayload keeps each boundary
+// message it has encoded, and DecodePayload decodes into the messages and
+// buffers the list holds.
+type Codec struct{ free *wireFree }
 
 var _ runenv.PayloadCodec = Codec{}
 
@@ -27,8 +34,11 @@ func (c Codec) EncodePayload(kind int, payload any) ([]byte, error) {
 }
 
 // AppendPayload implements runenv.PayloadCodec. The two kinds that carry
-// trajectories grow dst once, to their exact size, before appending.
-func (Codec) AppendPayload(dst []byte, kind int, payload any) ([]byte, error) {
+// trajectories grow dst once, to their exact size, before appending. A
+// boundary message then goes to c's list, buffers and all: the sender reads
+// it no more (sendBoundary builds one per send). A kindLBData payload never
+// does, since the shipper's lbResendMsg sends the same trajectories again.
+func (c Codec) AppendPayload(dst []byte, kind int, payload any) ([]byte, error) {
 	e := &dtime.Enc{B: dst}
 	switch kind {
 	case kindBoundary:
@@ -38,6 +48,7 @@ func (Codec) AppendPayload(dst []byte, kind int, payload any) ([]byte, error) {
 		e.I64(int64(b.Pos))
 		encTrajs(e, b.Comps)
 		e.F64(b.Load)
+		c.free.putMsg(b)
 	case kindLBData:
 		m := payload.(lbDataMsg)
 		e.B = slices.Grow(e.B, 8+8+8+trajsLen(m.Comps)+8)
@@ -86,16 +97,17 @@ func (Codec) AppendPayload(dst []byte, kind int, payload any) ([]byte, error) {
 }
 
 // DecodePayload implements runenv.PayloadCodec, copying every value out of
-// data.
-func (Codec) DecodePayload(kind int, data []byte) (any, error) {
+// data: into a message and buffers from c's list where it has them. Bytes
+// left over after the payload are an error.
+func (c Codec) DecodePayload(kind int, data []byte) (any, error) {
 	d := &dtime.Dec{B: data}
 	var payload any
 	switch kind {
 	case kindBoundary:
-		b := &boundaryMsg{}
+		b := c.free.getMsg()
 		b.Iter = int(d.I64())
 		b.Pos = int(d.I64())
-		b.Comps = decTrajs(d)
+		b.Comps = decTrajs(d, b.Comps, c.free)
 		b.Load = d.F64()
 		payload = b
 	case kindLBData:
@@ -103,7 +115,7 @@ func (Codec) DecodePayload(kind int, data []byte) (any, error) {
 		m.XferID = d.U64()
 		m.Pos = int(d.I64())
 		m.Count = int(d.I64())
-		m.Comps = decTrajs(d)
+		m.Comps = decTrajs(d, nil, c.free)
 		m.Load = d.F64()
 		payload = m
 	case kindLBAck, kindLBReject:
@@ -136,6 +148,9 @@ func (Codec) DecodePayload(kind int, data []byte) (any, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("engine: decode payload kind %d: %w", kind, err)
 	}
+	if rest := len(d.Rest()); rest > 0 {
+		return nil, fmt.Errorf("engine: decode payload kind %d: %d bytes past its end", kind, rest)
+	}
 	return payload, nil
 }
 
@@ -155,26 +170,138 @@ func trajsLen(ts [][]float64) int {
 	return n
 }
 
-// decTrajs decodes a trajectory list. The outer slice is sized from the
-// declared count only as far as the bytes present could bear it out — every
-// trajectory takes at least its 4-byte count prefix — so a corrupted count
-// cannot balloon memory before erroring out.
-func decTrajs(d *dtime.Dec) [][]float64 {
+// decTrajs decodes a trajectory list into the buffers ts holds, in order,
+// then into buffers drawn from w, and lists them in ts's backing array; it
+// allocates, each sized exactly, only what these cannot hold. ts and w may
+// be nil. The buffers ts holds past the decoded count go back to w. The
+// outer slice is sized from the declared count only as far as the bytes
+// present could bear it out — every trajectory takes at least its 4-byte
+// count prefix — so a corrupted count cannot balloon memory before erroring
+// out. On error nothing of ts or of what it drew returns to w.
+func decTrajs(d *dtime.Dec, ts [][]float64, w *wireFree) [][]float64 {
 	n := int(d.U32())
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	ts := make([][]float64, 0, min(n, len(d.Rest())/4))
-	for i := 0; i < n; i++ {
-		if d.Err() != nil {
-			return nil
-		}
-		ts = append(ts, d.F64s())
-	}
 	if d.Err() != nil {
 		return nil
 	}
-	return ts
+	out := ts[:0]
+	if cap(ts) < n {
+		out = make([][]float64, 0, min(n, len(d.Rest())/4))
+	}
+	for i := 0; i < n; i++ {
+		var dst []float64
+		if i < len(ts) {
+			dst = ts[i]
+		} else {
+			dst = w.getTraj()
+		}
+		out = append(out, d.F64sInto(dst))
+		if d.Err() != nil {
+			return nil
+		}
+	}
+	for i := n; i < len(ts); i++ {
+		w.putTraj(ts[i])
+		ts[i] = nil
+	}
+	if n == 0 {
+		return nil
+	}
+	return out
+}
+
+// wireFree is a dist worker's list of spent boundary messages, each with
+// the trajectory buffers its Comps still holds, and of loose trajLen
+// buffers. On a worker the wire is the neighbour of every hosted node that
+// has a remote one: the codec puts in what it has encoded and takes out what
+// it decodes into, and the nodes put in what their own lists have no room
+// for and take out what those lack — a node that sends more halos than it
+// receives would otherwise allocate the difference. Whoever puts a message
+// or a buffer in reads it no more. The connection reader decodes while the
+// nodes send and recycle, so a mutex guards the list. It is bounded like a
+// node's lists, at maxWireFree messages and as many loose buffers; the
+// excess goes to the GC. A nil *wireFree keeps nothing.
+type wireFree struct {
+	mu      sync.Mutex
+	msgs    []*boundaryMsg
+	trajs   [][]float64
+	trajLen int
+	// poison fills what enters the list with NaN and impossible positions,
+	// as Config.poisonFree does for the node lists.
+	poison bool
+}
+
+const maxWireFree = 2 * maxFree
+
+// putMsg keeps b, with the buffers its Comps holds, for a later decode.
+func (w *wireFree) putMsg(b *boundaryMsg) {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.msgs) >= maxWireFree {
+		return
+	}
+	if w.poison {
+		b.Iter, b.Pos, b.Load = math.MinInt, math.MinInt, math.NaN()
+		for _, tr := range b.Comps {
+			poisonTraj(tr)
+		}
+	}
+	w.msgs = append(w.msgs, b)
+}
+
+// getMsg returns a kept boundary message, buffers and all, or a new empty
+// one.
+func (w *wireFree) getMsg() *boundaryMsg {
+	if w != nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if k := len(w.msgs) - 1; k >= 0 {
+			b := w.msgs[k]
+			w.msgs = w.msgs[:k]
+			return b
+		}
+	}
+	return &boundaryMsg{}
+}
+
+// putTraj keeps tr as a loose buffer, if it is trajLen long.
+func (w *wireFree) putTraj(tr []float64) {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(tr) != w.trajLen || len(w.trajs) >= maxWireFree {
+		return
+	}
+	if w.poison {
+		poisonTraj(tr)
+	}
+	w.trajs = append(w.trajs, tr)
+}
+
+// getTraj returns a loose trajLen buffer of arbitrary contents, or nil.
+func (w *wireFree) getTraj() []float64 {
+	if w == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	k := len(w.trajs) - 1
+	if k < 0 {
+		return nil
+	}
+	tr := w.trajs[k]
+	w.trajs = w.trajs[:k]
+	return tr
+}
+
+func poisonTraj(tr []float64) {
+	for i := range tr {
+		tr[i] = math.NaN()
+	}
 }
 
 // workerResult is one worker process's share of a distributed run: the
@@ -195,8 +322,9 @@ type workerResult struct {
 	trace *trace.ProcTrace
 }
 
+// encodeWorkerResult encodes r into one buffer, sized exactly up front.
 func encodeWorkerResult(r *workerResult) []byte {
-	e := &dtime.Enc{}
+	e := &dtime.Enc{B: make([]byte, 0, workerResultLen(r))}
 	e.U32(uint32(len(r.outcomes)))
 	for i, o := range r.outcomes {
 		e.I64(int64(r.ranks[i]))
@@ -225,7 +353,8 @@ func encodeWorkerResult(r *workerResult) []byte {
 			e.I64(int64(ev.To))
 			e.I64(int64(ev.Kind))
 			e.I64(int64(ev.Iter))
-			e.Bytes([]byte(ev.Note))
+			e.U32(uint32(len(ev.Note)))
+			e.B = append(e.B, ev.Note...)
 			e.U64(ev.Seq)
 			e.I64(int64(ev.HaloL))
 			e.I64(int64(ev.HaloR))
@@ -233,6 +362,21 @@ func encodeWorkerResult(r *workerResult) []byte {
 		}
 	}
 	return e.B
+}
+
+// workerResultLen is the number of bytes encodeWorkerResult writes for r.
+func workerResultLen(r *workerResult) int {
+	n := 4 + 3 + 8 + 6*8 + 4 + len(r.telemetry) + 1
+	for _, o := range r.outcomes {
+		n += 8 + 4 + 8*len(o.positions) + trajsLen(o.trajs) + 4 + len(o.provisional) + 3*8 + 7*8 + 1
+	}
+	if pt := r.trace; pt != nil {
+		n += 8 + 8 + 4 + len(pt.Events)*traceEventLen
+		for _, ev := range pt.Events {
+			n += len(ev.Note)
+		}
+	}
+	return n
 }
 
 // traceEventLen is the fewest bytes one encoded trace event takes (an empty
@@ -322,7 +466,7 @@ func decodeNodeOutcome(d *dtime.Dec) *nodeOutcome {
 	for i := 0; i < n && d.Err() == nil; i++ {
 		o.positions = append(o.positions, int(d.I64()))
 	}
-	o.trajs = decTrajs(d)
+	o.trajs = decTrajs(d, nil, nil)
 	n = int(d.U32())
 	for i := 0; i < n && d.Err() == nil; i++ {
 		o.provisional = append(o.provisional, d.Bool())

@@ -17,6 +17,11 @@ package runenv
 // way in it hands the codec a view of its read buffer, which the next frame
 // overwrites, so decoding copies out every value it returns.
 //
+// AppendPayload is the codec's last look at a payload bound for a remote
+// rank: the sending process reads it no more once Send returns, so a codec
+// may keep the payload's memory. DecodePayload may return memory the codec
+// kept that way, and never memory anything else still reads.
+//
 // Decode must be total: any input — truncated, oversized, corrupted — must
 // return an error, never panic. Encoders and decoders on both sides of a
 // connection must agree on the byte layout per kind (version it: the
@@ -26,7 +31,8 @@ type PayloadCodec interface {
 	// and returns the extended slice, leaving dst[:len(dst)] as it was.
 	AppendPayload(dst []byte, kind int, payload any) ([]byte, error)
 	// DecodePayload reconstructs a payload from its wire form. It must not
-	// retain data, nor return a value that aliases it.
+	// retain data, nor return a value that aliases it; it may return memory
+	// the codec recycled from an earlier AppendPayload.
 	DecodePayload(kind int, data []byte) (any, error)
 }
 
