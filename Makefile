@@ -101,14 +101,15 @@ test-faults:
 # codec, which decodes every message from another worker into the buffers
 # the worker recycles. The last line runs
 # without -race, which the allocation pins of the data plane cannot be
-# measured under.
+# measured under: the transport's, and a local rtime Send→RecvWait round
+# trip's.
 test-dist:
 	$(GO) test -race -timeout 30m ./internal/rtime/ ./internal/dtime/
 	$(GO) test -race -timeout 30m ./internal/fault/ -run 'TestConn'
 	$(GO) test -race -timeout 30m ./internal/engine/ -run 'TestDist'
 	$(GO) test -race -run NONE -fuzz FuzzWorkerResult -fuzztime 10s ./internal/engine/
 	$(GO) test -race -run NONE -fuzz FuzzPayloadCodec -fuzztime 10s ./internal/engine/
-	$(GO) test ./internal/dtime/ ./internal/engine/ -run 'TestDistDataPlaneAllocs'
+	$(GO) test ./internal/rtime/ ./internal/dtime/ ./internal/engine/ -run 'TestDistDataPlaneAllocs|TestLocalSendRecvAllocs'
 
 # The federated-tracing acceptance suite under -race: federation validation,
 # clock-offset normalization, lost/duplicate wire rewrites, byte-determinism

@@ -124,9 +124,7 @@ type Config struct {
 	// poisonFree fills every buffer entering a node's or a dist worker's free
 	// list with NaN, and every boundary message kept with an impossible
 	// position and tag and a NaN load, so that a read through a stale alias
-	// shows in the result. Tests only. (It sits beside GaussSeidelLocal so
-	// that the two flags share a word: a larger Config is a larger engine
-	// world, one size class up.)
+	// shows in the result. Tests only.
 	poisonFree bool
 	// LBWarmup is how many iterations to wait before the first balancing
 	// attempt (default: LB.Period).
@@ -374,7 +372,7 @@ func Run(cfg Config) (*Result, error) {
 	var detOut detect.Outcome
 	bodies[p] = detectorBody(&cfg, &detOut)
 
-	sched := newWorld(cfg)
+	sched := &world{cfg: &cfg}
 	end := sched.run(bodies)
 
 	var stats fault.Stats
@@ -596,12 +594,10 @@ func fillManifest(m *metrics.Manifest, cfg *Config) {
 // world wraps the runner so Run can ask about timeouts on the
 // deterministic runtime.
 type world struct {
-	cfg   Config
+	cfg   *Config
 	vtsch *vtime.Scheduler
 	inj   *fault.Injector
 }
-
-func newWorld(cfg Config) *world { return &world{cfg: cfg} }
 
 // mapRank returns the cluster node executing process i (the detector/barrier
 // process, rank P, is co-located with rank 0).
@@ -678,7 +674,7 @@ func scopedFaultHook(cfg *Config, inj *fault.Injector) func(from, to, kind, byte
 }
 
 func (w *world) run(bodies []runenv.Body) float64 {
-	rcfg, inj := buildRunenvConfig(&w.cfg, len(bodies))
+	rcfg, inj := buildRunenvConfig(w.cfg, len(bodies))
 	w.inj = inj
 	if _, isVT := w.cfg.Runner.(vtime.Runner); isVT {
 		// instantiate directly so we can read TimedOut and Canceled

@@ -14,7 +14,7 @@
 //
 // All instruments are safe for concurrent use: the deterministic
 // virtual-time runtime runs one process at a time, but the real goroutine
-// runtime delivers messages from free-running timer goroutines.
+// runtime observes deliveries on every rank's goroutine at once.
 package metrics
 
 import (

@@ -3,6 +3,7 @@ package rtime_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -344,6 +345,145 @@ var contractCases = []struct {
 		})
 		if fmt.Sprint(got) != "[1 2 0]" {
 			t.Fatalf("received kinds %v, want [1 2 0]", got)
+		}
+	}},
+
+	{"local-message-invisible-until-its-arrival", func(t *testing.T, run hosting) {
+		// Rank 1 looks at its mailbox until rank 0's message is due: Recv and
+		// Pending must not show it before its modeled arrival and must show
+		// it once that has passed, stamped with the arrival Send returned.
+		arrival := make(chan float64, 1)
+		var got runenv.Msg
+		looks := 0
+		run(runenv.Config{Procs: 3, Delay: constDelay(50)}, []runenv.Body{
+			func(env runenv.Env) { arrival <- env.Send(1, 5, []byte("x"), 1) },
+			func(env runenv.Env) {
+				at := <-arrival
+				for {
+					before := env.Now()
+					n := env.Pending()
+					m, ok := env.Recv()
+					if after := env.Now(); (n > 0 || ok) && after < at {
+						t.Errorf("visible by %g (pending %d, received %v), before its arrival %g", after, n, ok, at)
+						return
+					}
+					if ok {
+						if m.RecvT != at {
+							t.Errorf("received with RecvT %g, want the arrival %g", m.RecvT, at)
+						}
+						got = m
+						return
+					}
+					if before >= at {
+						t.Errorf("still invisible at %g (pending %d), after its arrival %g", before, n, at)
+						return
+					}
+					looks++
+					env.Sleep(1)
+				}
+			},
+			idle,
+		})
+		if got.Kind != 5 || looks == 0 {
+			t.Fatalf("received kind %d after %d looks before the arrival, want kind 5 and at least one look", got.Kind, looks)
+		}
+	}},
+
+	{"earlier-arrival-posted-later-is-received-first", func(t *testing.T, run hosting) {
+		// Kind 0 takes 40 model seconds; kind 1, sent after it as a
+		// reordered copy, takes 5 and is received first, by a receiver
+		// already waiting for kind 0. Kind 2 takes 5 too but keeps its
+		// pair's FIFO order behind kind 0.
+		var sent [3]float64
+		var got []runenv.Msg
+		var firstAt float64
+		run(runenv.Config{
+			Procs: 3,
+			Delay: func(_, _, bytes int, _ float64) float64 { return float64(bytes) },
+			FaultHook: func(_, _, kind, _ int, _, _ float64) runenv.MsgFault {
+				return runenv.MsgFault{Reorder: kind == 1}
+			},
+		}, []runenv.Body{
+			func(env runenv.Env) {
+				for kind, bytes := range []int{40, 5, 5} {
+					sent[kind] = env.Send(1, kind, nil, bytes)
+					env.Sleep(2) // the receiver is waiting for kind 0 by now
+				}
+			},
+			func(env runenv.Env) {
+				got = recvN(t, env, 1)
+				firstAt = env.Now()
+				got = append(got, recvN(t, env, 2)...)
+			},
+			idle,
+		})
+		if fmt.Sprint(kinds(got)) != "[1 0 2]" {
+			t.Fatalf("received kinds %v, want [1 0 2]", kinds(got))
+		}
+		if firstAt >= sent[0] {
+			t.Errorf("kind 1 received at %g, not before kind 0's arrival %g", firstAt, sent[0])
+		}
+		for _, m := range got {
+			if m.RecvT != sent[m.Kind] {
+				t.Errorf("kind %d received with RecvT %g, want its arrival %g", m.Kind, m.RecvT, sent[m.Kind])
+			}
+		}
+	}},
+
+	{"no-goroutine-per-message", func(t *testing.T, run hosting) {
+		// A thousand local messages in flight at once take no goroutine
+		// each, and arrive in order.
+		const n = 1000
+		var before, after int
+		var got []runenv.Msg
+		run(runenv.Config{Procs: 3, Delay: constDelay(100)}, []runenv.Body{
+			func(env runenv.Env) {
+				before = runtime.NumGoroutine()
+				for i := 0; i < n; i++ {
+					env.Send(1, i, nil, 1)
+				}
+				after = runtime.NumGoroutine()
+			},
+			func(env runenv.Env) { got = recvN(t, env, n) },
+			idle,
+		})
+		if after-before > 20 {
+			t.Errorf("%d goroutines before %d sends in flight, %d with them", before, n, after)
+		}
+		for i, m := range got {
+			if m.Kind != i {
+				t.Fatalf("message %d received as kind %d", i, m.Kind)
+			}
+		}
+	}},
+
+	{"stop-ends-long-waits", func(t *testing.T, run hosting) {
+		// Rank 1 waits on a message due in 10 wall seconds and rank 2 is in
+		// a Work worth as much when rank 0 stops the world.
+		const long = 10 * contractSpeedup
+		var received atomic.Bool
+		start := time.Now()
+		run(runenv.Config{
+			Procs:       3,
+			Delay:       constDelay(long),
+			ComputeTime: func(_ int, _, units float64) float64 { return units },
+		}, []runenv.Body{
+			func(env runenv.Env) {
+				env.Send(1, 0, nil, 1)
+				env.Sleep(5)
+				env.Stop()
+			},
+			func(env runenv.Env) {
+				_, ok := env.RecvWait()
+				received.Store(ok)
+			},
+			func(env runenv.Env) { env.Work(long) },
+		})
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("the world took %v to stop", d)
+		}
+		if received.Load() {
+			t.Error("a message was received before its arrival")
 		}
 	}},
 

@@ -1,7 +1,8 @@
 // Package rtime is the real-time runtime for the process model in
 // internal/runenv: every process is a goroutine running truly in parallel,
-// Work/Sleep consume (scaled) wall-clock time, and messages are delivered by
-// timer goroutines after their modeled link delay.
+// Work/Sleep consume (scaled) wall-clock time, and a local Send puts the
+// message straight into its receiver's mailbox, stamped with its modeled
+// arrival (as vtime does), which the receiver sees once that has passed.
 //
 // There is one implementation, World. It hosts any subset of a world's ranks
 // and reaches the others through a two-method Link: Runner runs a World that
@@ -78,8 +79,8 @@ type World struct {
 	procs   []*proc // by rank; nil where the rank is hosted elsewhere
 
 	stopped   atomic.Bool
-	stopAsked atomic.Bool // link.Stop was called
-	delWG     sync.WaitGroup
+	stopAsked atomic.Bool   // link.Stop was called
+	done      chan struct{} // closed when stopped is set
 
 	// cfg is written once, by RunRanks before it sets attached; arrivals
 	// that beat it wait in early.
@@ -100,39 +101,32 @@ type proc struct {
 	// seq is the sender-local event counter behind Msg.Seq; lastSend is the
 	// Msg.Seq of the primary copy of the most recent Send.
 	seq, lastSend uint64
-	out           []*pairState // by destination rank, made on first use
+	// lastArrival is, by destination rank, the arrival of the last in-order
+	// Send: a later one never arrives before it (per-pair FIFO).
+	lastArrival []float64
+	timer       *time.Timer // paces the rank's waits
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	// mailbox[mboxHead:] holds the undelivered messages — vtime's head-index
-	// queue: popping advances the head and resets to empty when drained, so
-	// the backing array is reused instead of walked off from the front.
-	mailbox  []runenv.Msg
-	mboxHead int
-}
-
-// pairState serializes deliveries per (from, to) pair: each send takes a
-// ticket, and its deliverer goroutine — after sleeping out the modeled
-// delay — waits until every earlier ticket on the same pair has been
-// delivered. This makes per-pair FIFO a hard guarantee rather than a
-// property of timer wakeup ordering.
-type pairState struct {
-	nextTicket  uint64 // sender only
-	lastArrival float64
-
-	mu          sync.Mutex
-	cond        *sync.Cond
-	nextDeliver uint64
+	mu sync.Mutex
+	// mailbox[mboxHead:] holds the unreceived messages — vtime's head-index
+	// queue: popping advances the head and resets to empty when drained,
+	// and a full array is compacted before it grows, so the backing array
+	// is reused instead of walked off from the front. mailbox[mboxHead:seen]
+	// are visible (their arrival has passed and the Observer was told), the
+	// rest wait for their arrival, in arrival order.
+	mailbox        []runenv.Msg
+	mboxHead, seen int
+	finished       bool          // the body has returned: nothing enters any more, as in vtime
+	wake           chan struct{} // a token: the head changed since the rank last looked
 }
 
 // NewWorld returns a world of total ranks that hosts localRanks, whose model
 // clock reads zero at start and runs speedup times faster than the wall
 // clock. link reaches the other ranks; it may be nil when there are none.
 func NewWorld(total int, localRanks []int, speedup float64, start time.Time, link Link) *World {
-	w := &World{speedup: speedup, start: start, link: link, procs: make([]*proc, total)}
+	w := &World{speedup: speedup, start: start, link: link, procs: make([]*proc, total), done: make(chan struct{})}
 	for _, rank := range localRanks {
-		p := &proc{id: rank, w: w, out: make([]*pairState, total)}
-		p.cond = sync.NewCond(&p.mu)
+		p := &proc{id: rank, w: w, lastArrival: make([]float64, total), timer: time.NewTimer(time.Hour), wake: make(chan struct{}, 1)}
+		p.timer.Stop()
 		w.procs[rank] = p
 	}
 	return w
@@ -153,8 +147,8 @@ func (w *World) toWall(model float64) time.Duration {
 }
 
 // RunRanks implements runenv.PartialRunner: it executes the given bodies as
-// their world ranks (all of them hosted here) and returns once they are done
-// and every delivery they started has landed.
+// their world ranks (all of them hosted here) and returns once they are
+// done. A message still on its way then is never received, nor observed.
 func (w *World) RunRanks(cfg runenv.Config, bodies map[int]runenv.Body) float64 {
 	cfg = cfg.Normalize()
 	for rank := range bodies {
@@ -193,17 +187,14 @@ func (w *World) RunRanks(cfg runenv.Config, bodies map[int]runenv.Body) float64 
 		go func() {
 			tick := time.NewTicker(2 * time.Millisecond)
 			defer tick.Stop()
-			for {
+			for !cfg.Canceled() {
 				select {
 				case <-pollDone:
 					return
 				case <-tick.C:
-					if cfg.Canceled() {
-						w.stop()
-						return
-					}
 				}
 			}
+			w.stop()
 		}()
 	}
 	var wg sync.WaitGroup
@@ -212,13 +203,16 @@ func (w *World) RunRanks(cfg runenv.Config, bodies map[int]runenv.Body) float64 
 		go func(p *proc, body runenv.Body) {
 			defer wg.Done()
 			body(&env{p: p})
+			p.mu.Lock() // close the mailbox: what arrived is seen, nothing more enters
+			p.see()
+			p.finished = true
+			p.mu.Unlock()
 		}(w.procs[rank], body)
 	}
 	wg.Wait()
 	if watchdog != nil {
 		watchdog.Stop()
 	}
-	w.delWG.Wait()
 	return w.Now()
 }
 
@@ -241,16 +235,11 @@ func (w *World) Deliver(m runenv.Msg) error {
 	return nil
 }
 
-// deliver is the one place a message enters a mailbox.
+// deliver posts a message from a rank hosted elsewhere, due on arrival.
 func (w *World) deliver(m runenv.Msg) {
-	dst := w.procs[m.To]
 	m.RecvT = w.Now()
-	dst.mu.Lock()
-	dst.mailbox = append(dst.mailbox, m)
-	depth := len(dst.mailbox) - dst.mboxHead
-	dst.cond.Broadcast()
-	dst.mu.Unlock()
-	if t := w.cfg.Trace; t != nil && !w.hosts(m.From) {
+	w.procs[m.To].post(m)
+	if t := w.cfg.Trace; t != nil {
 		// The delivery half of a cross-process message: T0 is the sender's
 		// send time on the *sender's* clock (normalized at federation), T1
 		// the local delivery time. Federate matches it to the send by
@@ -260,54 +249,49 @@ func (w *World) deliver(m runenv.Msg) {
 			Kind: trace.Wire, Iter: -1, Note: trace.WireDeliverNote, Seq: m.Seq,
 		})
 	}
-	if obs := w.cfg.Observer; obs != nil {
-		obs.MsgDelivered(m, depth)
+}
+
+// post puts m into the mailbox behind the visible messages and every other
+// that arrives no later: the one place a message enters a mailbox.
+func (p *proc) post(m runenv.Msg) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.finished {
+		return
+	}
+	p.see() // whatever arrived before m is seen at the depth it had
+	if h := p.mboxHead; h > 0 && len(p.mailbox) == cap(p.mailbox) {
+		n := copy(p.mailbox, p.mailbox[h:])
+		clear(p.mailbox[n:])
+		p.mailbox, p.mboxHead, p.seen = p.mailbox[:n], 0, p.seen-h
+	}
+	p.mailbox = append(p.mailbox, m)
+	i := len(p.mailbox) - 1
+	for ; i > p.seen && p.mailbox[i-1].RecvT > m.RecvT; i-- {
+		p.mailbox[i] = p.mailbox[i-1]
+	}
+	p.mailbox[i] = m
+	p.see()
+	if i == p.mboxHead && len(p.wake) == 0 { // only posts fill wake, under mu
+		p.wake <- struct{}{} // a new head: a waiting receiver has a new deadline
 	}
 }
 
-// deliverAfter delivers m once the modeled delay has passed and, when fifo
-// is non-nil, every earlier ticket of that pair has been delivered. Only the
-// sender's goroutine calls it.
-func (w *World) deliverAfter(m runenv.Msg, delay float64, fifo *pairState) {
-	var ticket uint64
-	if fifo != nil {
-		ticket = fifo.nextTicket
-		fifo.nextTicket++
+// see makes visible, and tells the Observer of, what has arrived by now.
+func (p *proc) see() {
+	for p.seen < len(p.mailbox) && p.mailbox[p.seen].RecvT <= p.w.Now() {
+		p.seen++
+		if obs := p.w.cfg.Observer; obs != nil {
+			obs.MsgDelivered(p.mailbox[p.seen-1], p.seen-p.mboxHead)
+		}
 	}
-	wait := w.toWall(delay)
-	w.delWG.Add(1)
-	go func() {
-		defer w.delWG.Done()
-		preciseWait(wait)
-		if fifo == nil {
-			w.deliver(m)
-			return
-		}
-		fifo.mu.Lock()
-		for fifo.nextDeliver != ticket {
-			fifo.cond.Wait()
-		}
-		fifo.mu.Unlock()
-		w.deliver(m)
-		fifo.mu.Lock()
-		fifo.nextDeliver++
-		fifo.cond.Broadcast()
-		fifo.mu.Unlock()
-	}()
 }
 
 // StopLocal stops the ranks hosted here — no Work, Sleep or blocked RecvWait
 // lasts beyond it — without telling the rest of the world.
 func (w *World) StopLocal() {
-	if w.stopped.Swap(true) {
-		return
-	}
-	for _, p := range w.procs {
-		if p != nil {
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}
+	if !w.stopped.Swap(true) {
+		close(w.done)
 	}
 }
 
@@ -320,48 +304,56 @@ func (w *World) stop() {
 	w.StopLocal()
 }
 
-type env struct {
-	p *proc
-}
+type env struct{ p *proc }
 
 func (e *env) Rank() int     { return e.p.id }
 func (e *env) NumProcs() int { return len(e.p.w.procs) }
 func (e *env) Now() float64  { return e.p.w.Now() }
 
-// preciseWait waits for d with sub-timer-granularity accuracy: it sleeps
-// for the bulk and spins (yielding) through the last stretch. Plain
-// time.Sleep rounds tiny durations up to the OS timer period (tens of
-// microseconds), which at high Speedup would randomly inflate modeled
-// compute and network times by an order of magnitude or more.
-func preciseWait(d time.Duration) {
+// spinLimit is the last stretch of a wait, spent yielding: a timer rounds
+// tiny durations up to the OS timer period (tens of microseconds), which at
+// high Speedup would inflate modeled times by an order of magnitude or more.
+const spinLimit = 100 * time.Microsecond
+
+// pace spends d of wall-clock time, or less if the world stops.
+func (p *proc) pace(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	const spinLimit = 100 * time.Microsecond
 	target := time.Now().Add(d)
-	if d > spinLimit {
-		time.Sleep(d - spinLimit)
+	if d > spinLimit && !p.sleep(d-spinLimit, nil) {
+		return
 	}
 	for time.Now().Before(target) {
 		runtime.Gosched()
 	}
 }
 
-func (e *env) Work(units float64) {
-	w := e.p.w
-	if units <= 0 || w.stopped.Load() {
-		return
+// sleep sleeps for d and reports whether it slept it all: a stop, or a
+// token in wake (nil: none), ends it early. Only the rank's own goroutine
+// sleeps on its timer.
+func (p *proc) sleep(d time.Duration, wake chan struct{}) bool {
+	p.timer.Reset(d)
+	defer p.timer.Stop()
+	select {
+	case <-p.timer.C:
+		return true
+	case <-wake:
+	case <-p.w.done:
 	}
-	d := w.cfg.ComputeTime(e.p.id, w.Now(), units)
-	preciseWait(w.toWall(d))
+	return false
+}
+
+func (e *env) Work(units float64) {
+	if p := e.p; units > 0 && !p.w.stopped.Load() {
+		p.pace(p.w.toWall(p.w.cfg.ComputeTime(p.id, p.w.Now(), units)))
+	}
 }
 
 func (e *env) Sleep(seconds float64) {
-	w := e.p.w
-	if seconds <= 0 || w.stopped.Load() {
-		return
+	if p := e.p; seconds > 0 && !p.w.stopped.Load() {
+		p.pace(p.w.toWall(seconds))
 	}
-	preciseWait(w.toWall(seconds))
 }
 
 func (e *env) Send(to, kind int, payload any, bytes int) float64 {
@@ -392,33 +384,26 @@ func (e *env) Send(to, kind int, payload any, bytes int) float64 {
 	if w.cfg.FaultHook != nil {
 		f = w.cfg.FaultHook(p.id, to, kind, bytes, now, delay)
 	}
-	arrival := now + delay + f.ExtraDelay
-	// Duplicated and reordered copies are delivered outside the per-pair
-	// FIFO serialization — reordering is the point of the fault.
 	for _, dd := range f.DupDelays {
 		dm := m
-		dm.Seq = p.nextSeq()
-		w.deliverAfter(dm, delay+dd, nil)
+		dm.Seq, dm.RecvT = p.nextSeq(), now+delay+dd
+		w.procs[to].post(dm)
 	}
+	arrival := now + delay + f.ExtraDelay
 	if f.Drop {
 		// Lost on the wire: the sender still observes a plausible arrival.
 		return arrival
 	}
-	if f.Reorder {
-		w.deliverAfter(m, arrival-now, nil)
-		return arrival
+	// Duplicated and reordered copies arrive outside the per-pair FIFO
+	// order — reordering is the point of the fault.
+	if !f.Reorder {
+		if last := p.lastArrival[to]; arrival <= last {
+			arrival = last + 1e-9 // keep modeled arrivals increasing
+		}
+		p.lastArrival[to] = arrival
 	}
-	ps := p.out[to]
-	if ps == nil {
-		ps = &pairState{}
-		ps.cond = sync.NewCond(&ps.mu)
-		p.out[to] = ps
-	}
-	if arrival <= ps.lastArrival {
-		arrival = ps.lastArrival + 1e-9 // keep modeled arrivals increasing
-	}
-	ps.lastArrival = arrival
-	w.deliverAfter(m, arrival-now, ps)
+	m.RecvT = arrival
+	w.procs[to].post(m)
 	return arrival
 }
 
@@ -427,23 +412,35 @@ func (p *proc) nextSeq() uint64 {
 	return p.seq
 }
 
-// recv pops the oldest message; with wait set it blocks for one until the
-// world stops.
+// recv pops the first visible message; with wait set it blocks for one
+// until the world stops.
 func (p *proc) recv(wait bool) (runenv.Msg, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.mboxHead == len(p.mailbox) {
+	for p.see(); p.seen == p.mboxHead; p.see() {
 		if !wait || p.w.stopped.Load() {
 			return runenv.Msg{}, false
 		}
-		p.cond.Wait()
+		// Sleep until the head arrives, a new head is posted or the world
+		// stops, whichever comes first; with no head, an hour stands in.
+		due := time.Now().Add(time.Hour)
+		if p.mboxHead < len(p.mailbox) {
+			due = p.w.start.Add(p.w.toWall(p.mailbox[p.mboxHead].RecvT))
+		}
+		p.mu.Unlock()
+		if d := time.Until(due) - spinLimit; d <= 0 || p.sleep(d, p.wake) {
+			for time.Now().Before(due) && len(p.wake) == 0 && !p.w.stopped.Load() {
+				runtime.Gosched()
+			}
+		}
+		p.mu.Lock()
 	}
 	m := p.mailbox[p.mboxHead]
 	p.mailbox[p.mboxHead] = runenv.Msg{} // drop the payload reference
 	p.mboxHead++
 	if p.mboxHead == len(p.mailbox) {
 		p.mailbox = p.mailbox[:0]
-		p.mboxHead = 0
+		p.mboxHead, p.seen = 0, 0
 	}
 	return m, true
 }
@@ -452,9 +449,11 @@ func (e *env) Recv() (runenv.Msg, bool)     { return e.p.recv(false) }
 func (e *env) RecvWait() (runenv.Msg, bool) { return e.p.recv(true) }
 
 func (e *env) Pending() int {
-	e.p.mu.Lock()
-	defer e.p.mu.Unlock()
-	return len(e.p.mailbox) - e.p.mboxHead
+	p := e.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.see()
+	return p.seen - p.mboxHead
 }
 
 func (e *env) Stopped() bool { return e.p.w.stopped.Load() }

@@ -25,7 +25,12 @@ type Msg struct {
 	Payload  any     // application data
 	Bytes    int     // modeled wire size, used for bandwidth cost
 	SendT    float64 // time Send was called
-	RecvT    float64 // time the message entered the destination mailbox
+	// RecvT is the message's arrival: from then on its receiver sees it.
+	// Virtual time and a send between ranks of one real-time World stamp
+	// the modeled arrival Send returned (send time, link delay, fault
+	// delay, FIFO clamp); a message from a rank in another process is
+	// stamped when the transport hands it over.
+	RecvT float64
 	// Seq is the sender-local event sequence: the value of the sending
 	// process's private event counter when the message (or duplicated
 	// copy) was created. (From, Seq) identifies a delivery uniquely and —
@@ -70,7 +75,8 @@ type Env interface {
 	// and returns the arrival time. Sends never block and are reliable
 	// and FIFO per (from, to) pair.
 	Send(to, kind int, payload any, bytes int) (arrival float64)
-	// Recv pops the oldest pending message, if any, without blocking.
+	// Recv pops the oldest pending message, if any, without blocking. A
+	// message is pending once its arrival (Msg.RecvT) has passed.
 	Recv() (Msg, bool)
 	// RecvWait blocks until a message is available or the world stops.
 	// ok is false when the world stopped (global halt, deadlock, or time
@@ -92,19 +98,27 @@ type Env interface {
 	LastSendSeq() uint64
 	// Trace records an event if tracing is enabled, else it is a no-op.
 	Trace(ev trace.Event)
-	// Pending returns the number of messages currently queued in this
-	// process's mailbox without consuming anything (telemetry).
+	// Pending returns the number of messages Recv could pop now, without
+	// consuming anything (telemetry).
 	Pending() int
 }
 
 // Observer receives runtime telemetry callbacks. Implementations must be
-// safe for concurrent use: the real-time runtime invokes them from
-// free-running delivery goroutines. See internal/metrics for the standard
-// implementation.
+// safe for concurrent use: the real-time runtime invokes them from every
+// rank's goroutine and from the one that hands over messages from other
+// processes. See internal/metrics for the standard implementation.
 type Observer interface {
-	// MsgDelivered is called when a message enters the destination
-	// mailbox; depth is the mailbox depth including the new message, and
-	// m.RecvT - m.SendT is the end-to-end delivery latency.
+	// MsgDelivered is called once per message, for the moment it becomes
+	// visible to its receiver, m.RecvT; depth is the number of messages
+	// the receiver could see at that moment, the new one included, and
+	// m.RecvT - m.SendT is the end-to-end delivery latency. A message that
+	// arrives after its receiver's body has returned is never observed. The
+	// real-time runtime makes the call when that mailbox is next touched
+	// (a receive, a Pending, a send into it, the body's return), so the
+	// call may come later in wall time than RecvT. It makes it with the
+	// mailbox locked, which keeps one receiver's calls in arrival order and
+	// their depths exact: MsgDelivered must return promptly and must not
+	// call into the runtime.
 	MsgDelivered(m Msg, depth int)
 }
 
