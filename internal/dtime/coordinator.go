@@ -113,10 +113,6 @@ type RunInfo struct {
 	Workers []WorkerInfo `json:"workers"`
 	// EndTime is the maximum final local clock reported by any worker.
 	EndTime float64 `json:"end_time"`
-	// StopRequested is true when a worker asked for a global stop (its
-	// MaxTime watchdog fired or a body called Stop) before all outcomes
-	// were in.
-	StopRequested bool `json:"stop_requested,omitempty"`
 	// TraceStart is the wall-clock origin (unix nanos) of the coordinator's
 	// trace clock — set only when Options.Trace is non-nil.
 	TraceStart int64 `json:"trace_start,omitempty"`
@@ -496,6 +492,12 @@ func (c *coordinator) reader(worker int) {
 	for {
 		typ, payload, frame, err := cw.frames.Next()
 		if err != nil {
+			// A released worker waits for this close to exit (RunWorker).
+			cw.mu.Lock()
+			if cw.conn != nil {
+				cw.conn.Close()
+			}
+			cw.mu.Unlock()
 			c.events <- coordEvent{worker: worker, err: err}
 			return
 		}
@@ -639,7 +641,6 @@ func (c *coordinator) run(ln net.Listener) ([][]byte, *RunInfo, error) {
 				// A worker requested a global stop (watchdog or explicit
 				// Stop): relay it to everyone; workers still report
 				// outcomes on their way out.
-				info.StopRequested = true
 				c.mark(fmt.Sprintf("stop-requested worker %d", ev.worker))
 				c.broadcastStop(len(ev.payload) > 0 && ev.payload[0] != 0)
 			}

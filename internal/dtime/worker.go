@@ -79,7 +79,11 @@ func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRun
 
 	start := time.Now() // the model clock starts at welcome
 	rt.world = rtime.NewWorld(wenv.Total, wenv.Ranks, opts.Speedup, start, rt)
-	go rt.reader()
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		rt.reader()
+	}()
 	go rt.heartbeat()
 
 	blob, runErr := run(rt)
@@ -100,6 +104,13 @@ func RunWorker(wenv WorkerEnv, opts WorkerOptions, run func(pr runenv.PartialRun
 	// workers may still be solving and depend on frames relayed through
 	// their (and our) live connections.
 	<-rt.stopCh
+	// A stop can come before the coordinator has read the outcome, and a
+	// close with frames unread resets the connection, which can discard the
+	// outcome on its way: shut the write half, and wait for the coordinator
+	// to close its end once it has read everything.
+	if tc, ok := raw.(*net.TCPConn); ok && tc.CloseWrite() == nil {
+		<-readerDone
+	}
 	return nil
 }
 

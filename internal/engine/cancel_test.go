@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -9,11 +10,14 @@ import (
 	"time"
 
 	"aiac/internal/brusselator"
+	"aiac/internal/fault"
 	"aiac/internal/grid"
 	"aiac/internal/iterative"
 	"aiac/internal/loadbalance"
 	"aiac/internal/metrics"
 	"aiac/internal/rtime"
+	"aiac/internal/runenv"
+	"aiac/internal/vtime"
 )
 
 // cancelCfg builds a long run (tiny tolerance, huge iteration budget) so a
@@ -59,6 +63,15 @@ func TestCancelStopsVtimeRun(t *testing.T) {
 	}
 	if !out.Canceled || out.Converged {
 		t.Fatalf("sealed outcome = %+v, want canceled", out)
+	}
+	// The digest aiacrun -json prints tells a canceled run from a MaxIter
+	// abort.
+	var digest strings.Builder
+	if err := res.WriteJSON(&digest); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(digest.String(), `"canceled": true`) {
+		t.Fatalf("the JSON digest of a canceled run says nothing of it:\n%s", digest.String())
 	}
 }
 
@@ -116,10 +129,17 @@ func TestCancelNilIsBitIdentical(t *testing.T) {
 	if b.Canceled {
 		t.Fatalf("false cancel hook marked the run canceled")
 	}
+	var digest strings.Builder
+	if err := b.WriteJSON(&digest); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(digest.String(), "canceled") {
+		t.Fatalf("the JSON digest of an uncanceled run names canceled:\n%s", digest.String())
+	}
 }
 
-// TestMaxTimeStopsRtimeRun pins that a MaxTime stop is attributed on a
-// runner other than the bare vtime.Runner, whose scheduler records it (see
+// TestMaxTimeStopsRtimeRun pins that the real-time runtime's watchdog
+// reports a MaxTime stop as the virtual-time scheduler does (see
 // TestMaxTimeStops): the result and the sealed manifest say timed out.
 func TestMaxTimeStopsRtimeRun(t *testing.T) {
 	cfg := cancelCfg(2)
@@ -184,5 +204,81 @@ func TestPanickingUpdateIsRecoverable(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after the panicking run, %d before", n, base)
+	}
+}
+
+// passThrough is a Runner that hides the runtime it wraps, as a tracing or
+// timing wrapper does.
+type passThrough struct{ inner runenv.Runner }
+
+func (r passThrough) Run(cfg runenv.Config, bodies []runenv.Body) float64 {
+	return r.inner.Run(cfg, bodies)
+}
+
+// TestVerdictSameBehindWrapper: every way a run can end reads the same on a
+// bare vtime.Runner and behind a wrapper — the same Result bools, the same
+// sealed outcome — and at most one of Converged, TimedOut and Canceled is
+// true.
+func TestVerdictSameBehindWrapper(t *testing.T) {
+	prob, _ := smallBruss()
+	rows := []struct {
+		name string
+		cfg  func() Config
+		want [3]bool // converged, timed out, canceled
+	}{
+		{"maxtime", func() Config { // TestMaxTimeStops
+			cfg := baseConfig(prob, 4)
+			cfg.Tol = 1e-300
+			cfg.MaxIter = 1 << 30
+			cfg.MaxTime = 0.003
+			return cfg
+		}, [3]bool{false, true, false}},
+		{"cancel", func() Config { // TestCancelStopsVtimeRun
+			cfg := cancelCfg(4)
+			polls := 0
+			cfg.Cancel = func() bool {
+				polls++
+				return polls > 200
+			}
+			return cfg
+		}, [3]bool{false, false, true}},
+		{"maxiter", func() Config {
+			cfg := baseConfig(prob, 4)
+			cfg.Tol = 1e-300
+			cfg.MaxIter = 50
+			return cfg
+		}, [3]bool{}},
+		{"converged", func() Config { return baseConfig(prob, 4) }, [3]bool{true, false, false}},
+		{"stall", func() Config { // TestSyncModeStallsUnderBoundaryLoss
+			cfg := baseConfig(prob, 4)
+			cfg.Mode = SISC
+			cfg.MaxTime = 50
+			cfg.Faults = &fault.Plan{Seed: 3, Msg: fault.Rates{Drop: 0.3}, Kinds: FaultKindsBoundary()}
+			return cfg
+		}, [3]bool{}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var verdicts [2][3]bool
+			var sealed [2]metrics.Outcome
+			for i, runner := range []runenv.Runner{vtime.Runner{}, passThrough{vtime.Runner{}}} {
+				cfg := row.cfg()
+				cfg.Runner = runner
+				cfg.Metrics = &metrics.Sink{}
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				verdicts[i] = [3]bool{res.Converged, res.TimedOut, res.Canceled}
+				sealed[i] = *cfg.Metrics.Manifest.Outcome
+				sealed[i].WallSeconds = 0
+			}
+			if verdicts[0] != row.want || verdicts[1] != row.want {
+				t.Errorf("converged, timed out, canceled = %v bare, %v wrapped, want %v", verdicts[0], verdicts[1], row.want)
+			}
+			if !reflect.DeepEqual(sealed[0], sealed[1]) {
+				t.Errorf("sealed outcome bare %+v, wrapped %+v", sealed[0], sealed[1])
+			}
+		})
 	}
 }

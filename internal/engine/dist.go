@@ -94,6 +94,7 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 
 	outcomes := make([]*nodeOutcome, cfg.P)
 	var detOut detect.Outcome
+	var cause runenv.StopCause
 	var stats fault.Stats
 	var traces []trace.ProcTrace
 	sawDet := false
@@ -133,16 +134,14 @@ func RunDist(cfg Config, opts DistOptions) (*Result, *dtime.RunInfo, error) {
 			detOut = wr.detOut
 			sawDet = true
 		}
+		cause = max(cause, wr.cause) // a dist world can only time out
 		stats.Add(wr.stats)
 	}
 	if cfg.protocol().Coordinated() && !sawDet {
 		return nil, info, fmt.Errorf("engine: no worker reported the detector outcome")
 	}
 
-	// A requested global stop with no successful halt is the distributed
-	// MaxTime path: some worker's watchdog fired and stopped the world.
-	timedOut := info.StopRequested && !(detOut.Halted && !detOut.Aborted)
-	res, err := assembleResult(&cfg, outcomes, detOut, info.EndTime, timedOut, stats)
+	res, err := assembleResult(&cfg, outcomes, detOut, info.EndTime, cause, stats)
 	if err != nil {
 		return res, info, err
 	}
@@ -295,23 +294,21 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 	}, func(pr runenv.PartialRunner) ([]byte, error) {
 		bodies := make(map[int]runenv.Body, len(wenv.Ranks))
 		outs := make([]*nodeOutcome, len(wenv.Ranks))
-		var detOut detect.Outcome
-		hasDet := false
+		wr := &workerResult{}
 		for i, rank := range wenv.Ranks {
 			if rank < cfg.P {
 				bodies[rank] = nodeBody(&cfg, rank, &outs[i])
 			} else {
-				bodies[rank] = detectorBody(&cfg, &detOut)
-				hasDet = true
+				bodies[rank] = detectorBody(&cfg, &wr.detOut)
+				wr.hasDet = true
 			}
 		}
-		rcfg, inj := buildRunenvConfig(&cfg, wenv.Total)
+		rcfg, inj := buildRunenvConfig(&cfg, wenv.Total, &wr.cause)
 		// See Config.Cancel: the dist backend does not support it, and the
 		// world the ranks run on would poll it.
 		rcfg.Canceled = nil
 		end := pr.RunRanks(rcfg, bodies)
 
-		wr := &workerResult{hasDet: hasDet, detOut: detOut}
 		for i, rank := range wenv.Ranks {
 			if rank >= cfg.P {
 				continue
@@ -330,12 +327,12 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 		}
 		if s := cfg.Metrics; s != nil {
 			// This worker's share of the outcome: its ranks' totals, and the
-			// verdict as far as they saw it.
-			part := &Result{Time: end, Converged: true, FaultStats: wr.stats}
+			// verdict as far as they and its world saw it.
+			part := &Result{Time: end, FaultStats: wr.stats}
 			for _, o := range wr.outcomes {
 				part.tally(o)
-				part.Converged = part.Converged && o.haltedOK
 			}
+			part.decide(&cfg, wr.outcomes, nil, wr.cause)
 			s.FinishRun(outcomeOf(&cfg, part, wallStart))
 			var buf bytes.Buffer
 			if err := s.WriteJSONL(&buf); err != nil {

@@ -551,3 +551,59 @@ func TestDistRejectsBadWorkerCount(t *testing.T) {
 }
 
 var errBoom = errors.New("boom")
+
+// TestDistStopCauses: a run stopped by its time limit reads TimedOut and
+// nothing else, on dist loopback under either detection protocol and on
+// rtime, and a MaxIter abort on dist loopback reads none of the three
+// verdict bools. The stop cause comes home from the worker whose world
+// stopped, not from a guess at the coordinator. With Tol 1e-300 a run
+// converges only once every residual is exactly zero, which takes these 64
+// components ~2.4 model seconds (see TestMaxTimeStopsRtimeRun): a slower
+// host only makes that later, so no wall-clock race decides a verdict.
+func TestDistStopCauses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed loopback runs")
+	}
+	params := brusselator.DefaultParams(64, 0.05)
+	params.T = 1
+	prob := brusselator.New(params)
+	const speedup = 50
+	rows := []struct {
+		name      string
+		detection Detection
+		backend   string
+		maxIter   int
+		maxTime   float64 // model seconds; 0.5 is 10 ms of wall time
+		timedOut  bool
+	}{
+		{"dist-central-maxtime", DetectCentral, "dist", 1 << 30, 0.5, true},
+		{"dist-ring-maxtime", DetectRing, "dist", 1 << 30, 0.5, true},
+		{"dist-central-maxiter", DetectCentral, "dist", 30, 1000, false},
+		{"dist-ring-maxiter", DetectRing, "dist", 30, 1000, false},
+		{"rtime-central-maxtime", DetectCentral, "rtime", 1 << 30, 0.5, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := baseConfig(prob, 4)
+			cfg.Tol = 1e-300
+			cfg.Detection = row.detection
+			cfg.MaxIter = row.maxIter
+			cfg.MaxTime = row.maxTime
+			var res *Result
+			var err error
+			if row.backend == "dist" {
+				res, _, err = distRun(t, cfg, 2, DistWorkerOptions{Speedup: speedup})
+			} else {
+				cfg.Runner = rtime.Runner{Speedup: speedup}
+				res, err = Run(cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Converged || res.Canceled || res.TimedOut != row.timedOut {
+				t.Fatalf("converged=%v timedOut=%v canceled=%v, want only timedOut=%v",
+					res.Converged, res.TimedOut, res.Canceled, row.timedOut)
+			}
+		})
+	}
+}

@@ -214,7 +214,8 @@ func sampleWorkerResult() *workerResult {
 	}
 	return &workerResult{
 		ranks: []int{2}, outcomes: []*nodeOutcome{out}, hasDet: true,
-		detOut:    detect.Outcome{Halted: true, Rounds: 3},
+		detOut:    detect.Outcome{Halted: true},
+		cause:     runenv.StopMaxTime,
 		stats:     fault.Stats{Dropped: 4},
 		telemetry: []byte(`{"type":"manifest","manifest":{}}` + "\n"),
 		trace: &trace.ProcTrace{Speedup: 200, Dropped: 1, Events: []trace.Event{

@@ -108,7 +108,7 @@ type Config struct {
 	Cluster *grid.Cluster      // execution platform (>= P nodes)
 	Tol     float64            // local residual threshold
 	MaxIter int                // per-node iteration safety bound
-	MaxTime float64            // virtual-time safety bound (0 = none)
+	MaxTime float64            // model-time safety bound (0 = none)
 	LB      loadbalance.Policy // load balancing (AIAC modes only)
 
 	// Detection selects the convergence-detection protocol (SISC always
@@ -170,11 +170,13 @@ type Config struct {
 
 	// Cancel, when non-nil, is polled during the run (between events under
 	// vtime, periodically under rtime); once it returns true the world
-	// stops and the Result comes back with Canceled set — partial state,
-	// sealed telemetry, outcome "canceled". The hook must be cheap and
-	// safe for concurrent use (an atomic flag read); it is how the service
-	// control plane and aiacrun's signal handler abort a running solve
-	// without losing its artifacts. The dist backend does not support it.
+	// stops and, unless the run converged first, the Result comes back
+	// with Canceled set — partial state, sealed telemetry, outcome
+	// "canceled". A run whose time limit stopped the world before the
+	// cancel did reads TimedOut instead. The hook must be cheap and safe for
+	// concurrent use (an atomic flag read); it is how the service control
+	// plane and aiacrun's signal handler abort a running solve without
+	// losing its artifacts. The dist backend does not support it.
 	Cancel func() bool
 
 	// Deprecated: SimWorkers is accepted and ignored. It selected a second,
@@ -313,7 +315,9 @@ type Result struct {
 	// Time is the end-to-end execution time in (virtual) seconds.
 	Time float64
 	// Converged is true when the run halted through convergence
-	// detection (not through MaxIter abort or MaxTime stop).
+	// detection (not through MaxIter abort or MaxTime stop). At most one
+	// of Converged, TimedOut and Canceled is true; all three are false for
+	// a MaxIter abort or a stall (see decide).
 	Converged bool
 	// TimedOut is true when the MaxTime safety bound stopped the world.
 	TimedOut bool
@@ -372,27 +376,17 @@ func Run(cfg Config) (*Result, error) {
 	var detOut detect.Outcome
 	bodies[p] = detectorBody(&cfg, &detOut)
 
-	sched := &world{cfg: &cfg}
-	end := sched.run(bodies)
+	var cause runenv.StopCause
+	rcfg, inj := buildRunenvConfig(&cfg, p+1, &cause)
+	end := cfg.Runner.Run(rcfg, bodies)
 
 	var stats fault.Stats
-	if sched.inj != nil {
-		stats = sched.inj.Stats()
+	if inj != nil {
+		stats = inj.Stats()
 	}
-	res, err := assembleResult(&cfg, outcomes, detOut, end, sched.timedOut(), stats)
+	res, err := assembleResult(&cfg, outcomes, detOut, end, cause, stats)
 	if err != nil {
 		return res, err
-	}
-	// A run that converged before the stop took effect is a completed run,
-	// whatever the cancel flag says now.
-	res.Canceled = sched.canceled() && !res.Converged
-	if sched.vtsch == nil {
-		// Only the virtual-time scheduler records why it stopped. On any
-		// other runner a run that neither converged nor was canceled and
-		// ended at or past MaxTime was stopped by the bound: the watchdog
-		// runs on the clock `end` was read from, so a run it stopped cannot
-		// read lower.
-		res.TimedOut = !res.Converged && !res.Canceled && cfg.MaxTime > 0 && end >= cfg.MaxTime
 	}
 	finishMetrics(&cfg, res, wallStart)
 	return res, nil
@@ -446,24 +440,13 @@ func detectorBody(cfg *Config, out *detect.Outcome) runenv.Body {
 }
 
 // assembleResult aggregates per-node outcomes into the global Result: the
-// counters, the aggregates, and the two-pass state gather. It is shared by
-// the in-process Run path and the distributed coordinator (which receives
-// the outcomes over the wire).
-func assembleResult(cfg *Config, outcomes []*nodeOutcome, detOut detect.Outcome, end float64, timedOut bool, stats fault.Stats) (*Result, error) {
+// verdict, the counters, the aggregates, and the two-pass state gather. It
+// is shared by the in-process Run path and the distributed coordinator
+// (which receives the outcomes over the wire).
+func assembleResult(cfg *Config, outcomes []*nodeOutcome, detOut detect.Outcome, end float64, cause runenv.StopCause, stats fault.Stats) (*Result, error) {
 	p := cfg.P
-	converged := detOut.Halted && !detOut.Aborted
-	if !cfg.protocol().Coordinated() {
-		converged = true
-		for _, o := range outcomes {
-			if o == nil || !o.haltedOK {
-				converged = false
-			}
-		}
-	}
 	res := &Result{
 		Time:       end,
-		Converged:  converged,
-		TimedOut:   timedOut,
 		NodeIters:  make([]int, p),
 		NodeWork:   make([]float64, p),
 		NodeResid:  make([]float64, p),
@@ -480,6 +463,7 @@ func assembleResult(cfg *Config, outcomes []*nodeOutcome, detOut detect.Outcome,
 		res.NodeResid[r] = o.residual
 		res.tally(o)
 	}
+	res.decide(cfg, outcomes, &detOut, cause)
 	// Gather the state in two passes: regular copies first, then the
 	// provisional (halt-time restored) copies to fill any position the
 	// receiver side never integrated. FinalCount credits each position to
@@ -504,6 +488,24 @@ func assembleResult(cfg *Config, outcomes []*nodeOutcome, detOut detect.Outcome,
 		}
 	}
 	return res, nil
+}
+
+// decide sets Converged, TimedOut and Canceled, at most one of them true.
+// Convergence wins: the detector halted without an abort on a coordinated
+// protocol, otherwise (and for a dist worker's share, which passes no det)
+// every node in outcomes halted converged. Failing that, a cancel stop gives
+// Canceled and a MaxTime stop TimedOut; a MaxIter abort and a stall neither.
+func (res *Result) decide(cfg *Config, outcomes []*nodeOutcome, det *detect.Outcome, cause runenv.StopCause) {
+	if det != nil && cfg.protocol().Coordinated() {
+		res.Converged = det.Halted && !det.Aborted
+	} else {
+		res.Converged = true
+		for _, o := range outcomes {
+			res.Converged = res.Converged && o.haltedOK
+		}
+	}
+	res.Canceled = !res.Converged && cause == runenv.StopCanceled
+	res.TimedOut = !res.Converged && cause == runenv.StopMaxTime
 }
 
 // tally adds one node's outcome to the result's run-wide totals.
@@ -591,14 +593,6 @@ func fillManifest(m *metrics.Manifest, cfg *Config) {
 	}
 }
 
-// world wraps the runner so Run can ask about timeouts on the
-// deterministic runtime.
-type world struct {
-	cfg   *Config
-	vtsch *vtime.Scheduler
-	inj   *fault.Injector
-}
-
 // mapRank returns the cluster node executing process i (the detector/barrier
 // process, rank P, is co-located with rank 0).
 func (c *Config) mapRank(i int) int {
@@ -612,11 +606,12 @@ func (c *Config) mapRank(i int) int {
 }
 
 // buildRunenvConfig constructs the runtime configuration for a world of
-// procs processes (the P nodes plus the detector slot) and installs the
-// fault hooks when the plan is effective; the returned injector is nil when
-// no faults are active. Shared by the in-process backends and each
-// distributed worker (which consults the hooks only for its local events).
-func buildRunenvConfig(cfg *Config, procs int) (runenv.Config, *fault.Injector) {
+// procs processes (the P nodes plus the detector slot), whose stop cause
+// lands in *cause, and installs the fault hooks when the plan is effective;
+// the returned injector is nil when no faults are active. Shared by the
+// in-process backends and each distributed worker (which consults the hooks
+// only for its local events).
+func buildRunenvConfig(cfg *Config, procs int, cause *runenv.StopCause) (runenv.Config, *fault.Injector) {
 	mapRank := cfg.mapRank
 	ser := grid.NewSerializer(cfg.Cluster)
 	rcfg := runenv.Config{
@@ -625,6 +620,7 @@ func buildRunenvConfig(cfg *Config, procs int) (runenv.Config, *fault.Injector) 
 		Trace:    cfg.Trace,
 		MaxTime:  cfg.MaxTime,
 		Canceled: cfg.Cancel,
+		OnStop:   func(c runenv.StopCause) { *cause = c },
 		ComputeTime: func(node int, start, units float64) float64 {
 			return cfg.Cluster.ComputeTime(mapRank(node), start, units)
 		},
@@ -671,32 +667,6 @@ func scopedFaultHook(cfg *Config, inj *fault.Injector) func(from, to, kind, byte
 		}
 	}
 	return hook
-}
-
-func (w *world) run(bodies []runenv.Body) float64 {
-	rcfg, inj := buildRunenvConfig(w.cfg, len(bodies))
-	w.inj = inj
-	if _, isVT := w.cfg.Runner.(vtime.Runner); isVT {
-		// instantiate directly so we can read TimedOut and Canceled
-		w.vtsch = vtime.New(rcfg)
-		return w.vtsch.Run(bodies)
-	}
-	return w.cfg.Runner.Run(rcfg, bodies)
-}
-
-func (w *world) timedOut() bool {
-	return w.vtsch != nil && w.vtsch.TimedOut
-}
-
-// canceled reports whether Config.Cancel stopped the run. The virtual-time
-// scheduler records the stop reason exactly; the real-time runtime cannot
-// distinguish a cancel stop from a normal halt, so there the flag itself
-// decides (Run additionally clears the verdict when the run converged).
-func (w *world) canceled() bool {
-	if w.vtsch != nil {
-		return w.vtsch.Canceled
-	}
-	return w.cfg.Cancel != nil && w.cfg.Cancel()
 }
 
 // partition returns the initial contiguous component range of a rank:

@@ -11,6 +11,7 @@ type Summary struct {
 	Time          float64   `json:"time_seconds"`
 	Converged     bool      `json:"converged"`
 	TimedOut      bool      `json:"timed_out"`
+	Canceled      bool      `json:"canceled,omitempty"`
 	NodeIters     []int     `json:"node_iterations"`
 	NodeWork      []float64 `json:"node_work"`
 	NodeResid     []float64 `json:"node_residuals"`
@@ -28,7 +29,7 @@ type Summary struct {
 // Summary extracts the digest.
 func (r *Result) Summary() Summary {
 	return Summary{
-		Time: r.Time, Converged: r.Converged, TimedOut: r.TimedOut,
+		Time: r.Time, Converged: r.Converged, TimedOut: r.TimedOut, Canceled: r.Canceled,
 		NodeIters: r.NodeIters, NodeWork: r.NodeWork, NodeResid: r.NodeResid,
 		FinalCount: r.FinalCount, TotalIters: r.TotalIters, TotalWork: r.TotalWork,
 		MaxResidual: r.MaxResidual, LBTransfers: r.LBTransfers,

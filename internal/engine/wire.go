@@ -305,16 +305,18 @@ func poisonTraj(tr []float64) {
 }
 
 // workerResult is one worker process's share of a distributed run: the
-// outcomes of its hosted node ranks, the detector outcome when the detector
-// rank lives on it, the faults its injector actually fired, and — when the
-// worker has a sink, a trace log — its sealed telemetry as a JSONL export and
-// its causal trace. It crosses the coordinator connection as the worker's
-// opaque outcome blob.
+// outcomes of its hosted node ranks, the detector's Halted and Aborted when
+// the detector rank lives on it, why its world stopped itself (zero: it did
+// not), the faults its injector actually fired, and — when the worker has a
+// sink, a trace log — its sealed telemetry as a JSONL export and its causal
+// trace. It crosses the coordinator connection as the worker's opaque
+// outcome blob.
 type workerResult struct {
 	ranks     []int // node ranks, aligned with outcomes
 	outcomes  []*nodeOutcome
 	hasDet    bool
 	detOut    detect.Outcome
+	cause     runenv.StopCause
 	stats     fault.Stats
 	telemetry []byte
 	// trace carries Speedup, Dropped and Events; the coordinator knows the
@@ -333,7 +335,7 @@ func encodeWorkerResult(r *workerResult) []byte {
 	e.Bool(r.hasDet)
 	e.Bool(r.detOut.Halted)
 	e.Bool(r.detOut.Aborted)
-	e.I64(int64(r.detOut.Rounds))
+	e.U8(byte(r.cause))
 	e.U64(r.stats.Dropped)
 	e.U64(r.stats.Duplicated)
 	e.U64(r.stats.Reordered)
@@ -366,7 +368,7 @@ func encodeWorkerResult(r *workerResult) []byte {
 
 // workerResultLen is the number of bytes encodeWorkerResult writes for r.
 func workerResultLen(r *workerResult) int {
-	n := 4 + 3 + 8 + 6*8 + 4 + len(r.telemetry) + 1
+	n := 4 + 3 + 1 + 6*8 + 4 + len(r.telemetry) + 1
 	for _, o := range r.outcomes {
 		n += 8 + 4 + 8*len(o.positions) + trajsLen(o.trajs) + 4 + len(o.provisional) + 3*8 + 7*8 + 1
 	}
@@ -398,7 +400,7 @@ func decodeWorkerResult(b []byte) (*workerResult, error) {
 	r.hasDet = d.Bool()
 	r.detOut.Halted = d.Bool()
 	r.detOut.Aborted = d.Bool()
-	r.detOut.Rounds = int(d.I64())
+	r.cause = runenv.StopCause(d.U8())
 	r.stats.Dropped = d.U64()
 	r.stats.Duplicated = d.U64()
 	r.stats.Reordered = d.U64()

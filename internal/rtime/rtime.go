@@ -78,9 +78,11 @@ type World struct {
 	link    Link
 	procs   []*proc // by rank; nil where the rank is hosted elsewhere
 
-	stopped   atomic.Bool
-	stopAsked atomic.Bool   // link.Stop was called
-	done      chan struct{} // closed when stopped is set
+	stopped atomic.Bool
+	done    chan struct{} // closed when stopped is set
+	// firstStop is 0 until a stop begins, then 1 + the cause of the first
+	// (cause 0: a body's Env.Stop or the rest of the world's stop).
+	firstStop atomic.Uint32
 
 	// cfg is written once, by RunRanks before it sets attached; arrivals
 	// that beat it wait in early.
@@ -176,7 +178,7 @@ func (w *World) RunRanks(cfg runenv.Config, bodies map[int]runenv.Body) float64 
 
 	var watchdog *time.Timer
 	if cfg.MaxTime > 0 {
-		watchdog = time.AfterFunc(w.toWall(cfg.MaxTime), w.stop)
+		watchdog = time.AfterFunc(w.toWall(cfg.MaxTime), func() { w.stop(runenv.StopMaxTime) })
 	}
 	if cfg.Canceled != nil {
 		// Cancellation poller: the real-time runtime has no between-event
@@ -194,7 +196,7 @@ func (w *World) RunRanks(cfg runenv.Config, bodies map[int]runenv.Body) float64 
 				case <-tick.C:
 				}
 			}
-			w.stop()
+			w.stop(runenv.StopCanceled)
 		}()
 	}
 	var wg sync.WaitGroup
@@ -212,6 +214,9 @@ func (w *World) RunRanks(cfg runenv.Config, bodies map[int]runenv.Body) float64 
 	wg.Wait()
 	if watchdog != nil {
 		watchdog.Stop()
+	}
+	if first := w.firstStop.Load(); first > 1 && cfg.OnStop != nil {
+		cfg.OnStop(runenv.StopCause(first - 1))
 	}
 	return w.Now()
 }
@@ -290,15 +295,18 @@ func (p *proc) see() {
 // StopLocal stops the ranks hosted here — no Work, Sleep or blocked RecvWait
 // lasts beyond it — without telling the rest of the world.
 func (w *World) StopLocal() {
+	w.firstStop.CompareAndSwap(0, 1)
 	if !w.stopped.Swap(true) {
 		close(w.done)
 	}
 }
 
-// stop is the global stop (Env.Stop, the MaxTime watchdog, a cancel): ask
-// the rest of the world, then stop here without waiting for the echo.
-func (w *World) stop() {
-	if w.link != nil && !w.stopAsked.Swap(true) {
+// stop is the global stop: unless a stop began already, ask the rest of the
+// world, then stop here without waiting for the echo. cause is the
+// watchdog's or the cancel poller's reason, zero for a body's Env.Stop;
+// RunRanks reports the first stop's.
+func (w *World) stop(cause runenv.StopCause) {
+	if w.firstStop.CompareAndSwap(0, uint32(cause)+1) && w.link != nil {
 		w.link.Stop()
 	}
 	w.StopLocal()
@@ -458,7 +466,7 @@ func (e *env) Pending() int {
 
 func (e *env) Stopped() bool { return e.p.w.stopped.Load() }
 
-func (e *env) Stop() { e.p.w.stop() }
+func (e *env) Stop() { e.p.w.stop(0) }
 
 // Rand builds the generator on first use: the engine never draws from it, and
 // a source is 5 KB per rank. Only the rank's own goroutine touches it.

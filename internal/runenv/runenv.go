@@ -160,17 +160,34 @@ type Config struct {
 	Seed int64
 	// Trace, when non-nil, collects events emitted via Env.Trace.
 	Trace *trace.Log
-	// MaxTime, when > 0, stops the world when the clock passes it.
+	// MaxTime, when > 0, is the time limit: the runtime stops the world
+	// once its clock passes it and reports StopMaxTime.
 	MaxTime float64
 	// Canceled, when non-nil, is polled by the runtimes (between events
 	// under vtime, periodically in wall time under rtime); once it returns
-	// true the world stops exactly like a MaxTime stop. The hook must be
-	// cheap and safe to call concurrently with the run — an atomic flag
-	// read is the intended implementation. Because cancellation originates
-	// outside the modeled world, the stop point of a canceled run is not
-	// deterministic; everything up to the stop still is.
+	// true the world stops and the runtime reports StopCanceled. The hook
+	// must be cheap and safe to call concurrently with the run — an atomic
+	// flag read is the intended implementation. Because cancellation
+	// originates outside the modeled world, the stop point of a canceled run
+	// is not deterministic; everything up to the stop still is.
 	Canceled func() bool
+	// OnStop, when non-nil, is told why the runtime stopped the world
+	// itself (never for a body's Env.Stop; under rtime, the first stop's):
+	// at most once, on the goroutine that called Run, before Run returns.
+	// A run is the same with or without it.
+	OnStop func(StopCause)
 }
+
+// StopCause is why a runtime stopped the world on its own account: its
+// clock passed Config.MaxTime, Config.Canceled returned true, or (virtual
+// time only) every live process waits in RecvWait with nothing to deliver.
+type StopCause uint8
+
+const (
+	StopMaxTime StopCause = iota + 1
+	StopCanceled
+	StopStalled
+)
 
 // MsgFault is the injected fate of one message send; the zero value means
 // "deliver normally". Produced by Config.FaultHook, honored by the runtimes.

@@ -96,9 +96,9 @@ func TestCanceledHonouredWithinOneSweep(t *testing.T) {
 			return env.Stopped()
 		})
 	}
-	s := New(cfg)
-	s.Run(bodies)
-	if !s.Canceled {
+	cause := recordStop(&cfg)
+	New(cfg).Run(bodies)
+	if *cause != runenv.StopCanceled {
 		t.Fatal("run did not end as canceled")
 	}
 	for r, n := range late {

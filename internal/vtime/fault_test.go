@@ -45,12 +45,13 @@ func TestFaultHookDropSuppressesDelivery(t *testing.T) {
 		return runenv.MsgFault{Drop: kind == 1}
 	}
 	var got []int
-	deadlocked := false
-	s := New(runenv.Config{
+	cfg := runenv.Config{
 		Procs:     2,
 		Delay:     func(_, _, _ int, _ float64) float64 { return 0.1 },
 		FaultHook: hook,
-	})
+	}
+	cause := recordStop(&cfg)
+	s := New(cfg)
 	s.Run([]runenv.Body{
 		func(env runenv.Env) {
 			if arr := env.Send(1, 1, 100, 8); arr <= 0 {
@@ -66,11 +67,10 @@ func TestFaultHookDropSuppressesDelivery(t *testing.T) {
 			got = append(got, m.Payload.(int))
 		},
 	})
-	deadlocked = s.Deadlocked
 	if len(got) != 1 || got[0] != 200 {
 		t.Fatalf("receiver saw %v, want only the undropped message [200]", got)
 	}
-	if deadlocked {
+	if *cause == runenv.StopStalled {
 		t.Fatal("world deadlocked: the undropped message never arrived")
 	}
 }

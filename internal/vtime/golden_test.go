@@ -142,11 +142,12 @@ func (gw goldenWorld) run() string {
 		logs[i] = h
 		bodies[i] = func(env runenv.Env) { goldenBody(env, h, gw.rounds) }
 	}
+	cause := recordStop(&cfg)
 	s := New(cfg)
 	end := s.Run(bodies)
 
 	total := sha256.New()
-	fmt.Fprintf(total, "dead=%v timeout=%v end=", s.Deadlocked, s.TimedOut)
+	fmt.Fprintf(total, "dead=%v timeout=%v end=", *cause == runenv.StopStalled, *cause == runenv.StopMaxTime)
 	hashFloat(total, end)
 	for i, p := range s.procs {
 		fmt.Fprintf(total, "\nproc %d clock=", i)
@@ -241,6 +242,7 @@ func TestMaxTimeInsideWorkBurst(t *testing.T) {
 		MaxTime: 2.0,
 		Delay:   func(_, _, _ int, _ float64) float64 { return 0.05 },
 	}
+	cause := recordStop(&cfg)
 	s := New(cfg)
 	bodies := make([]runenv.Body, 3)
 	for i := range bodies {
@@ -259,8 +261,9 @@ func TestMaxTimeInsideWorkBurst(t *testing.T) {
 	clocks := []float64{s.procs[0].clock, s.procs[1].clock, s.procs[2].clock}
 	want := []float64{1.9600000000000013, 1.9600000000000009, 1.89}
 	const wantEnd = 1.9600000000000013
-	if !s.TimedOut || end != wantEnd || !slices.Equal(clocks, want) {
+	timedOut := *cause == runenv.StopMaxTime
+	if !timedOut || end != wantEnd || !slices.Equal(clocks, want) {
 		t.Errorf("end=%v timedOut=%v clocks=%v, want end=%v timedOut=true clocks=%v",
-			end, s.TimedOut, clocks, wantEnd, want)
+			end, timedOut, clocks, wantEnd, want)
 	}
 }

@@ -174,13 +174,6 @@ type Scheduler struct {
 	stopped bool
 	// live counts processes whose body has not returned.
 	live int
-	// Deadlocked is set when the run ended because every live process was
-	// blocked in RecvWait with no pending events.
-	Deadlocked bool
-	// TimedOut is set when the run was stopped by cfg.MaxTime.
-	TimedOut bool
-	// Canceled is set when the run was stopped by cfg.Canceled.
-	Canceled bool
 	// fifo tracks the last arrival time per (from,to) pair — flat,
 	// fifo[from*procs+to] — to keep per-pair delivery FIFO even if the
 	// delay model is not monotone in message size.
@@ -205,25 +198,29 @@ func (s *Scheduler) Run(bodies []runenv.Body) float64 {
 		s.runProc(p)
 	}
 	for s.live > 0 {
-		if s.events.Len() == 0 {
-			// No future events: either everyone who is alive waits on a
-			// message that will never come (deadlock), or a process is
-			// stopped mid-unwind.
-			s.Deadlocked = s.anyWaiting()
-			s.stopWorld()
-			break
+		var cause runenv.StopCause
+		switch {
+		case s.events.Len() == 0:
+			// No future events: either a live process waits on a message
+			// that will never come (a stall), or one is stopped mid-unwind.
+			for _, p := range s.procs {
+				if !p.finished && p.waiting {
+					cause = runenv.StopStalled
+				}
+			}
+		case s.cfg.MaxTime > 0 && s.events[0].t > s.cfg.MaxTime:
+			cause = runenv.StopMaxTime
+		case s.cfg.Canceled != nil && s.cfg.Canceled():
+			cause = runenv.StopCanceled
+		default:
+			s.exec(s.events.popEv())
+			continue
 		}
-		if s.cfg.MaxTime > 0 && s.events[0].t > s.cfg.MaxTime {
-			s.TimedOut = true
-			s.stopWorld()
-			break
+		if cause != 0 && s.cfg.OnStop != nil {
+			s.cfg.OnStop(cause)
 		}
-		if s.cfg.Canceled != nil && s.cfg.Canceled() {
-			s.Canceled = true
-			s.stopWorld()
-			break
-		}
-		s.exec(s.events.popEv())
+		s.stopWorld()
+		break
 	}
 	return s.endTime()
 }
@@ -332,15 +329,6 @@ func (s *Scheduler) teardown() {
 func (p *proc) unwind() {
 	defer func() { _ = recover() }()
 	p.stop()
-}
-
-func (s *Scheduler) anyWaiting() bool {
-	for _, p := range s.procs {
-		if !p.finished && p.waiting {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *Scheduler) endTime() float64 {

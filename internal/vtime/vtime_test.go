@@ -108,7 +108,9 @@ func TestPingPongTiming(t *testing.T) {
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	s := New(runenv.Config{})
+	var cfg runenv.Config
+	cause := recordStop(&cfg)
+	s := New(cfg)
 	var ok0 bool
 	var sawStop bool
 	s.Run([]runenv.Body{
@@ -117,8 +119,8 @@ func TestDeadlockDetected(t *testing.T) {
 			sawStop = env.Stopped()
 		},
 	})
-	if !s.Deadlocked {
-		t.Fatal("expected Deadlocked")
+	if *cause != runenv.StopStalled {
+		t.Fatalf("stop cause %d, want StopStalled", *cause)
 	}
 	if ok0 {
 		t.Fatal("RecvWait should report failure on deadlock")
@@ -129,7 +131,9 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestMaxTimeStopsWorld(t *testing.T) {
-	s := New(runenv.Config{MaxTime: 5})
+	cfg := runenv.Config{MaxTime: 5}
+	cause := recordStop(&cfg)
+	s := New(cfg)
 	iterations := 0
 	s.Run([]runenv.Body{
 		func(env runenv.Env) {
@@ -139,8 +143,8 @@ func TestMaxTimeStopsWorld(t *testing.T) {
 			}
 		},
 	})
-	if !s.TimedOut {
-		t.Fatal("expected TimedOut")
+	if *cause != runenv.StopMaxTime {
+		t.Fatalf("stop cause %d, want StopMaxTime", *cause)
 	}
 	if iterations > 6 {
 		t.Fatalf("ran %d iterations past MaxTime", iterations)
