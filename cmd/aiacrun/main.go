@@ -58,7 +58,7 @@ func bindSpec(fs *flag.FlagSet, sp *aiac.RunSpec) {
 	fs.IntVar(&sp.LBPeriod, "lb-period", sp.LBPeriod, "iterations between balancing attempts")
 	fs.StringVar(&sp.LBEstimator, "lb-estimator", sp.LBEstimator, "load estimator: residual, itertime, count")
 	fs.IntVar(&sp.LBMinKeep, "lb-minkeep", sp.LBMinKeep, "famine guard: minimum components per node")
-	fs.Int64Var(&sp.Seed, "seed", sp.Seed, "random seed (platform + runtime; 0 = the default)")
+	fs.Int64Var(&sp.Seed, "seed", sp.Seed, "platform seed: the heterogeneous and grid15 node speeds and loads (0 = the default)")
 	fs.StringVar(&sp.Faults, "faults", sp.Faults, "fault spec, e.g. drop=0.05,dup=0.02,reorder=0.01,spike=0.01,stall=0.001,scope=lb (scope: lb, boundary, or empty for the whole data plane)")
 	fs.Int64Var(&sp.FaultSeed, "fault-seed", sp.FaultSeed, "fault-injection seed (replays the exact same faults; 0 = the default)")
 	fs.BoolVar(&sp.Ring, "ring", sp.Ring, "use decentralized ring convergence detection")

@@ -7,12 +7,13 @@
 //	paperexp                 # everything at full scale (minutes)
 //	paperexp -scale quick    # everything at smoke-test scale (seconds)
 //	paperexp -exp fig5       # one experiment
-//	paperexp -o results/     # also write one text file per experiment
+//	paperexp -o <dir>        # also write one text file per experiment into <dir>
 //	paperexp -workers 1      # force serial engine runs (bit-identical outputs)
 //
 // Independent engine runs within an experiment are fanned across
 // GOMAXPROCS cores by default; results are collected in case order, so the
-// reports do not depend on the worker count.
+// reports do not depend on the worker count. The full-scale reports are
+// embedded in EXPERIMENTS.md, section "Full-scale measured artifacts".
 package main
 
 import (

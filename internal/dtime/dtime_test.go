@@ -30,13 +30,24 @@ func testOptions(t *testing.T, workers int, fn func(w WorkerEnv) error) Options 
 // solver returns a RunWorker callback executing the given per-rank bodies
 // with raw-[]byte payloads; the blob it reports is blobFn's result.
 func solver(bodies map[int]runenv.Body, blobFn func() []byte) func(w WorkerEnv) error {
+	return limitedSolver(bodies, blobFn, 0)
+}
+
+// limitedSolver is solver whose worker 0 stops its world at model time
+// maxTime (0: never); the other workers learn of that stop only from the
+// coordinator.
+func limitedSolver(bodies map[int]runenv.Body, blobFn func() []byte, maxTime float64) func(w WorkerEnv) error {
 	return func(w WorkerEnv) error {
 		return RunWorker(w, WorkerOptions{}, func(pr runenv.PartialRunner) ([]byte, error) {
 			local := make(map[int]runenv.Body, len(w.Ranks))
 			for _, r := range w.Ranks {
 				local[r] = bodies[r]
 			}
-			pr.RunRanks(runenv.Config{Procs: w.Total}, local)
+			cfg := runenv.Config{Procs: w.Total}
+			if w.Worker == 0 {
+				cfg.MaxTime = maxTime
+			}
+			pr.RunRanks(cfg, local)
 			if blobFn == nil {
 				return nil, nil
 			}
@@ -85,16 +96,13 @@ func TestPingPongAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStopPropagation verifies a body's Stop reaches ranks on other
+// TestStopPropagation verifies a worker's time limit reaches ranks on other
 // workers: rank 1 blocks in RecvWait with no message ever coming, and
-// unwinds only because rank 0's stop crosses the coordinator.
+// unwinds only because the stop of rank 0's world crosses the coordinator.
 func TestStopPropagation(t *testing.T) {
 	released := make(chan struct{})
 	bodies := map[int]runenv.Body{
-		0: func(env runenv.Env) {
-			env.Sleep(1) // let rank 1 park in RecvWait first
-			env.Stop()
-		},
+		0: func(env runenv.Env) { env.RecvWait() },
 		1: func(env runenv.Env) {
 			if _, ok := env.RecvWait(); ok {
 				t.Error("rank 1 received a message from nowhere")
@@ -102,7 +110,7 @@ func TestStopPropagation(t *testing.T) {
 			close(released)
 		},
 	}
-	if _, _, err := Run(testOptions(t, 2, solver(bodies, nil))); err != nil {
+	if _, _, err := Run(testOptions(t, 2, limitedSolver(bodies, nil, 1))); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -262,20 +270,17 @@ func TestWorkerEnvRoundTrip(t *testing.T) {
 // reset can discard the outcome it has just written; every outcome here is
 // large enough to be still on its way.
 func TestStoppedWorkersOutcomesArrive(t *testing.T) {
-	flood := func(to int, stop bool) runenv.Body {
+	flood := func(to int) runenv.Body {
 		return func(env runenv.Env) {
-			for i := 0; !env.Stopped(); i++ {
+			for !env.Stopped() {
 				env.Send(to, 1, make([]byte, 4096), 4096)
-				if stop && i == 2000 {
-					env.Stop()
-				}
 			}
 		}
 	}
-	bodies := map[int]runenv.Body{0: flood(1, true), 1: flood(0, false)}
+	bodies := map[int]runenv.Body{0: flood(1), 1: flood(0)}
 	const blobLen = 4 << 20
 	for run := 0; run < 3; run++ {
-		blobs, _, err := Run(testOptions(t, 2, solver(bodies, func() []byte { return make([]byte, blobLen) })))
+		blobs, _, err := Run(testOptions(t, 2, limitedSolver(bodies, func() []byte { return make([]byte, blobLen) }, 20)))
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}

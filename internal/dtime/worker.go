@@ -196,8 +196,8 @@ func (rt *wrt) stopLocal() {
 }
 
 // Stop implements rtime.Link: it asks the coordinator for a global stop
-// (Env.Stop, MaxTime watchdog); the world stops itself without waiting for
-// the echo.
+// (the world's MaxTime watchdog or cancel poller); the world stops itself
+// without waiting for the echo.
 func (rt *wrt) Stop() {
 	rt.writeFrame(FrameStop, []byte{0})
 	rt.stopLocal()

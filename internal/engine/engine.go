@@ -154,6 +154,9 @@ type Config struct {
 	// by exactly one node at all times, including mid-migration.
 	OwnershipLog *fault.OwnershipLog
 
+	// Seed is a label: the run's manifest records it (the frozen bench sets
+	// it), and nothing in the run draws from it. The platform's seed is the
+	// Cluster's and the faults' is Faults.Seed.
 	Seed  int64
 	Trace *trace.Log // optional event collection
 	// Metrics, when non-nil, collects the run's telemetry: periodic
@@ -616,7 +619,6 @@ func buildRunenvConfig(cfg *Config, procs int, cause *runenv.StopCause) (runenv.
 	ser := grid.NewSerializer(cfg.Cluster)
 	rcfg := runenv.Config{
 		Procs:    procs,
-		Seed:     cfg.Seed,
 		Trace:    cfg.Trace,
 		MaxTime:  cfg.MaxTime,
 		Canceled: cfg.Cancel,

@@ -42,7 +42,10 @@ type RunSpec struct {
 	Tol     float64 `json:"tol,omitempty"`     // residual tolerance (default 1e-7)
 	MaxIter int     `json:"max_iter,omitempty"`
 	Cluster string  `json:"cluster,omitempty"` // homogeneous, heterogeneous, grid15
-	Seed    int64   `json:"seed,omitempty"`
+	// Seed draws the heterogeneous and grid15 platforms' node speeds and
+	// loads (default 1); the manifest records it. Nothing else in the run
+	// is random but the faults, which FaultSeed draws.
+	Seed int64 `json:"seed,omitempty"`
 
 	LB          bool   `json:"lb,omitempty"`
 	LBPeriod    int    `json:"lb_period,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,13 +21,23 @@ import (
 // every way a world can be hosted. Each case is a world of three ranks;
 // ranks 0 and 1 always share a host, so the link between them is local (the
 // only kind a FaultHook decides), and rank 2 lives elsewhere wherever there
-// is an elsewhere. Payloads are []byte, which the codec-less dtime hosting
-// carries too.
+// is an elsewhere. Only that host of ranks 0 and 1 gets Config.MaxTime
+// (hostCfg), so a time limit reaches rank 2 as a stop across the Link.
+// Payloads are []byte, which the codec-less dtime hosting carries too.
 
 const contractSpeedup = 1000 // one model second per wall millisecond
 
 // hosting runs bodies[i] as rank i to completion.
 type hosting func(cfg runenv.Config, bodies []runenv.Body)
+
+// hostCfg is cfg for the host of ranks: without the time limit unless the
+// host has rank 0.
+func hostCfg(cfg runenv.Config, ranks ...int) runenv.Config {
+	if !slices.Contains(ranks, 0) {
+		cfg.MaxTime = 0
+	}
+	return cfg
+}
 
 func runnerHosting(*testing.T) hosting {
 	return func(cfg runenv.Config, bodies []runenv.Body) {
@@ -60,7 +71,7 @@ func worldsHosting(*testing.T) hosting {
 		}()
 		go func() {
 			defer wg.Done()
-			b.RunRanks(cfg, map[int]runenv.Body{2: bodies[2]})
+			b.RunRanks(hostCfg(cfg, 2), map[int]runenv.Body{2: bodies[2]})
 		}()
 		wg.Wait()
 	}
@@ -85,7 +96,7 @@ func distHosting(t *testing.T) hosting {
 						for _, r := range w.Ranks {
 							local[r] = bodies[r]
 						}
-						pr.RunRanks(cfg, local)
+						pr.RunRanks(hostCfg(cfg, w.Ranks...), local)
 						return nil, nil
 					})
 			}),
@@ -182,7 +193,8 @@ var contractCases = []struct {
 
 	{"pair-fifo-against-modeled-delay", func(t *testing.T, run hosting) {
 		// The second message has the shorter modeled delay and must not
-		// overtake, on the local pair and on the remote one.
+		// overtake, on the local pair and on the remote one; its sender is
+		// told exactly the first one's arrival on both.
 		var got [3][]int
 		recv := func(env runenv.Env) { got[env.Rank()] = kinds(recvN(t, env, 2)) }
 		run(runenv.Config{
@@ -191,8 +203,10 @@ var contractCases = []struct {
 		}, []runenv.Body{
 			func(env runenv.Env) {
 				for _, to := range []int{1, 2} {
-					env.Send(to, 0, nil, 1)    // slow
-					env.Send(to, 1, nil, 1000) // fast
+					slow := env.Send(to, 0, nil, 1)
+					if fast := env.Send(to, 1, nil, 1000); fast != slow {
+						t.Errorf("to rank %d: fast send reported %g, want the slow one's %g", to, fast, slow)
+					}
 				}
 			},
 			recv, recv,
@@ -205,21 +219,17 @@ var contractCases = []struct {
 	}},
 
 	{"stop-releases-parked-receivers", func(t *testing.T, run hosting) {
+		// Every rank parks with nothing ever coming; the time limit of rank
+		// 0's host releases them all.
 		var released [3]atomic.Bool
 		park := func(env runenv.Env) {
 			_, ok := env.RecvWait()
 			released[env.Rank()].Store(!ok && env.Stopped())
 		}
-		run(runenv.Config{Procs: 3}, []runenv.Body{
-			func(env runenv.Env) {
-				env.Sleep(5) // let the others park first
-				env.Stop()
-			},
-			park, park,
-		})
-		for _, r := range []int{1, 2} {
+		run(runenv.Config{Procs: 3, MaxTime: 5}, []runenv.Body{park, park, park})
+		for r := range released {
 			if !released[r].Load() {
-				t.Errorf("rank %d was not released by rank 0's Stop", r)
+				t.Errorf("rank %d was not released by the stop", r)
 			}
 		}
 	}},
@@ -237,7 +247,7 @@ var contractCases = []struct {
 		run(runenv.Config{Procs: 3, MaxTime: 5}, []runenv.Body{spin, spin, spin})
 		for r, n := range iters {
 			if n >= limit {
-				t.Errorf("rank %d never saw the watchdog's stop", r)
+				t.Errorf("rank %d never saw the stop", r)
 			}
 		}
 	}},
@@ -459,7 +469,7 @@ var contractCases = []struct {
 
 	{"stop-ends-long-waits", func(t *testing.T, run hosting) {
 		// Rank 1 waits on a message due in 10 wall seconds and rank 2 is in
-		// a Work worth as much when rank 0 stops the world.
+		// a Work worth as much when the world reaches its time limit.
 		const long = 10 * contractSpeedup
 		var received atomic.Bool
 		start := time.Now()
@@ -467,12 +477,9 @@ var contractCases = []struct {
 			Procs:       3,
 			Delay:       constDelay(long),
 			ComputeTime: func(_ int, _, units float64) float64 { return units },
+			MaxTime:     5,
 		}, []runenv.Body{
-			func(env runenv.Env) {
-				env.Send(1, 0, nil, 1)
-				env.Sleep(5)
-				env.Stop()
-			},
+			func(env runenv.Env) { env.Send(1, 0, nil, 1) },
 			func(env runenv.Env) {
 				_, ok := env.RecvWait()
 				received.Store(ok)

@@ -18,7 +18,6 @@ package rtime
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -66,7 +65,9 @@ type Link interface {
 	// is the Link's business; the sender has already been told the modeled
 	// arrival.
 	Send(m runenv.Msg)
-	// Stop asks the rest of the world to stop. It is called at most once.
+	// Stop asks the rest of the world to stop, because this World's
+	// time limit passed or its run was canceled; a stop that came in over
+	// the Link (StopLocal) is not echoed. It is called at most once.
 	Stop()
 }
 
@@ -81,7 +82,7 @@ type World struct {
 	stopped atomic.Bool
 	done    chan struct{} // closed when stopped is set
 	// firstStop is 0 until a stop begins, then 1 + the cause of the first
-	// (cause 0: a body's Env.Stop or the rest of the world's stop).
+	// (cause 0: the rest of the world's stop, through StopLocal).
 	firstStop atomic.Uint32
 
 	// cfg is written once, by RunRanks before it sets attached; arrivals
@@ -97,14 +98,13 @@ type World struct {
 // scheduler interleaved other processes (matching the vtime runtime's
 // per-process counters).
 type proc struct {
-	id  int
-	w   *World
-	rng *rand.Rand // made by the first Rand call
+	id int
+	w  *World
 	// seq is the sender-local event counter behind Msg.Seq; lastSend is the
 	// Msg.Seq of the primary copy of the most recent Send.
 	seq, lastSend uint64
-	// lastArrival is, by destination rank, the arrival of the last in-order
-	// Send: a later one never arrives before it (per-pair FIFO).
+	// lastArrival is, by destination rank, the FIFO state runenv.Decide
+	// keeps.
 	lastArrival []float64
 	timer       *time.Timer // paces the rank's waits
 
@@ -303,8 +303,8 @@ func (w *World) StopLocal() {
 
 // stop is the global stop: unless a stop began already, ask the rest of the
 // world, then stop here without waiting for the echo. cause is the
-// watchdog's or the cancel poller's reason, zero for a body's Env.Stop;
-// RunRanks reports the first stop's.
+// watchdog's or the cancel poller's reason; RunRanks reports the first
+// stop's.
 func (w *World) stop(cause runenv.StopCause) {
 	if w.firstStop.CompareAndSwap(0, uint32(cause)+1) && w.link != nil {
 		w.link.Stop()
@@ -379,40 +379,31 @@ func (e *env) Send(to, kind int, payload any, bytes int) float64 {
 		SendT: now, Seq: p.nextSeq(),
 	}
 	p.lastSend = m.Seq
-	if !w.hosts(to) {
-		// Hosted elsewhere: the real transport's latency replaces the
-		// modeled delay and any faults are the Link's (FaultHook decides
-		// local fates only). The modeled arrival is still returned, so
-		// sender-side pacing (the paper's Figure-4 mutual exclusion) behaves
-		// as on the other runtimes.
-		w.link.Send(m)
-		return now + delay
-	}
+	// A rank hosted elsewhere gets its message at transport speed, and any
+	// fault on the way is the Link's: FaultHook decides local fates only.
+	// Its sender is still told the modeled arrival, so sender-side pacing
+	// (the paper's Figure-4 mutual exclusion) behaves as on vtime.
+	remote := !w.hosts(to)
 	var f runenv.MsgFault
-	if w.cfg.FaultHook != nil {
+	if !remote && w.cfg.FaultHook != nil {
 		f = w.cfg.FaultHook(p.id, to, kind, bytes, now, delay)
 	}
-	for _, dd := range f.DupDelays {
+	fate := runenv.Decide(now, delay, f, p.lastArrival[to])
+	p.lastArrival[to] = fate.Last
+	if remote {
+		w.link.Send(m)
+		return fate.Arrival
+	}
+	if fate.Deliver {
+		m.RecvT = fate.Arrival
+		w.procs[to].post(m)
+	}
+	for i := 0; i < fate.Dups(); i++ {
 		dm := m
-		dm.Seq, dm.RecvT = p.nextSeq(), now+delay+dd
+		dm.Seq, dm.RecvT = p.nextSeq(), fate.DupArrival(i)
 		w.procs[to].post(dm)
 	}
-	arrival := now + delay + f.ExtraDelay
-	if f.Drop {
-		// Lost on the wire: the sender still observes a plausible arrival.
-		return arrival
-	}
-	// Duplicated and reordered copies arrive outside the per-pair FIFO
-	// order — reordering is the point of the fault.
-	if !f.Reorder {
-		if last := p.lastArrival[to]; arrival <= last {
-			arrival = last + 1e-9 // keep modeled arrivals increasing
-		}
-		p.lastArrival[to] = arrival
-	}
-	m.RecvT = arrival
-	w.procs[to].post(m)
-	return arrival
+	return fate.Arrival
 }
 
 func (p *proc) nextSeq() uint64 {
@@ -465,18 +456,6 @@ func (e *env) Pending() int {
 }
 
 func (e *env) Stopped() bool { return e.p.w.stopped.Load() }
-
-func (e *env) Stop() { e.p.w.stop(0) }
-
-// Rand builds the generator on first use: the engine never draws from it, and
-// a source is 5 KB per rank. Only the rank's own goroutine touches it.
-func (e *env) Rand() *rand.Rand {
-	p := e.p
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.w.cfg.Seed + int64(p.id)*7919))
-	}
-	return p.rng
-}
 
 func (e *env) LastSendSeq() uint64 { return e.p.lastSend }
 

@@ -63,14 +63,13 @@ func TestWorkAdvancesModelTime(t *testing.T) {
 	}
 }
 
+// TestStopUnblocksReceivers: a receiver parked in RecvWait with nothing ever
+// coming is released when the world stops at its time limit.
 func TestStopUnblocksReceivers(t *testing.T) {
 	var unblocked atomic.Bool
 	r := Runner{Speedup: 10000}
-	r.Run(runenv.Config{}, []runenv.Body{
-		func(env runenv.Env) {
-			env.Sleep(0.01)
-			env.Stop()
-		},
+	r.Run(runenv.Config{MaxTime: 0.01}, []runenv.Body{
+		func(env runenv.Env) { env.Sleep(1) },
 		func(env runenv.Env) {
 			_, ok := env.RecvWait()
 			unblocked.Store(!ok && env.Stopped())

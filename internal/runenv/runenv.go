@@ -10,11 +10,7 @@
 // cluster/grid used in the paper.
 package runenv
 
-import (
-	"math/rand"
-
-	"aiac/internal/trace"
-)
+import "aiac/internal/trace"
 
 // Msg is a delivered message. The runtimes never copy payloads: Send hands
 // the payload over to the receiver, which may reuse its buffers, so a sender
@@ -50,12 +46,16 @@ const ControlKindBase = 100
 // rtime.
 //
 // Work and Sleep advance the caller's own clock and nothing else. What the
-// other processes did in the meantime — messages they sent, a Stop — becomes
-// visible at the caller's next Recv, RecvWait, Pending or Stopped, never in
-// between; under virtual time those calls (and Send, Stop, and Trace when
-// tracing is on) are the only points where a process hands control to the
-// scheduler. A process that only ever calls Work after somebody else's Stop
-// therefore keeps advancing its own clock until it next looks.
+// other processes did in the meantime — messages they sent — and a stop of
+// the world become visible at the caller's next Recv, RecvWait, Pending or
+// Stopped, never in between; under virtual time those calls (and Send, and
+// Trace when tracing is on) are the only points where a process hands
+// control to the scheduler.
+//
+// A process cannot stop the world: it stops on its own (Config.MaxTime,
+// Config.Canceled, a virtual-time stall) or, for a world hosted in parts, when
+// another part stops. Nor does a process draw randomness from it: a body that
+// needs some brings its own seeded source.
 type Env interface {
 	// Rank returns this process's id in [0, NumProcs).
 	Rank() int
@@ -72,8 +72,8 @@ type Env interface {
 	// of node speed; like Work it observes nothing.
 	Sleep(seconds float64)
 	// Send delivers payload to process `to` after the modeled link delay
-	// and returns the arrival time. Sends never block and are reliable
-	// and FIFO per (from, to) pair.
+	// and returns the arrival time (see Decide). Sends never block and are
+	// reliable and FIFO per (from, to) pair unless a FaultHook says otherwise.
 	Send(to, kind int, payload any, bytes int) (arrival float64)
 	// Recv pops the oldest pending message, if any, without blocking. A
 	// message is pending once its arrival (Msg.RecvT) has passed.
@@ -86,12 +86,6 @@ type Env interface {
 	// process's clock; processes should unwind promptly once it returns
 	// true.
 	Stopped() bool
-	// Stop requests a global stop of the world (idempotent). It takes
-	// effect at the caller's clock: events of other processes that sort
-	// before it still happen.
-	Stop()
-	// Rand returns this process's deterministic private RNG.
-	Rand() *rand.Rand
 	// LastSendSeq returns the Msg.Seq assigned to the primary copy of the
 	// most recent Send by this process (0 before any send). Together with
 	// the rank it forms the causal message identity recorded in traces.
@@ -156,8 +150,6 @@ type Config struct {
 	// deliveries with queue depth and latency). A nil Observer costs the
 	// runtimes one pointer check per delivery and no allocations.
 	Observer Observer
-	// Seed seeds the per-process RNGs (process i uses Seed + i).
-	Seed int64
 	// Trace, when non-nil, collects events emitted via Env.Trace.
 	Trace *trace.Log
 	// MaxTime, when > 0, is the time limit: the runtime stops the world
@@ -172,7 +164,8 @@ type Config struct {
 	// is not deterministic; everything up to the stop still is.
 	Canceled func() bool
 	// OnStop, when non-nil, is told why the runtime stopped the world
-	// itself (never for a body's Env.Stop; under rtime, the first stop's):
+	// itself (never for a stop that reached it from another part of the
+	// world; under rtime, the first stop's):
 	// at most once, on the goroutine that called Run, before Run returns.
 	// A run is the same with or without it.
 	OnStop func(StopCause)
@@ -205,6 +198,56 @@ type MsgFault struct {
 	// copies bypass the per-pair FIFO order.
 	DupDelays []float64
 }
+
+// Fate is what becomes of one Send, as Decide works it out.
+type Fate struct {
+	// Arrival is what Send reports: the primary copy's arrival, or, for a
+	// dropped copy, when it would have arrived.
+	Arrival float64
+	// Deliver is false when the primary copy is lost.
+	Deliver bool
+	// Last is the sender's FIFO state for the destination after the send.
+	Last float64
+	base float64   // send time + link delay, the duplicates' origin
+	dups []float64 // the fault's DupDelays
+}
+
+// Decide works out the fate of a send made at now over a link of the given
+// delay, under fault f, when the sender's last in-order copy to the same
+// destination arrives at last (0 before any). Every runtime calls it, so a
+// send has the same fate wherever it is hosted:
+//
+//   - a copy that is not reordered never arrives before the previous one,
+//     though it may arrive at the same time;
+//   - a dropped copy reports that clamped arrival but leaves the FIFO state
+//     as it was, since it constrains nothing that follows;
+//   - a reordered copy is neither clamped nor recorded;
+//   - duplicates arrive at now + delay + their extra delay, outside FIFO
+//     order: an independently delayed copy arriving out of order is the
+//     reordering the engine must tolerate.
+//
+// A send to a rank hosted elsewhere is decided with the zero MsgFault: the
+// transport replaces the modeled delay, but the sender is told the same
+// clamped arrival.
+func Decide(now, delay float64, f MsgFault, last float64) Fate {
+	base := now + delay
+	fate := Fate{Arrival: base + f.ExtraDelay, Deliver: !f.Drop, Last: last, base: base, dups: f.DupDelays}
+	if !f.Reorder {
+		if fate.Arrival < last {
+			fate.Arrival = last
+		}
+		if !f.Drop {
+			fate.Last = fate.Arrival
+		}
+	}
+	return fate
+}
+
+// Dups returns the number of duplicate copies.
+func (f Fate) Dups() int { return len(f.dups) }
+
+// DupArrival returns the arrival of duplicate copy i.
+func (f Fate) DupArrival(i int) float64 { return f.base + f.dups[i] }
 
 // Normalize fills in defaults for missing hooks: unit-speed nodes and
 // zero-delay links.

@@ -73,3 +73,44 @@ func TestNormalize(t *testing.T) {
 }
 
 func boolPtr(b bool) *bool { return &b }
+
+// TestDecide pins the fate rule row by row: a copy that is not reordered is
+// clamped to the last in-order arrival, equal allowed; a dropped one reports
+// the clamped arrival but moves no FIFO state; a reordered one is neither
+// clamped nor recorded; duplicates arrive at now + delay + their delay.
+func TestDecide(t *testing.T) {
+	cases := []struct {
+		name            string
+		f               MsgFault
+		last            float64
+		arrival, newest float64 // Arrival and Last
+		deliver         bool
+	}{
+		{"unclamped", MsgFault{}, 2, 11, 11, true},
+		{"clamped-to-equal", MsgFault{}, 20, 20, 20, true},
+		{"extra-delay", MsgFault{ExtraDelay: 4}, 2, 15, 15, true},
+		{"drop-unclamped", MsgFault{Drop: true}, 2, 11, 2, false},
+		{"drop-clamped", MsgFault{Drop: true}, 20, 20, 20, false},
+		{"reorder-not-clamped", MsgFault{Reorder: true}, 20, 11, 20, true},
+		{"reorder-not-recorded", MsgFault{Reorder: true, ExtraDelay: 30}, 20, 41, 20, true},
+		{"dup-primary-clamped", MsgFault{DupDelays: []float64{0.5, 3}}, 20, 20, 20, true},
+	}
+	for _, c := range cases {
+		got := Decide(10, 1, c.f, c.last)
+		if got.Arrival != c.arrival || got.Last != c.newest || got.Deliver != c.deliver {
+			t.Errorf("%s: arrival %v last %v deliver %v, want %v %v %v",
+				c.name, got.Arrival, got.Last, got.Deliver, c.arrival, c.newest, c.deliver)
+		}
+		if got.Dups() != len(c.f.DupDelays) {
+			t.Errorf("%s: %d duplicates, want %d", c.name, got.Dups(), len(c.f.DupDelays))
+		}
+		for i, dd := range c.f.DupDelays {
+			if at := got.DupArrival(i); at != 11+dd {
+				t.Errorf("%s: duplicate %d arrives at %v, want %v", c.name, i, at, 11+dd)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Decide(10, 1, MsgFault{DupDelays: []float64{1}}, 20) }); n != 0 {
+		t.Errorf("Decide allocates %v times per call", n)
+	}
+}

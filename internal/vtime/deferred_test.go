@@ -9,42 +9,10 @@ import (
 	"aiac/internal/runenv"
 )
 
-// Contract tests for deferred wakes (see proc.advance / proc.sync): where a
-// stop takes effect, cancellation latency, and the hand-off count the
-// deferral exists to reduce. TestGoldenEquivalence is the proof that deferral
+// Contract tests for deferred wakes (see proc.advance / proc.sync):
+// cancellation latency and the hand-off count the deferral exists to reduce. TestGoldenEquivalence is the proof that deferral
 // is invisible and TestMaxTimeInsideWorkBurst pins the time-limit fallback;
 // these pin the rest of the edges.
-
-// TestStopTakesEffectAtCallersClock: a process that ran ahead on deferred
-// Work and then calls Stop() stops the world at its own clock — the other
-// process's events with smaller keys still run first.
-func TestStopTakesEffectAtCallersClock(t *testing.T) {
-	var seen []float64 // clocks at which process 1 found the world running
-	var stoppedAt float64
-	New(runenv.Config{}).Run([]runenv.Body{
-		func(env runenv.Env) {
-			for i := 0; i < 5; i++ {
-				env.Work(1)
-			}
-			env.Stop()
-		},
-		func(env runenv.Env) {
-			for {
-				env.Work(1)
-				if env.Stopped() {
-					stoppedAt = env.Now()
-					return
-				}
-				seen = append(seen, env.Now())
-			}
-		},
-	})
-	// Process 0's wake at t=5 sorts before process 1's (same time, lower
-	// source), so process 1 sees the stop at its own t=5 and not before.
-	if len(seen) != 4 || seen[3] != 4 || stoppedAt != 5 {
-		t.Fatalf("process 1 ran at %v and saw the stop at t=%g; want [1 2 3 4] and 5", seen, stoppedAt)
-	}
-}
 
 // sweepBody is the shape of an engine iteration: k units of compute, one
 // boundary send, then a look at the mailbox.

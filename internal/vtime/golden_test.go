@@ -123,7 +123,6 @@ func (gw goldenWorld) run() string {
 	obsHash := sha256.New()
 	log := &trace.Log{}
 	cfg := runenv.Config{
-		Seed:     gw.seed,
 		Trace:    log,
 		Observer: goldenObserver{obsHash},
 		MaxTime:  gw.maxTime,
@@ -140,7 +139,8 @@ func (gw goldenWorld) run() string {
 	for i := range bodies {
 		h := sha256.New()
 		logs[i] = h
-		bodies[i] = func(env runenv.Env) { goldenBody(env, h, gw.rounds) }
+		r := rand.New(rand.NewSource(gw.seed + int64(i)*7919))
+		bodies[i] = func(env runenv.Env) { goldenBody(env, r, h, gw.rounds) }
 	}
 	cause := recordStop(&cfg)
 	s := New(cfg)
@@ -164,9 +164,8 @@ func (gw goldenWorld) run() string {
 }
 
 // goldenBody is the random process program: every op is drawn from the
-// process's private RNG, and everything the process can see goes into h.
-func goldenBody(env runenv.Env, h hash.Hash, rounds int) {
-	r := env.Rand()
+// process's private RNG r, and everything the process can see goes into h.
+func goldenBody(env runenv.Env, r *rand.Rand, h hash.Hash, rounds int) {
 	me := env.Rank()
 	n := env.NumProcs()
 	now := func() { hashFloat(h, env.Now()) }

@@ -16,13 +16,13 @@
 // consume the counter their wake event would have carried, but schedule
 // nothing; the one wake that matters — the last — is scheduled (and the
 // process yields) on entry to the next call that looks at or acts on anything
-// outside the process: Recv, RecvWait, Pending, Stopped, Stop, Send (the
-// Delay and FaultHook hooks may keep state that several senders share),
-// Trace when tracing is on, and the body's return. Now, Rand and
-// LastSendSeq do not yield. The execution is bit-identical to scheduling
-// every wake (see proc.advance, proc.sync and DESIGN.md §9.4), at a
-// fraction of the hand-offs: between two such calls a process sees nothing,
-// so its intermediate wakes only ever handed control back and forth.
+// outside the process: Recv, RecvWait, Pending, Stopped, Send (the Delay and
+// FaultHook hooks may keep state that several senders share), Trace when
+// tracing is on, and the body's return. Now and LastSendSeq do not yield.
+// The execution is bit-identical to scheduling every wake (see proc.advance,
+// proc.sync and DESIGN.md §9.4), at a fraction of the hand-offs: between two
+// such calls a process sees nothing, so its intermediate wakes only ever
+// handed control back and forth.
 //
 // The scheduler is sequential: exactly one process executes at any moment.
 // Hosts with several cores are filled with whole runs instead (the
@@ -33,7 +33,6 @@ package vtime
 import (
 	"fmt"
 	"iter"
-	"math/rand"
 
 	"aiac/internal/runenv"
 	"aiac/internal/trace"
@@ -139,10 +138,11 @@ type proc struct {
 	// deferred is the counter of the most recent Work/Sleep wake that was
 	// applied to clock without being scheduled (0: none); see sync.
 	deferred uint64
+	// lastArrival is, by destination, the FIFO state runenv.Decide keeps.
+	lastArrival []float64
 	// handoffs counts runProc calls for this process; read by the tests and
 	// BenchmarkSweep (export_test.go).
 	handoffs int64
-	rng      *rand.Rand // made by the first Rand call
 	sched    *Scheduler
 }
 
@@ -174,10 +174,6 @@ type Scheduler struct {
 	stopped bool
 	// live counts processes whose body has not returned.
 	live int
-	// fifo tracks the last arrival time per (from,to) pair — flat,
-	// fifo[from*procs+to] — to keep per-pair delivery FIFO even if the
-	// delay model is not monotone in message size.
-	fifo []float64
 }
 
 // New creates a scheduler for the given configuration.
@@ -201,13 +197,9 @@ func (s *Scheduler) Run(bodies []runenv.Body) float64 {
 		var cause runenv.StopCause
 		switch {
 		case s.events.Len() == 0:
-			// No future events: either a live process waits on a message
-			// that will never come (a stall), or one is stopped mid-unwind.
-			for _, p := range s.procs {
-				if !p.finished && p.waiting {
-					cause = runenv.StopStalled
-				}
-			}
+			// No future events: every live process waits in RecvWait on a
+			// message that will never come.
+			cause = runenv.StopStalled
 		case s.cfg.MaxTime > 0 && s.events[0].t > s.cfg.MaxTime:
 			cause = runenv.StopMaxTime
 		case s.cfg.Canceled != nil && s.cfg.Canceled():
@@ -216,7 +208,7 @@ func (s *Scheduler) Run(bodies []runenv.Body) float64 {
 			s.exec(s.events.popEv())
 			continue
 		}
-		if cause != 0 && s.cfg.OnStop != nil {
+		if s.cfg.OnStop != nil {
 			s.cfg.OnStop(cause)
 		}
 		s.stopWorld()
@@ -230,17 +222,19 @@ func (s *Scheduler) Run(bodies []runenv.Body) float64 {
 // detection control), so the hot path does not grow them.
 const eventsPerProc = 8
 
-// setup builds the process set, the event heap and the per-pair FIFO table.
+// setup builds the process set, with each sender's FIFO state cut from one
+// array, and the event heap.
 func (s *Scheduler) setup(bodies []runenv.Body) {
 	n := len(bodies)
 	s.procs = make([]*proc, n)
-	s.fifo = make([]float64, n*n)
+	fifo := make([]float64, n*n)
 	s.live = n
 	for i := range bodies {
 		p := &proc{
-			id:      i,
-			mailbox: make([]runenv.Msg, 0, eventsPerProc),
-			sched:   s,
+			id:          i,
+			mailbox:     make([]runenv.Msg, 0, eventsPerProc),
+			lastArrival: fifo[i*n : (i+1)*n : (i+1)*n],
+			sched:       s,
 		}
 		s.procs[i] = p
 		body := bodies[i]
@@ -358,7 +352,7 @@ func (p *proc) yield() {
 
 // env adapts a proc to runenv.Env. All methods are called only while the
 // process is the single running process, so the state they touch (the heap,
-// the proc itself, the fifo table) needs no locking.
+// the proc itself) needs no locking.
 type env struct {
 	p *proc
 }
@@ -413,8 +407,8 @@ func (p *proc) advance(d float64) {
 // sync makes the process current with the world: if its clock ran ahead on
 // deferred wakes, the last of them is scheduled now, under the key it would
 // always have had, and the process yields until the scheduler reaches it.
-// Every event with a smaller key — deliveries into this mailbox, other
-// processes' stops — has then been executed, as if each wake had been.
+// Every event with a smaller key — deliveries into this mailbox above all —
+// has then been executed, as if each wake had been.
 func (p *proc) sync() {
 	if p.deferred == 0 {
 		return
@@ -446,35 +440,22 @@ func (e *env) Send(to, kind int, payload any, bytes int) float64 {
 	if s.cfg.FaultHook != nil {
 		f = s.cfg.FaultHook(p.id, to, kind, bytes, p.clock, delay)
 	}
-	arrival := p.clock + delay + f.ExtraDelay
-	fi := p.id*len(s.procs) + to
-	if !f.Reorder {
-		if last := s.fifo[fi]; arrival < last {
-			arrival = last
-		}
-		// A dropped message never arrives, so it must not constrain the
-		// arrival times of later (delivered) messages on the link.
-		if !f.Drop {
-			s.fifo[fi] = arrival
-		}
-	}
+	fate := runenv.Decide(p.clock, delay, f, p.lastArrival[to])
+	p.lastArrival[to] = fate.Last
 	m := runenv.Msg{
 		From: p.id, To: to, Kind: kind, Payload: payload, Bytes: bytes,
 		SendT: p.clock, Seq: p.nextCnt(),
 	}
 	p.lastSend = m.Seq
-	if !f.Drop {
-		s.events.pushEv(event{t: arrival, src: p.id, cnt: m.Seq, kind: evDeliver, proc: to, msg: m})
+	if fate.Deliver {
+		s.events.pushEv(event{t: fate.Arrival, src: p.id, cnt: m.Seq, kind: evDeliver, proc: to, msg: m})
 	}
-	// Duplicate copies ride outside the FIFO clamp: an independently
-	// delayed copy arriving out of order is exactly the reordering fault
-	// the engine must tolerate.
-	for _, dd := range f.DupDelays {
+	for i := 0; i < fate.Dups(); i++ {
 		dm := m
 		dm.Seq = p.nextCnt()
-		s.events.pushEv(event{t: p.clock + delay + dd, src: p.id, cnt: dm.Seq, kind: evDeliver, proc: to, msg: dm})
+		s.events.pushEv(event{t: fate.DupArrival(i), src: p.id, cnt: dm.Seq, kind: evDeliver, proc: to, msg: dm})
 	}
-	return arrival
+	return fate.Arrival
 }
 
 func (e *env) Recv() (runenv.Msg, bool) {
@@ -507,21 +488,6 @@ func (e *env) Pending() int {
 func (e *env) Stopped() bool {
 	e.p.sync()
 	return e.stopped()
-}
-
-func (e *env) Stop() {
-	e.p.sync() // the stop takes effect at the caller's clock, not before
-	e.p.sched.stopped = true
-}
-
-// Rand builds the generator on first use: the engine never draws from it, and
-// a source is 5 KB per process.
-func (e *env) Rand() *rand.Rand {
-	p := e.p
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.sched.cfg.Seed + int64(p.id)*7919))
-	}
-	return p.rng
 }
 
 func (e *env) LastSendSeq() uint64 { return e.p.lastSend }

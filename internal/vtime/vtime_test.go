@@ -151,20 +151,21 @@ func TestMaxTimeStopsWorld(t *testing.T) {
 	}
 }
 
+// TestStopPropagates: a process parked in RecvWait with nothing ever coming
+// is released by the time limit another process passes.
 func TestStopPropagates(t *testing.T) {
 	var other bool
-	New(runenv.Config{}).Run([]runenv.Body{
-		func(env runenv.Env) {
-			env.Sleep(1)
-			env.Stop()
-		},
+	cfg := runenv.Config{MaxTime: 1}
+	cause := recordStop(&cfg)
+	New(cfg).Run([]runenv.Body{
+		func(env runenv.Env) { env.Sleep(2) },
 		func(env runenv.Env) {
 			_, ok := env.RecvWait()
 			other = !ok && env.Stopped()
 		},
 	})
-	if !other {
-		t.Fatal("second process should observe the stop")
+	if !other || *cause != runenv.StopMaxTime {
+		t.Fatalf("second process released %v, stop cause %d; want released by StopMaxTime", other, *cause)
 	}
 }
 
@@ -188,14 +189,13 @@ func TestDeterminism(t *testing.T) {
 	run := func() (float64, []trace.Event) {
 		log := &trace.Log{}
 		cfg := runenv.Config{
-			Seed:  42,
 			Trace: log,
 			Delay: func(from, to, bytes int, _ float64) float64 { return 0.01 * float64(1+(from+to)%3) },
 		}
 		bodies := make([]runenv.Body, 4)
 		for i := range bodies {
+			r := rand.New(rand.NewSource(42 + int64(i)*7919))
 			bodies[i] = func(env runenv.Env) {
-				r := env.Rand()
 				for k := 0; k < 20; k++ {
 					env.Work(r.Float64() * 100)
 					to := r.Intn(env.NumProcs())
@@ -255,7 +255,6 @@ func TestPerPairFIFOProperty(t *testing.T) {
 		n := 2 + rng.Intn(4)
 		sends := 30
 		cfg := runenv.Config{
-			Seed: seed,
 			Delay: func(from, to, bytes int, _ float64) float64 {
 				return float64(bytes%17) * 0.01
 			},
@@ -264,8 +263,8 @@ func TestPerPairFIFOProperty(t *testing.T) {
 		recvd := make([][]rec, n)
 		bodies := make([]runenv.Body, n)
 		for i := 0; i < n; i++ {
+			r := rand.New(rand.NewSource(seed + int64(i)*7919))
 			bodies[i] = func(env runenv.Env) {
-				r := env.Rand()
 				for k := 0; k < sends; k++ {
 					to := r.Intn(n)
 					env.Send(to, k, nil, 1+r.Intn(100))
@@ -297,29 +296,6 @@ func TestPerPairFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRandIsPerProcessDeterministic(t *testing.T) {
-	sample := func() [][]float64 {
-		out := make([][]float64, 3)
-		bodies := make([]runenv.Body, 3)
-		for i := range bodies {
-			bodies[i] = func(env runenv.Env) {
-				for k := 0; k < 5; k++ {
-					out[env.Rank()] = append(out[env.Rank()], env.Rand().Float64())
-				}
-			}
-		}
-		New(runenv.Config{Seed: 7}).Run(bodies)
-		return out
-	}
-	a, b := sample(), sample()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("per-process RNG streams not deterministic")
-	}
-	if reflect.DeepEqual(a[0], a[1]) {
-		t.Fatal("different processes should get different RNG streams")
 	}
 }
 
