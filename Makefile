@@ -4,7 +4,7 @@ GO ?= go
 # every target with an error instead of downloading a newer one.
 export GOTOOLCHAIN := local
 
-.PHONY: build test vet race loc bench check test-faults test-dist test-svc test-trace-dist fmt-check doc-check dep-check report critpath cover flakes quick-golden
+.PHONY: build test vet race loc bench check test-faults test-dist test-svc test-trace-dist fmt-check doc-check dep-check report critpath cover flakes quick-golden results
 
 build:
 	$(GO) build ./...
@@ -28,10 +28,11 @@ bench:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
 # The control-plane acceptance suite under -race: run registry durability
-# and rescan, fair queuing and quotas, the HTTP API lifecycle, SSE replay
-# determinism, and aiacrun's signal-sealing contract (see DESIGN.md §12);
-# then the fuzzers of the bytes it serves: the SSE replay and reader, and
-# the telemetry export reader.
+# and its lazily read index (an open that reads no manifest, concurrent first
+# reads of one run), fair queuing and quotas, the HTTP API lifecycle, SSE
+# replay determinism, and aiacrun's signal-sealing contract (see DESIGN.md
+# §12); then the fuzzers of the bytes it serves: the SSE replay and reader,
+# and the telemetry export reader.
 test-svc:
 	$(GO) test -race -timeout 30m ./internal/obs/ ./internal/report/ ./cmd/aiacrun/
 	$(GO) test -race -run NONE -fuzz FuzzStream -fuzztime 10s ./internal/report/
@@ -160,6 +161,13 @@ cover:
 # meant to move a number: the diff of the rewritten files is its record.
 quick-golden:
 	$(GO) test -count=1 -run '^TestAllQuick$$' ./internal/experiments/ -update
+
+# The full-scale artifacts EXPERIMENTS.md embeds must be what paperexp prints
+# today: reruns the full suite (and the quick diagnostics) into a temporary
+# directory and fails with a diff for each stale report. Not in check: the
+# full suite takes about 6 min on two cores.
+results:
+	GO="$(GO)" sh scripts/results-check.sh
 
 # Non-test Go lines, in total and outside bench/: the figure every PR reports
 # before and after (ROADMAP aim 2).

@@ -274,8 +274,8 @@ type ServiceConfig = obs.ServiceConfig
 type RunSpec = obs.RunSpec
 type SchedulerConfig = obs.SchedulerConfig
 
-// NewService opens the run registry under cfg.Root (rescanning recovers
-// completed runs from a previous process) and starts the solver pool.
+// NewService opens the run registry under cfg.Root (completed runs of a
+// previous process are recovered on first use) and starts the solver pool.
 func NewService(cfg ServiceConfig) (*Service, error) { return obs.NewService(cfg) }
 
 // ServeService serves a Service's control-plane API on addr; the listener

@@ -76,8 +76,8 @@ func extract5(b []byte, shift uint) byte {
 }
 
 // ValidID reports whether s looks like a ULID this package issued: 26
-// Crockford base32 chars, first char <= '7'. Registry rescans use it to
-// skip foreign directories.
+// Crockford base32 chars, first char <= '7'. OpenRegistry uses it to skip
+// foreign directories.
 func ValidID(s string) bool {
 	if len(s) != 26 || s[0] > '7' {
 		return false

@@ -21,11 +21,13 @@ import (
 // The dashboard is not stored: GET /runs/{id}/report renders it from
 // metrics.jsonl on request.
 //
-// The in-memory index is rebuilt from the manifest.json sidecars on open,
-// so a restarted service recovers every completed run; runs that were
-// queued or running when the previous process died are marked "lost" —
-// their worker is gone, and an honest terminal state beats a forever-stale
-// "running".
+// Opening a registry lists the root and nothing more: each run directory
+// enters the in-memory index unread, and its manifest.json is read the first
+// time a Get or List reaches it, so a restarted service is ready in the time
+// of one directory listing and still recovers every completed run. Runs that
+// were queued or running when the previous process died are marked "lost" on
+// that first read — their worker is gone, and an honest terminal state beats
+// a forever-stale "running".
 
 // RunState is a run's lifecycle state.
 type RunState string
@@ -69,8 +71,9 @@ type RunRecord struct {
 	Outcome *metrics.Outcome `json:"outcome,omitempty"`
 	// Artifacts lists the sidecar files in the run's directory
 	// (metrics.jsonl, trace.csv): the ones the run wrote when it ended.
-	// Rescan rebuilds it from disk, so a restarted service recovers a traced
-	// run's trace.csv exactly like its telemetry export.
+	// The first read after a restart rebuilds it from disk, so a restarted
+	// service recovers a traced run's trace.csv exactly like its telemetry
+	// export.
 	Artifacts []string `json:"artifacts,omitempty"`
 }
 
@@ -79,19 +82,28 @@ type RunRecord struct {
 type Registry struct {
 	root string
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// runs maps every known run ID to its record. A nil record is a run
+	// directory found on open whose manifest has not been read yet (lookup).
 	runs map[string]*RunRecord
 }
 
-// OpenRegistry creates root if needed and rebuilds the index from the
-// manifest sidecars already there (see Rescan).
+// OpenRegistry creates root if needed and lists it: every directory named
+// by a ULID enters the index unread. It reads no manifest; Get and List read
+// each one on first use.
 func OpenRegistry(root string) (*Registry, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: registry root: %w", err)
 	}
-	r := &Registry{root: root, runs: map[string]*RunRecord{}}
-	if err := r.Rescan(); err != nil {
-		return nil, err
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return nil, fmt.Errorf("obs: registry root: %w", err)
+	}
+	r := &Registry{root: root, runs: make(map[string]*RunRecord, len(entries))}
+	for _, e := range entries {
+		if e.IsDir() && ValidID(e.Name()) {
+			r.runs[e.Name()] = nil
+		}
 	}
 	return r, nil
 }
@@ -102,42 +114,34 @@ func (r *Registry) Root() string { return r.root }
 // Dir returns the artifact directory of a run.
 func (r *Registry) Dir(id string) string { return filepath.Join(r.root, id) }
 
-// Rescan rebuilds the in-memory index from disk. Directories whose name is
-// not a ULID or that hold no parseable manifest.json are skipped;
-// recovered runs in a non-terminal state are marked lost (and the demotion
-// is written back, so the next rescan agrees).
-func (r *Registry) Rescan() error {
-	entries, err := os.ReadDir(r.root)
-	if err != nil {
-		return fmt.Errorf("obs: rescan: %w", err)
+// lookup returns the indexed record of id, reading its manifest.json on
+// first use; nil means no such run. A directory without a parseable manifest
+// naming it (a half-written run dir, junk) holds no run and leaves the index.
+// A run read in a non-terminal state is marked lost, and the demotion is
+// written back, so the next process agrees. r.mu must be held: it also keeps
+// two first reads of one run from writing its demotion at once.
+func (r *Registry) lookup(id string) *RunRecord {
+	rec, ok := r.runs[id]
+	if !ok || rec != nil {
+		return rec
 	}
-	runs := map[string]*RunRecord{}
-	for _, e := range entries {
-		if !e.IsDir() || !ValidID(e.Name()) {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(r.root, e.Name(), "manifest.json"))
-		if err != nil {
-			continue // half-written run dir: ignore
-		}
-		rec := &RunRecord{}
-		if err := json.Unmarshal(b, rec); err != nil || rec.ID != e.Name() {
-			continue
-		}
-		if !rec.State.Terminal() {
-			rec.State = StateLost
-			writeRecord(r.Dir(rec.ID), rec) // best-effort demotion
-		}
-		// Disk is the source of truth for sidecars: a manifest written
-		// before the run finished (or by an older version without the
-		// field) would otherwise hide an existing trace.csv forever.
-		rec.Artifacts = ScanArtifacts(r.Dir(rec.ID))
-		runs[rec.ID] = rec
+	dir := r.Dir(id)
+	rec = &RunRecord{}
+	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil || json.Unmarshal(b, rec) != nil || rec.ID != id {
+		delete(r.runs, id)
+		return nil
 	}
-	r.mu.Lock()
-	r.runs = runs
-	r.mu.Unlock()
-	return nil
+	if !rec.State.Terminal() {
+		rec.State = StateLost
+		writeRecord(dir, rec) // best-effort demotion
+	}
+	// Disk is the source of truth for sidecars: a manifest written before
+	// the run finished (or by an older version without the field) would
+	// otherwise hide an existing trace.csv forever.
+	rec.Artifacts = ScanArtifacts(dir)
+	r.runs[id] = rec
+	return rec
 }
 
 // Put creates or updates a run's record, durably (atomic tmp+rename of its
@@ -173,19 +177,24 @@ func writeRecord(dir string, rec *RunRecord) error {
 func (r *Registry) Get(id string) (RunRecord, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec, ok := r.runs[id]
-	if !ok {
+	rec := r.lookup(id)
+	if rec == nil {
 		return RunRecord{}, false
 	}
 	return *rec, true
 }
 
 // List returns all records sorted by ID (= submission order, ULIDs being
-// time-ordered), optionally filtered by tenant and/or state ("" = any).
+// time-ordered), optionally filtered by tenant and/or state ("" = any). The
+// first List after a restart reads every run's manifest.
 func (r *Registry) List(tenant string, state RunState) []RunRecord {
 	r.mu.Lock()
 	out := make([]RunRecord, 0, len(r.runs))
-	for _, rec := range r.runs {
+	for id := range r.runs {
+		rec := r.lookup(id)
+		if rec == nil {
+			continue
+		}
 		if tenant != "" && rec.Tenant != tenant {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -149,4 +150,186 @@ func TestRegistryRescanSkipsJunk(t *testing.T) {
 	if len(list) != 1 || list[0].ID != good.ID {
 		t.Fatalf("rescan over junk = %+v, want just %s", list, good.ID)
 	}
+}
+
+// sealRuns puts n done runs into a registry over root, each with a
+// metrics.jsonl sidecar, and returns their IDs in order.
+func sealRuns(tb testing.TB, root string, n int) []string {
+	tb.Helper()
+	reg, err := OpenRegistry(root)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := make([]string, n)
+	for i := range ids {
+		rec := testRecord(StateDone)
+		rec.Artifacts = []string{"metrics.jsonl"}
+		if err := reg.Put(rec); err != nil {
+			tb.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(reg.Dir(rec.ID), "metrics.jsonl"), []byte("{}\n"), 0o644); err != nil {
+			tb.Fatal(err)
+		}
+		ids[i] = rec.ID
+	}
+	return ids
+}
+
+// TestRegistryOpenReadsNoManifest: opening lists the root and nothing more.
+// A manifest spoiled after the open is what the first read finds, and so is
+// a sidecar removed after it.
+func TestRegistryOpenReadsNoManifest(t *testing.T) {
+	root := t.TempDir()
+	ids := sealRuns(t, root, 3)
+	spoiled, stripped, intact := ids[0], ids[1], ids[2]
+	reg, err := OpenRegistry(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, spoiled, "manifest.json"), []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(root, stripped, "metrics.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, ok := reg.Get(spoiled); ok {
+		t.Fatalf("Get(%s) over a junk manifest = %+v, want not found", spoiled, got)
+	}
+	got, ok := reg.Get(stripped)
+	if !ok || got.State != StateDone || len(got.Artifacts) != 0 {
+		t.Fatalf("Get(%s) = %+v, %v; want done with no artifacts", stripped, got, ok)
+	}
+	list := reg.List("", "")
+	if len(list) != 2 || list[0].ID != stripped || list[1].ID != intact {
+		t.Fatalf("List = %+v, want %s and %s", list, stripped, intact)
+	}
+	if a := list[1].Artifacts; len(a) != 1 || a[0] != "metrics.jsonl" {
+		t.Fatalf("intact run's artifacts = %v, want [metrics.jsonl]", a)
+	}
+}
+
+// TestRegistryDemotionIsOnDisk: the first read of a run left queued by an
+// earlier registry writes the lost state into its manifest.json.
+func TestRegistryDemotionIsOnDisk(t *testing.T) {
+	root := t.TempDir()
+	reg, err := OpenRegistry(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := testRecord(StateQueued)
+	if err := reg.Put(queued); err != nil {
+		t.Fatal(err)
+	}
+	reg2, err := OpenRegistry(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reg2.Get(queued.ID); !ok || got.State != StateLost {
+		t.Fatalf("Get(%s) = %+v, %v; want lost", queued.ID, got, ok)
+	}
+	if state := manifestState(t, reg2.Dir(queued.ID)); state != StateLost {
+		t.Fatalf("manifest.json state = %s, want lost", state)
+	}
+}
+
+// manifestState parses the manifest.json in dir, failing the test if it
+// does not parse.
+func manifestState(t *testing.T, dir string) RunState {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec RunRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		t.Fatalf("manifest.json does not parse: %v\n%s", err, b)
+	}
+	return rec.State
+}
+
+// TestRegistryConcurrentFirstReads: callers racing to be the first to read
+// an unread running run all see it lost, and its demotion is written once,
+// whole, with no temporary file left behind.
+func TestRegistryConcurrentFirstReads(t *testing.T) {
+	root := t.TempDir()
+	reg, err := OpenRegistry(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := testRecord(StateRunning)
+	if err := reg.Put(running); err != nil {
+		t.Fatal(err)
+	}
+	reg2, err := OpenRegistry(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	seen := make(chan RunState, 2*callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			get := func() {
+				rec, _ := reg2.Get(running.ID)
+				seen <- rec.State
+			}
+			list := func() {
+				var state RunState
+				if l := reg2.List("", ""); len(l) == 1 {
+					state = l[0].State
+				}
+				seen <- state
+			}
+			if i%2 == 0 {
+				get()
+				list()
+			} else {
+				list()
+				get()
+			}
+		}()
+	}
+	wg.Wait()
+	close(seen)
+	for state := range seen {
+		if state != StateLost {
+			t.Fatalf("a caller saw state %q, want lost", state)
+		}
+	}
+	dir := reg2.Dir(running.ID)
+	if state := manifestState(t, dir); state != StateLost {
+		t.Fatalf("manifest.json state = %s, want lost", state)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ".manifest.json.tmp")); !os.IsNotExist(err) {
+		t.Fatalf(".manifest.json.tmp left behind (stat error %v)", err)
+	}
+}
+
+// BenchmarkRegistryOpen times a restart over 250 sealed runs: the open
+// alone, and the open followed by a List that reads every run.
+func BenchmarkRegistryOpen(b *testing.B) {
+	const runs = 250
+	root := b.TempDir()
+	sealRuns(b, root, runs)
+	b.Run("open", func(b *testing.B) {
+		for range b.N {
+			if _, err := OpenRegistry(root); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("open+list", func(b *testing.B) {
+		for range b.N {
+			reg, err := OpenRegistry(root)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n := len(reg.List("", "")); n != runs {
+				b.Fatalf("List = %d runs, want %d", n, runs)
+			}
+		}
+	})
 }

@@ -40,7 +40,7 @@ type ServiceConfig struct {
 	Scheduler SchedulerConfig
 }
 
-// NewService opens (and rescans) the registry and starts the scheduler.
+// NewService opens the registry and starts the scheduler.
 func NewService(cfg ServiceConfig) (*Service, error) {
 	reg, err := OpenRegistry(cfg.Root)
 	if err != nil {

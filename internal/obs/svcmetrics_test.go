@@ -106,7 +106,7 @@ func TestRegistryArtifactsRecovered(t *testing.T) {
 	}
 
 	// Simulate a manifest written by an older version: strip the field on
-	// disk, then reopen. Rescan must rebuild it from the files.
+	// disk, then reopen. The first read must rebuild it from the files.
 	b, err := os.ReadFile(filepath.Join(reg.Dir(id), "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
