@@ -14,14 +14,15 @@ import (
 // TestTable1AllocBudget pins what the benchmark's vt-table1 solve
 // (bench/workloads.go, without the per-seed speed jitter) asks of the
 // allocator. The engine's data plane circulates its trajectory buffers and
-// boundary messages between neighbours instead of dropping them to the GC; a
-// path that starts dropping them again — a clone on a send, a message no one
-// keeps — changes no result and fails no other test. The budget is per solve
-// and a solve's count repeats exactly on virtual time: 800 096 bytes in
-// 3 270 allocations when it was set, from 2 127 992 in 16 023 before the
+// boundary messages through one list per run instead of dropping them to the
+// GC; a path that starts dropping them again — a clone on a send, a message
+// no one keeps, a list a node keeps to itself — changes no result and fails
+// no other test. The budget is per solve and a solve's count repeats exactly
+// on virtual time: 600 840 bytes in 2 564 allocations when it was set, from
+// 800 096 in 3 270 with a list per node, and 2 127 992 in 16 023 before the
 // data plane circulated.
 func TestTable1AllocBudget(t *testing.T) {
-	const maxBytes, maxAllocs = 1_000_000, 4000
+	const maxBytes, maxAllocs = 700_000, 2900
 	p := brusselator.DefaultParams(120, 0.005)
 	p.T = 0.25
 	lb := loadbalance.DefaultPolicy()

@@ -285,9 +285,17 @@ func RunDistWorker(cfg Config, wenv dtime.WorkerEnv, opts DistWorkerOptions) err
 	}
 	speedup := rtime.Speedup(opts.Speedup)
 	wrap, wireInj := wireFaults(&cfg, speedup, opts.WrapConn)
-	cfg.wire = &wireFree{trajLen: cfg.Problem.TrajLen(), poison: cfg.poisonFree}
+	nodes := 0
+	for _, rank := range wenv.Ranks {
+		if rank < cfg.P {
+			nodes++
+		}
+	}
+	// The codec's share is two ranks' worth: it keeps what it encodes and
+	// decodes into what the nodes let go of.
+	cfg.free = newRunFree(cfg.Problem.TrajLen(), nodes+2, cfg.poisonFree)
 	return dtime.RunWorker(wenv, dtime.WorkerOptions{
-		Codec:    Codec{free: cfg.wire},
+		Codec:    Codec{free: cfg.free},
 		Speedup:  speedup,
 		WrapConn: wrap,
 		ObsAddr:  opts.ObsAddr,

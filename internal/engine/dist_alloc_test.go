@@ -38,7 +38,7 @@ func TestDistDataPlaneAllocs(t *testing.T) {
 		}
 	}
 
-	pooled := Codec{free: &wireFree{trajLen: 21}}
+	pooled := Codec{free: newRunFree(21, 1, false)}
 	msg := &boundaryMsg{Iter: 7, Pos: 30, Comps: freshTrajs(3, 21), Load: 0.5}
 	msg.Comps[2][20] = 2.5
 	buf := make([]byte, 0, 1024)

@@ -282,7 +282,7 @@ func FuzzPayloadCodec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
 		kind := payloadKinds[int(k)%len(payloadKinds)]
-		free := &wireFree{trajLen: 3, poison: true}
+		free := newRunFree(3, 1, true)
 		free.putMsg(&boundaryMsg{Comps: [][]float64{{7, 7, 7}, {7, 7, 7}, {7, 7, 7}}})
 		free.putTraj([]float64{9, 9, 9})
 		pooled := Codec{free: free}

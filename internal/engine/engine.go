@@ -121,10 +121,10 @@ type Config struct {
 	// fewer sweeps but is inherently sequential — locally that
 	// sequentiality is free, so this is a pure win knob.
 	GaussSeidelLocal bool
-	// poisonFree fills every buffer entering a node's or a dist worker's free
-	// list with NaN, and every boundary message kept with an impossible
-	// position and tag and a NaN load, so that a read through a stale alias
-	// shows in the result. Tests only.
+	// poisonFree fills every buffer entering the run's list with NaN, and
+	// every boundary message kept there with an impossible position and tag
+	// and a NaN load, so that a read through a stale alias shows in the
+	// result. Tests only.
 	poisonFree bool
 	// LBWarmup is how many iterations to wait before the first balancing
 	// attempt (default: LB.Period).
@@ -188,10 +188,10 @@ type Config struct {
 	// and goes with the vt-table1-par workload (ROADMAP item 3(d)).
 	SimWorkers int
 
-	// wire is a dist worker's list of boundary messages and trajectory
-	// buffers, shared by its codec and its hosted nodes; RunDistWorker sets
-	// it, and it is nil on every other backend.
-	wire *wireFree
+	// free is the run's list of spent boundary messages and trajectory
+	// buffers, shared by its nodes and, on a dist worker, by its codec. Run
+	// and RunDistWorker set it; a node built on its own sets it in newNode.
+	free *runFree
 	// skipTally, when non-nil, receives every node's count of trajectory
 	// entries promised frozen and produced, so that sweeps which silently
 	// stop skipping fail a test, not a benchmark. Tests only.
@@ -365,6 +365,7 @@ func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 
 	p := cfg.P
+	cfg.free = newRunFree(cfg.Problem.TrajLen(), p, cfg.poisonFree)
 	var wallStart time.Time
 	if s := cfg.Metrics; s != nil {
 		wallStart = time.Now()

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"aiac/internal/detect"
 	"aiac/internal/fault"
@@ -74,12 +75,6 @@ type node struct {
 	// frozen / entries: how many trajectory entries the sweeps handed the
 	// problem as frozen, out of how many they produced (Config.skipTally).
 	frozen, entries int
-	// free holds up to maxFree trajectory buffers nothing else references;
-	// see recycle.
-	free [][]float64
-	// msgs holds up to maxFree boundary messages nothing else references,
-	// for sendBoundary's payloads; see keepMsg.
-	msgs []*boundaryMsg
 	// unique says no message of the run reaches its receiver twice: the
 	// fault plan, if any, duplicates nothing. See recycle.
 	unique bool
@@ -151,6 +146,11 @@ func newNode(env runenv.Env, cfg *Config, rank int) *node {
 		nbHaloIter: [2]int{-1, -1},
 		okToTry:    cfg.LBWarmup,
 		unique:     cfg.Faults == nil || cfg.Faults.Msg.Dup == 0,
+	}
+	if cfg.free == nil {
+		// A node built on its own, outside Run and RunDistWorker, starts
+		// the list its Config's other nodes will share.
+		cfg.free = newRunFree(n.trajLen, cfg.P, cfg.poisonFree)
 	}
 	n.getFn = n.get
 	n.det = &detect.Node{
@@ -583,45 +583,32 @@ func (n *node) dropMsg(b *boundaryMsg) {
 	n.keepMsg(b)
 }
 
-// keepMsg keeps a boundary message this node has read to the end for its own
-// next send, when no second copy of it can arrive: a duplicated copy is the
-// same *boundaryMsg, and would be read after the next send rewrote it. The
-// trajectories it carried are the caller's: in val, or recycled.
-// On a dist worker a message the list has no room for goes to the worker's.
+// keepMsg puts a boundary message this node has read to the end into the
+// run's list, for any node's next send, when no second copy of it can arrive:
+// a duplicated copy is the same *boundaryMsg, and would be read after the
+// next send rewrote it. The trajectories it carried are the caller's: in val,
+// or recycled.
 func (n *node) keepMsg(b *boundaryMsg) {
 	if !n.unique {
 		return
 	}
 	clear(b.Comps)
 	*b = boundaryMsg{Comps: b.Comps[:0]}
-	if len(n.msgs) >= maxFree {
-		n.cfg.wire.putMsg(b)
-		return
-	}
-	if n.cfg.poisonFree {
-		b.Iter, b.Pos, b.Load = math.MinInt, math.MinInt, math.NaN()
-	}
-	n.msgs = append(n.msgs, b)
+	n.cfg.free.putMsg(b)
 }
 
-// newMsg returns a boundary message with no trajectories: a kept one if there
-// is any, else one from the worker's list on a dist worker, whose buffers it
+// newMsg returns a boundary message with no trajectories: one from the run's
+// list, whose buffers (a dist worker's codec keeps a message with them) it
 // recycles, else a fresh one.
 func (n *node) newMsg() *boundaryMsg {
-	k := len(n.msgs) - 1
-	if k < 0 {
-		b := n.cfg.wire.getMsg()
-		for _, tr := range b.Comps {
-			n.recycle(tr)
-		}
-		clear(b.Comps)
-		if b.Comps = b.Comps[:0]; b.Comps == nil {
-			b.Comps = make([][]float64, 0, n.halo)
-		}
-		return b
+	b := n.cfg.free.getMsg()
+	for _, tr := range b.Comps {
+		n.recycle(tr)
 	}
-	b := n.msgs[k]
-	n.msgs = n.msgs[:k]
+	clear(b.Comps)
+	if b.Comps = b.Comps[:0]; b.Comps == nil {
+		b.Comps = make([][]float64, 0, n.halo)
+	}
 	return b
 }
 
@@ -747,56 +734,36 @@ func sameBuf(a, b []float64) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
-// maxFree bounds node.free, and with it what a node that integrates more
-// halos than it sends can park: maxFree × trajLen × 8 bytes. What does not
-// fit goes to the GC, as every replaced halo used to. On the Table-1 solve a
-// cap of 8 allocates 2.5 % more than this one, and 64 nothing less.
+// maxFree is how many trajectory buffers, and as many boundary messages, a
+// run's list keeps per rank it serves; a dist worker's list keeps 2 × maxFree
+// more of each for its codec. A node next to a faster neighbour integrates
+// more halos than it sends, and what it lets go of is what the neighbour
+// draws for the sends it cannot otherwise fill. What does not fit goes to the
+// GC. On the Table-1 solve a list bounded at 1 024 allocates no less.
 const maxFree = 32
 
-// recycle keeps tr for this node's next send or scratch buffer. A trajectory
-// buffer has one owner at a time — Env.Send hands a message's buffers to the
-// receiver, which adopts them by reference — so the caller must know that
-// nothing but this node can still reach tr: see recvBoundary's three rules,
-// dropOwnership, pruneVal and adopt. Under a plan that duplicates messages a
-// halo that arrived in one may have a second copy in flight, so only a
-// fresher halo may then evict it (rule 2); where n.unique holds, a halo is
-// this node's alone once integrated, and so are the buffers of a message it
-// drops. The list needs no lock (a node is one goroutine on every runtime)
-// and is no sync.Pool (the GC empties those, and the allocation count of a
-// virtual-time run would stop repeating). On a dist worker what it has no
-// room for goes to the worker's list (wireFree), which the codec decodes
-// arriving halos into. Out of scope: the halo entries restoreLB displaces,
-// and the trajectories of a transfer that is rejected or acked again (the
-// shipper's lbResendMsg may still send them), go to the GC.
+// recycle puts tr into the run's list, for any node's next send or scratch
+// buffer. A trajectory buffer has one owner at a time — Env.Send hands a
+// message's buffers to the receiver, which adopts them by reference — so the
+// caller must know that nothing but this node can still reach tr: see
+// recvBoundary's three rules, dropOwnership, pruneVal and adopt. Under a plan
+// that duplicates messages a halo that arrived in one may have a second copy
+// in flight, so only a fresher halo may then evict it (rule 2); where
+// n.unique holds, a halo is this node's alone once integrated, and so are the
+// buffers of a message it drops. Out of scope: the halo entries restoreLB
+// displaces, and the trajectories of a transfer that is rejected or acked
+// again (the shipper's lbResendMsg may still send them), go to the GC.
 func (n *node) recycle(tr []float64) {
-	// The length check also turns away the nil of an absent position.
-	if len(tr) != n.trajLen {
-		return
-	}
-	if len(n.free) >= maxFree {
-		n.cfg.wire.putTraj(tr)
-		return
-	}
-	if n.cfg.poisonFree {
-		poisonTraj(tr)
-	}
-	n.free = append(n.free, tr)
+	n.cfg.free.putTraj(tr)
 }
 
-// reuse returns a trajLen buffer of arbitrary contents: a recycled one if
-// there is any, else one from the worker's list on a dist worker, else a
-// fresh one.
+// reuse returns a trajLen buffer of arbitrary contents: one from the run's
+// list if it has any, else a fresh one.
 func (n *node) reuse() []float64 {
-	k := len(n.free) - 1
-	if k < 0 {
-		if tr := n.cfg.wire.getTraj(); tr != nil {
-			return tr
-		}
-		return make([]float64, n.trajLen)
+	if tr := n.cfg.free.getTraj(); tr != nil {
+		return tr
 	}
-	tr := n.free[k]
-	n.free = n.free[:k]
-	return tr
+	return make([]float64, n.trajLen)
 }
 
 // scratch returns a zeroed buf entry for a component this node adopts.
@@ -804,4 +771,104 @@ func (n *node) scratch() []float64 {
 	tr := n.reuse()
 	clear(tr)
 	return tr
+}
+
+// runFree is a run's list of spent boundary messages and loose trajLen
+// buffers: one per Run, one per dist worker, shared by every node it hosts
+// and, on a worker, by the codec. Whoever puts a message or a buffer in reads
+// it no more; a message may carry the buffers its Comps holds (the codec
+// keeps what it has encoded that way, and decodes arriving halos into them),
+// and a node recycles those when it draws the message. The nodes of an rtime
+// run, and a worker's connection reader, put and take concurrently, so a
+// mutex guards the list; under vtime it is never contended. It is no
+// sync.Pool: the GC empties those, and the allocation count of a
+// virtual-time run would stop repeating. A nil *runFree keeps nothing.
+type runFree struct {
+	mu      sync.Mutex
+	msgs    []*boundaryMsg
+	trajs   [][]float64
+	trajLen int
+	max     int // bound on msgs and on trajs, each
+	// poison fills what enters the list with NaN and impossible positions
+	// (Config.poisonFree).
+	poison bool
+}
+
+// newRunFree returns a list of trajLen buffers sized for ranks ranks.
+func newRunFree(trajLen, ranks int, poison bool) *runFree {
+	return &runFree{trajLen: trajLen, max: ranks * maxFree, poison: poison}
+}
+
+// putMsg keeps b, with the buffers its Comps holds, for a later send or
+// decode.
+func (f *runFree) putMsg(b *boundaryMsg) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.msgs) >= f.max {
+		return
+	}
+	if f.poison {
+		b.Iter, b.Pos, b.Load = math.MinInt, math.MinInt, math.NaN()
+		for _, tr := range b.Comps {
+			poisonTraj(tr)
+		}
+	}
+	f.msgs = append(f.msgs, b)
+}
+
+// getMsg returns a kept boundary message, buffers and all, or a new empty
+// one.
+func (f *runFree) getMsg() *boundaryMsg {
+	if f != nil {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if k := len(f.msgs) - 1; k >= 0 {
+			b := f.msgs[k]
+			f.msgs = f.msgs[:k]
+			return b
+		}
+	}
+	return &boundaryMsg{}
+}
+
+// putTraj keeps tr as a loose buffer, if it is trajLen long (which also
+// turns away the nil of an absent position).
+func (f *runFree) putTraj(tr []float64) {
+	if f == nil || len(tr) != f.trajLen {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.trajs) >= f.max {
+		return
+	}
+	if f.poison {
+		poisonTraj(tr)
+	}
+	f.trajs = append(f.trajs, tr)
+}
+
+// getTraj returns a loose trajLen buffer of arbitrary contents, or nil.
+func (f *runFree) getTraj() []float64 {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	k := len(f.trajs) - 1
+	if k < 0 {
+		return nil
+	}
+	tr := f.trajs[k]
+	f.trajs = f.trajs[:k]
+	return tr
+}
+
+func poisonTraj(tr []float64) {
+	for i := range tr {
+		tr[i] = math.NaN()
+	}
 }

@@ -265,40 +265,73 @@ func freshTrajs(n, trajLen int) [][]float64 {
 }
 
 // TestFreeListBounded feeds a node far more halos than it ever sends — a slow
-// rank next to a fast one — and checks that what it parks stays within
-// maxFree buffers, and that its sends then drain the list.
+// rank next to a fast one — and checks that what the run's list keeps stays
+// within its bound, and that the node's sends then drain the list.
 func TestFreeListBounded(t *testing.T) {
 	prob, _ := smallBruss()
 	cfg := baseConfig(prob, 2).withDefaults()
 	n := newNode(clockEnv{}, &cfg, 0)
-	for it := 0; it < 10*maxFree; it++ {
+	free := cfg.free
+	if free.max != cfg.P*maxFree {
+		t.Fatalf("a %d-rank run's list is bounded at %d, want %d", cfg.P, free.max, cfg.P*maxFree)
+	}
+	for it := 0; it < 10*free.max; it++ {
 		n.recvBoundary(runenv.Msg{From: 1, Kind: kindBoundary,
 			Payload: &boundaryMsg{Iter: it, Pos: n.endC, Comps: freshTrajs(n.halo, n.trajLen)}})
-		if len(n.free) > maxFree {
-			t.Fatalf("after %d halos the free list holds %d buffers, cap %d", it+1, len(n.free), maxFree)
+		if len(free.trajs) > free.max || len(free.msgs) > free.max {
+			t.Fatalf("after %d halos the list holds %d buffers and %d messages, bound %d",
+				it+1, len(free.trajs), len(free.msgs), free.max)
 		}
 	}
-	if len(n.free) != maxFree || cap(n.free) > 2*maxFree {
-		t.Fatalf("free list len %d cap %d after %d halos, want len %d", len(n.free), cap(n.free), 10*maxFree, maxFree)
+	if len(free.trajs) != free.max || len(free.msgs) != free.max || cap(free.trajs) > 2*free.max || cap(free.msgs) > 2*free.max {
+		t.Fatalf("after %d halos the list holds %d buffers (cap %d) and %d messages (cap %d), want %d of each",
+			10*free.max, len(free.trajs), cap(free.trajs), len(free.msgs), cap(free.msgs), free.max)
 	}
-	for i := 0; i < maxFree; i++ {
-		if out := n.reuse(); len(out) != n.trajLen {
-			t.Fatalf("send %d: reused buffer has %d values, want %d", i, len(out), n.trajLen)
+	sends := free.max / n.halo
+	for it := range sends {
+		n.sendBoundary(dirRight, 0, it)
+	}
+	if len(free.trajs) != free.max-sends*n.halo || len(free.msgs) != free.max-sends {
+		t.Fatalf("after %d sends of %d halos the list holds %d buffers and %d messages, want %d and %d",
+			sends, n.halo, len(free.trajs), len(free.msgs), free.max-sends*n.halo, free.max-sends)
+	}
+}
+
+// TestRunListShared: what one node of a run lets go of — the halos a fresher
+// one evicts, the messages it has read — is what another node of the run
+// draws for its next send. A slow rank that integrates more halos than it
+// sends thus feeds its faster neighbour, which would otherwise allocate
+// every send it cannot refill.
+func TestRunListShared(t *testing.T) {
+	prob, _ := smallBruss()
+	cfg := baseConfig(prob, 3).withDefaults()
+	slow, fast := newNode(clockEnv{}, &cfg, 0), newNode(clockEnv{}, &cfg, 1)
+	parked := map[*float64]bool{}
+	read := map[*boundaryMsg]bool{}
+	for it := 0; it < 4; it++ {
+		b := &boundaryMsg{Iter: it, Pos: slow.endC, Comps: freshTrajs(slow.halo, slow.trajLen)}
+		for _, tr := range b.Comps {
+			parked[&tr[0]] = true
 		}
+		read[b] = true
+		slow.recvBoundary(runenv.Msg{From: 1, Kind: kindBoundary, Payload: b})
 	}
-	if len(n.free) != 0 {
-		t.Fatalf("%d buffers left after %d sends", len(n.free), maxFree)
+	if b := fast.newMsg(); !read[b] {
+		t.Errorf("node 1 drew a new message, not one of the %d node 0 has read", len(read))
+	}
+	if tr := fast.reuse(); !parked[&tr[0]] {
+		t.Errorf("node 1 drew a new buffer, not one of the halos node 0 let go of")
 	}
 }
 
 // TestDistRecycledBufferNeverRead is the poison row of the dist backend: on
-// two loopback workers every buffer and message entering a node's list or a
-// worker's wireFree is filled with NaN, while the wire drops, reorders and
-// (in the first cell) duplicates frames of every data-plane kind. Lost and
-// late LB frames make lbResendMsg send its trajectories again, so a
-// kindLBData payload that entered the worker's list after its first
-// encoding would go out again as NaN; an arriving halo decoded into a buffer
-// something still reads would show the same way. As in the real-time cells
+// two loopback workers every buffer and message entering a worker's list is
+// filled with NaN, while the wire drops, reorders and (in the first cell)
+// duplicates frames of every data-plane kind. Lost and late LB frames make
+// lbResendMsg send its trajectories again, so a kindLBData payload that
+// entered the worker's list after its first encoding would go out again as
+// NaN; an arriving halo decoded into a buffer something still reads would
+// show the same way. As in the real-time cells
 // of TestFaultRecycledBufferNeverRead, the answer is only checked for
 // poison: how close a faulted real-time run lands is the false-halt
 // question of ROADMAP item 0 (in 100 runs of each cell, with or without the

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sync"
 
 	"aiac/internal/detect"
 	"aiac/internal/dtime"
@@ -21,10 +19,10 @@ import (
 // returns the exact value types the solver and protocol code assert on.
 //
 // The zero Codec allocates every value it decodes. The one RunDistWorker
-// builds holds the worker's wireFree list: AppendPayload keeps each boundary
-// message it has encoded, and DecodePayload decodes into the messages and
-// buffers the list holds.
-type Codec struct{ free *wireFree }
+// builds holds the worker's run list, which the worker's nodes share:
+// AppendPayload keeps each boundary message it has encoded, and
+// DecodePayload decodes into the messages and buffers the list holds.
+type Codec struct{ free *runFree }
 
 var _ runenv.PayloadCodec = Codec{}
 
@@ -178,7 +176,7 @@ func trajsLen(ts [][]float64) int {
 // present could bear it out — every trajectory takes at least its 4-byte
 // count prefix — so a corrupted count cannot balloon memory before erroring
 // out. On error nothing of ts or of what it drew returns to w.
-func decTrajs(d *dtime.Dec, ts [][]float64, w *wireFree) [][]float64 {
+func decTrajs(d *dtime.Dec, ts [][]float64, w *runFree) [][]float64 {
 	n := int(d.U32())
 	if d.Err() != nil {
 		return nil
@@ -207,101 +205,6 @@ func decTrajs(d *dtime.Dec, ts [][]float64, w *wireFree) [][]float64 {
 		return nil
 	}
 	return out
-}
-
-// wireFree is a dist worker's list of spent boundary messages, each with
-// the trajectory buffers its Comps still holds, and of loose trajLen
-// buffers. On a worker the wire is the neighbour of every hosted node that
-// has a remote one: the codec puts in what it has encoded and takes out what
-// it decodes into, and the nodes put in what their own lists have no room
-// for and take out what those lack — a node that sends more halos than it
-// receives would otherwise allocate the difference. Whoever puts a message
-// or a buffer in reads it no more. The connection reader decodes while the
-// nodes send and recycle, so a mutex guards the list. It is bounded like a
-// node's lists, at maxWireFree messages and as many loose buffers; the
-// excess goes to the GC. A nil *wireFree keeps nothing.
-type wireFree struct {
-	mu      sync.Mutex
-	msgs    []*boundaryMsg
-	trajs   [][]float64
-	trajLen int
-	// poison fills what enters the list with NaN and impossible positions,
-	// as Config.poisonFree does for the node lists.
-	poison bool
-}
-
-const maxWireFree = 2 * maxFree
-
-// putMsg keeps b, with the buffers its Comps holds, for a later decode.
-func (w *wireFree) putMsg(b *boundaryMsg) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.msgs) >= maxWireFree {
-		return
-	}
-	if w.poison {
-		b.Iter, b.Pos, b.Load = math.MinInt, math.MinInt, math.NaN()
-		for _, tr := range b.Comps {
-			poisonTraj(tr)
-		}
-	}
-	w.msgs = append(w.msgs, b)
-}
-
-// getMsg returns a kept boundary message, buffers and all, or a new empty
-// one.
-func (w *wireFree) getMsg() *boundaryMsg {
-	if w != nil {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if k := len(w.msgs) - 1; k >= 0 {
-			b := w.msgs[k]
-			w.msgs = w.msgs[:k]
-			return b
-		}
-	}
-	return &boundaryMsg{}
-}
-
-// putTraj keeps tr as a loose buffer, if it is trajLen long.
-func (w *wireFree) putTraj(tr []float64) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(tr) != w.trajLen || len(w.trajs) >= maxWireFree {
-		return
-	}
-	if w.poison {
-		poisonTraj(tr)
-	}
-	w.trajs = append(w.trajs, tr)
-}
-
-// getTraj returns a loose trajLen buffer of arbitrary contents, or nil.
-func (w *wireFree) getTraj() []float64 {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	k := len(w.trajs) - 1
-	if k < 0 {
-		return nil
-	}
-	tr := w.trajs[k]
-	w.trajs = w.trajs[:k]
-	return tr
-}
-
-func poisonTraj(tr []float64) {
-	for i := range tr {
-		tr[i] = math.NaN()
-	}
 }
 
 // workerResult is one worker process's share of a distributed run: the

@@ -327,8 +327,8 @@ func FamineGuard(scale Scale) Report {
 		ID:         "x5-famine",
 		Title:      "famine guard (ThresholdData) ablation",
 		PaperClaim: "a minimum-data threshold avoids the famine phenomenon on the slowest processors",
-		Measured: fmt.Sprintf("min final counts %v for guards %v (never below the guard)",
-			minCounts, guards),
+		Measured: fmt.Sprintf("min final counts %v for guards %v (%s)",
+			minCounts, guards, holds(pass, "never below the guard", "below the guard")),
 		Pass: pass,
 		Text: tab.String(),
 	}

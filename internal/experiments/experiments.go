@@ -65,6 +65,16 @@ func (r Report) String() string {
 	return b.String()
 }
 
+// holds is the clause a report's Measured line states for an outcome: yes
+// where the comparison behind ok holds, no where it does not. The line is
+// built from the booleans that set Pass, so it cannot claim what failed.
+func holds(ok bool, yes, no string) string {
+	if ok {
+		return yes
+	}
+	return no
+}
+
 // brussCase bundles a Brusselator instance sized for an experiment.
 type brussCase struct {
 	prob *brusselator.Problem

@@ -60,8 +60,9 @@ func Mapping(scale Scale) Report {
 		Title: "logical organization: irregular (paper) vs site-ordered chain",
 		PaperClaim: "the irregular organization was chosen to make the grid context " +
 			"unfavorable; balancing still brought an impressive enhancement",
-		Measured: fmt.Sprintf("site-ordered is %.2fx faster unbalanced; LB helps under both (irregular %.2fx, ordered %.2fx)",
-			irr[0]/ord[0], irr[0]/irr[1], ord[0]/ord[1]),
+		Measured: fmt.Sprintf("site-ordered is %s unbalanced; LB %s (irregular %.2fx, ordered %.2fx)",
+			holds(orderedFaster, fmt.Sprintf("%.2fx faster", irr[0]/ord[0]), fmt.Sprintf("not faster (%.2fx)", irr[0]/ord[0])),
+			holds(lbHelpsBoth, "helps under both", "does not help under both"), irr[0]/irr[1], ord[0]/ord[1]),
 		Pass: orderedFaster && lbHelpsBoth,
 		Text: tab.String(),
 	}

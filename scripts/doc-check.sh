@@ -7,10 +7,11 @@
 #   - every ./path package argument of a go run/build/test/vet command,
 #   - every -flag that follows the name aiacrun or paperexp on its command
 #     line, and every code span starting with a -flag on a line naming them,
+#   - every experiment id that follows -exp on a line naming paperexp,
 #   - every code span pkg.Name or pkg.Name.Member where pkg is the name of a
 #     package of this module (commands aside) and Name is exported,
 # and checks them against `make -qp`, the file system, the commands' own
-# -h output and `go doc`. bench/README.md is left out: bench/ is frozen between benchmark
+# -h output, the case labels of paperexp's experiment() and `go doc`. bench/README.md is left out: bench/ is frozen between benchmark
 # PRs (BENCHMARK.json).
 #
 # usage: scripts/doc-check.sh [docs-dir]   (run from the repository root;
@@ -27,6 +28,9 @@ flags_of() {
 }
 aiacrun_flags=$(flags_of aiacrun)
 paperexp_flags=$(flags_of paperexp)
+# the ids paperexp's -exp takes: the case labels of its experiment()
+paperexp_ids=$(awk '/^func experiment\(/ {f = 1; next} f && /^}/ {exit} f && /^\tcase / {print}' cmd/paperexp/main.go |
+	grep -oE '"[^"]*"' | tr -d '"')
 # "name import-path" of every package of the module but the commands
 packages=$("$GO" list -f '{{.Name}} {{.ImportPath}}' ./... | grep -v '^main ')
 
@@ -72,6 +76,10 @@ check() {
 			echo "$line" | grep -oE '`-[A-Za-z][A-Za-z0-9-]*'
 		} | sed 's/^[^-]*-//'); do
 			echo $known | tr ' ' '\n' | grep -qx -- "$f" || echo "$doc: -$f: not a flag of the command named beside it"
+		done
+		case $line in *paperexp*) ;; *) continue ;; esac
+		for id in $(echo "$line" | grep -oE -- '-exp[[:space:]=]+[A-Za-z0-9_-]+' | sed -E 's/^-exp[[:space:]=]+//'); do
+			echo "$paperexp_ids" | grep -qx -- "$id" || echo "$doc: -exp $id: not an experiment of paperexp"
 		done
 	done | sort -u
 }
